@@ -35,20 +35,11 @@ from .model import (
     DriftDiffusion,
     GklsModel,
     build_drift_diffusion,
-    kraus_rank_full,
     one_dim_family,
     validate,
 )
-from .realops import (
-    RealLinearPair,
-    SymplecticForm,
-    pair_exp,
-    realize,
-    sharp_adjoint,
-)
 from .stationary import (
     StationaryData,
-    is_stable,
     kms_covariance,
     solve_stationary,
     williamson,
@@ -63,9 +54,7 @@ __all__ = [
     "GapReport",
     "GaussianStateParams",
     "OuGenerator",
-    "RealLinearPair",
     "StationaryData",
-    "SymplecticForm",
     "WeylCombo",
     "analyze",
     "build_drift_diffusion",
@@ -73,13 +62,11 @@ __all__ = [
     "build_superoperator",
     "char_fn",
     "gns_gap",
-    "is_stable",
     "kernel_psd_check",
     "kernel_s",
     "kms_covariance",
     "kms_gap",
     "kms_weyl_trace",
-    "kraus_rank_full",
     "lift_from_ou",
     "no_gap_diagnosis",
     "norm_decay",
@@ -89,10 +76,7 @@ __all__ = [
     "oracle_gap",
     "oracle_kms_trace",
     "ou_gap_1d",
-    "pair_exp",
-    "realize",
     "restrict_to_ou",
-    "sharp_adjoint",
     "sharpness_witness",
     "solve_stationary",
     "state_evolve",

@@ -24,7 +24,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -35,14 +34,8 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .model import (
-    GklsModel,
-    build_drift_diffusion,
-    kraus_rank_full,
-    one_dim_family,
-    validate,
-)
-from .stationary import is_stable, solve_stationary
+from .model import GklsModel, build_drift_diffusion, one_dim_family, validate
+from .stationary import solve_stationary
 
 __all__ = ["parse_model", "run_report", "main"]
 
@@ -75,6 +68,17 @@ def _as_complex_array(node, shape, name):
 
 def parse_model(source) -> GklsModel:
     """Parse a model document (path, file-like or JSON text)."""
+    return _read_model(source)[0]
+
+
+def _read_model(source):
+    """Parse a model document into (model, preset), where preset is the
+    (mu2, lambda2, omega, kappa) tuple of a single-mode preset document and
+    None for an explicit model.
+
+    A path that does not exist is reported as such, unless the string looks
+    like a JSON document.
+    """
     if hasattr(source, "read"):
         text = source.read()
     elif isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
@@ -82,6 +86,8 @@ def parse_model(source) -> GklsModel:
             text = fh.read()
     else:
         text = str(source)
+        if isinstance(source, os.PathLike) or text.lstrip()[:1] not in ("", "{", "["):
+            raise ParseError(f"model file not found: {text}")
     if not text.strip():
         raise ParseError("empty model document")
     try:
@@ -98,19 +104,20 @@ def parse_model(source) -> GklsModel:
     if "one_dim" in doc:
         preset = doc["one_dim"]
         try:
-            return one_dim_family(
+            params = (
                 float(preset["mu2"]),
                 float(preset["lambda2"]),
                 float(preset.get("omega", 0.0)),
                 float(preset.get("kappa", 0.0)),
             )
+            return one_dim_family(*params), params
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad one_dim preset: {exc}") from exc
     for key in ("d", "m", "omega", "kappa", "U", "V", "zeta"):
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
     d, m = int(doc["d"]), int(doc["m"])
-    return GklsModel(
+    model = GklsModel(
         d=d,
         m=m,
         omega=_as_complex_array(doc["omega"], (d, d), "omega"),
@@ -119,6 +126,7 @@ def parse_model(source) -> GklsModel:
         v_mat=_as_complex_array(doc["V"], (m, d), "V"),
         zeta=_as_complex_array(doc["zeta"], (d,), "zeta"),
     )
+    return model, None
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +183,15 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
         return report
 
     dd = build_drift_diffusion(model)
-    info = is_stable(dd)
     report["stability"] = {
-        "stable": info.stable,
-        "abscissa": float(info.abscissa),
-        "eigenvalues": _cvec(info.eigenvalues),
+        "stable": dd.is_stable,
+        "abscissa": dd.abscissa,
+        "eigenvalues": _cvec(dd.drift_eigenvalues),
     }
-    cz_spec = np.linalg.eigvalsh(dd.cz)
     report["cz"] = {
-        "spectrum": [float(x) for x in cz_spec],
-        "min_eig": float(dd.cz_min_eig),
-        "full_rank": kraus_rank_full(dd),
+        "spectrum": [float(x) for x in dd.cz_spectrum],
+        "min_eig": dd.cz_min_eig,
+        "full_rank": dd.kraus_rank_full,
     }
     grep = gap.analyze(dd, model.zeta)
     report["has_gns_gap"] = grep.has_gns_gap
@@ -216,7 +222,7 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
             "det_s_tilde": st.det_s_tilde,
             "sigma": [float(x) for x in st.sigma],
             "faithful": st.faithful,
-            "unique": bool(info.stable and kraus_rank_full(dd)),
+            "unique": dd.is_stable and dd.kraus_rank_full,
         }
         if grep.g is None:
             report["gns"] = _unavailable("NotFaithful")
@@ -286,32 +292,9 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_params(source) -> tuple | None:
-    """Extract preset parameters when the model file used the preset form."""
-    try:
-        if hasattr(source, "read"):
-            return None
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.loads(str(source))
-        preset = doc.get("one_dim")
-        if preset is None:
-            return None
-        return (
-            float(preset["mu2"]),
-            float(preset["lambda2"]),
-            float(preset.get("omega", 0.0)),
-            float(preset.get("kappa", 0.0)),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
-        return None
-
-
 def _cmd_analyze(args) -> int:
-    model = parse_model(args.model)
-    report = run_report(model, closed_form=_closed_form_params(args.model))
+    model, preset = _read_model(args.model)
+    report = run_report(model, closed_form=preset)
     if args.json:
         _dump_json(report, sys.stdout)
     else:
@@ -364,8 +347,8 @@ def _print_human(report: dict):
 
 
 def _cmd_gap(args) -> int:
-    model = parse_model(args.model)
-    report = run_report(model, closed_form=_closed_form_params(args.model))
+    model, preset = _read_model(args.model)
+    report = run_report(model, closed_form=preset)
     wanted = {"gns": ["gns"], "kms": ["kms"], "both": ["gns", "kms"]}[args.mode]
     out = {key: report[key] for key in wanted}
     out["has_gns_gap"] = report["has_gns_gap"]
@@ -418,11 +401,11 @@ def _cmd_evolve(args) -> int:
 def _cmd_decay(args) -> int:
     model = parse_model(args.model)
     dd = build_drift_diffusion(model)
-    st = solve_stationary(dd, model.zeta)
     grep = gap.analyze(dd, model.zeta)
     if grep.g is None:
         sys.stderr.write("decay curves need a faithful invariant state\n")
         return 1
+    st = grep.stationary
     times = [float(t) for t in args.t_grid.split(",")]
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\r\n")
@@ -524,12 +507,7 @@ def _cmd_sweep(args) -> int:
                     if lambda2 == 0.0 and kappa_h == 0.0:
                         continue  # pure vacuum boundary
                     points.append((mu2, lambda2, omega_h, kappa_h))
-    workers = int(os.environ.get("GAUSSGAP_THREADS", "0") or 0)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, points))
-    else:
-        rows = [_sweep_point(p) for p in points]
+    rows = [_sweep_point(p) for p in points]
     writer = csv.writer(sys.stdout, lineterminator="\r\n")
     writer.writerow(
         [

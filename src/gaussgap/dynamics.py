@@ -23,6 +23,7 @@ combination with centered coefficients xi_j = exp(-Re<z_j, S z_j>/2) eta_j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import (
 from .model import DriftDiffusion
 from .realops import jmat, unvec2d, vec2d
 from .stationary import StationaryData
-from .gap import fix_phase, hermitian_root_pair
+from .gap import fix_phase, gns_gap
 
 __all__ = [
     "GaussianStateParams",
@@ -121,6 +122,8 @@ class WeylCombo:
 
 def propagator(dd: DriftDiffusion, t: float):
     """exp(t Z2d), cached on the drift/diffusion object."""
+    if not math.isfinite(t):
+        raise ValueError("time parameter must be finite")
     key = ("prop", float(t))
     if key not in dd._cache:
         dd._cache[key] = expm(float(t) * dd.z2d)
@@ -336,18 +339,16 @@ def sharpness_witness(
     even when omega_test sits just below omega0); f2 > 0 certifies that
     every rate faster than omega0 is violated for small r, t.
     """
-    root, inv_root = hermitian_root_pair(st.s_tilde)
-    zc = dd.z2d.astype(complex)
-    sim = root @ zc @ inv_root
-    h1 = sim + sim.conj().T
-    h1 = 0.5 * (h1 + h1.conj().T)
-    evals, evecs = np.linalg.eigh(h1)
-    omega0 = float(evals[-1])
+    gns = gns_gap(dd, st)
+    omega0 = gns.omega0
     if omega_test >= omega0:
         raise ValueError(
             f"omega_test = {omega_test:.6g} must lie strictly below omega0 = {omega0:.6g}"
         )
-    z_coord = fix_phase(inv_root @ evecs[:, -1])
+    root, inv_root = st.tilde_roots
+    # fix_phase is invariant under a global phase, so the phase gns_gap gave
+    # its witness does not matter here
+    z_coord = fix_phase(inv_root @ gns.witness)
     # scale so that s_0(z, z) = 1 exactly: <z, s_tilde z> = ||root z||^2
     nrm = float(np.linalg.norm(root @ z_coord))
     z_coord = z_coord / nrm

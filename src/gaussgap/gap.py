@@ -25,8 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, NoFaithfulState, NotFaithful
-from .model import DriftDiffusion, kraus_rank_full
-from .stationary import StationaryData, is_stable, solve_stationary
+from .model import DriftDiffusion
+from .realops import hermitian_root_pair
+from .stationary import StationaryData, solve_stationary
 
 __all__ = [
     "GapReport",
@@ -38,7 +39,6 @@ __all__ = [
     "OneDimClosedForms",
     "no_gap_diagnosis",
     "analyze",
-    "hermitian_root_pair",
     "fix_phase",
 ]
 
@@ -62,25 +62,6 @@ def fix_phase(v):
     return out
 
 
-def hermitian_root_pair(mat, clip=1e-13):
-    """Square root and inverse square root of a Hermitian PD matrix.
-
-    Eigenvalues below clip * lambda_max mean the state is effectively on the
-    pure boundary; that raises NotFaithful instead of being regularized,
-    since regularization would fabricate a gap.
-    """
-    mat = np.asarray(mat)
-    herm = 0.5 * (mat + mat.conj().T)
-    evals, evecs = np.linalg.eigh(herm)
-    if evals[0] <= clip * max(evals[-1], 0.0):
-        raise NotFaithful(
-            f"covariance is singular at working precision (min eig {evals[0]:.3e})"
-        )
-    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    inv_root = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    return root, inv_root
-
-
 def optimal_growth_rate(y) -> float:
     """Largest eigenvalue of y + y*; the least omega with
     ||exp(t y) v||^2 <= exp(t omega) ||v||^2 for all t >= 0 and all v."""
@@ -93,6 +74,7 @@ def optimal_growth_rate(y) -> float:
 class GapComputation:
     omega0: float
     g: float
+    #: top eigenvector of the Hermitian similarity matrix, phase-fixed
     witness: np.ndarray
     #: smallest eigenvalue of the dissipation form (route-b matrix)
     dissipation_min_eig: float
@@ -107,7 +89,7 @@ def gns_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
     """
     if not st.faithful:
         raise NotFaithful("one-sided gap needs a faithful invariant state")
-    root, inv_root = hermitian_root_pair(st.s_tilde)
+    root, inv_root = st.tilde_roots
     zc = dd.z2d.astype(complex)
     sim = root @ zc @ inv_root
     h1 = sim + sim.conj().T
@@ -121,7 +103,7 @@ def gns_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
         raise ConsistencyError(
             f"gap routes disagree: similarity {omega0:.3e} vs form {-k_min:.3e}"
         )
-    g = 0.0 if not kraus_rank_full(dd) else -omega0 / 2.0
+    g = 0.0 if not dd.kraus_rank_full else -omega0 / 2.0
     return GapComputation(
         omega0=omega0,
         g=g,
@@ -282,12 +264,11 @@ def no_gap_diagnosis(dd: DriftDiffusion) -> Finding:
     integral diverges).  Stable drift with singular cz: returns a unit
     kernel vector of cz.
     """
-    info = is_stable(dd)
     z2d = dd.z2d
-    if not info.stable:
-        idx = int(np.argmax(info.eigenvalues.real))
-        lam = complex(info.eigenvalues[idx])
-        w = info.eigenvectors[:, idx]
+    if not dd.is_stable:
+        idx = int(np.argmax(dd.drift_eigenvalues.real))
+        lam = complex(dd.drift_eigenvalues[idx])
+        w = dd.drift_eigenvectors[:, idx]
         w = w / np.linalg.norm(w)
         c2d = dd.c2d
         span = _krylov_span(z2d, [w.real, w.imag])
@@ -313,7 +294,7 @@ def no_gap_diagnosis(dd: DriftDiffusion) -> Finding:
             case=case,
             residual=resid,
         )
-    if not kraus_rank_full(dd):
+    if not dd.kraus_rank_full:
         evals, evecs = np.linalg.eigh(dd.cz)
         v = fix_phase(evecs[:, 0])
         resid = float(np.linalg.norm(dd.cz @ v))
@@ -340,7 +321,6 @@ class GapReport:
     kbreve_min_eig: Optional[float] = None
     kms_kernel_condition_ok: Optional[bool] = None
     stationary: Optional[StationaryData] = None
-    stability: Optional[object] = None
     diagnostics: list = field(default_factory=list)
 
 
@@ -350,15 +330,11 @@ def analyze(dd: DriftDiffusion, zeta=None) -> GapReport:
     Unstable or unfaithful models produce a report whose unavailable fields
     stay None and whose diagnostics say why.
     """
-    info = is_stable(dd)
     finding = no_gap_diagnosis(dd)
-    report = GapReport(
-        has_gns_gap=bool(info.stable and kraus_rank_full(dd)),
-        stability=info,
-    )
+    report = GapReport(has_gns_gap=dd.is_stable and dd.kraus_rank_full)
     if finding.kind != "GapExists":
         report.diagnostics.append(finding)
-    if not info.stable:
+    if not dd.is_stable:
         return report
     st = solve_stationary(dd, zeta)
     report.stationary = st

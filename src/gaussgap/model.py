@@ -5,14 +5,15 @@ quasi-free (Gaussian) Markov generator: Omega and kappa are the quadratic
 Hamiltonian coefficients, the rows of U and V hold the creation/annihilation
 coefficients of the m jump operators, and zeta is the linear drive.
 
-From a validated model we build the drift Z and diffusion C as real-linear
-operators, together with the Hermitian 2d x 2d matrix
+From a validated model we build the real 2d x 2d realizations of the drift Z
+and the diffusion C, together with the Hermitian 2d x 2d matrix
 
     cz = C_2d - i (Z_2d^T J + J Z_2d)
 
 whose strict positivity is equivalent to the model carrying the maximal
 number 2d of independent noise channels.  Everything downstream (stationary
-state, spectral gaps, no-gap diagnostics) is a function of this triple.
+state, spectral gaps, no-gap diagnostics) is a function of this triple and
+of the spectra of Z and cz, which are computed once, on the build.
 
 Two independent constructions are cross-checked on every build: the defining
 formulas for Z and C in terms of (U, V, Omega, kappa), and the equivalent
@@ -33,7 +34,7 @@ from .errors import (
     NotHermitian,
     NotSymmetric,
 )
-from .realops import RealLinearPair, jmat
+from .realops import jmat, realize_blocks
 
 __all__ = [
     "GklsModel",
@@ -42,7 +43,6 @@ __all__ = [
     "one_dim_family",
     "validate",
     "build_drift_diffusion",
-    "kraus_rank_full",
     "appendix_z_realization",
     "appendix_cz",
 ]
@@ -178,36 +178,40 @@ def validate(model: GklsModel, strict: bool = True) -> ValidationReport:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriftDiffusion:
-    """Drift/diffusion triple of a validated model.
+    """Drift/diffusion triple of a validated model, with the spectral data
+    every later stage reads; :func:`build_drift_diffusion` fills it once.
 
-    cz is Hermitian positive semidefinite; cz_min_eig is its smallest
-    eigenvalue (tiny negative values are eigensolver noise).
+    z2d and c2d are the real 2d x 2d realizations of drift and diffusion.
+    cz is Hermitian positive semidefinite with ascending eigenvalues
+    cz_spectrum (tiny negative values are eigensolver noise).  The drift is
+    stable when every eigenvalue has strictly negative real part; the
+    threshold is relative to the drift norm, so a zero drift is unstable.
     """
 
-    z_pair: RealLinearPair
-    c_pair: RealLinearPair
+    z2d: np.ndarray
+    c2d: np.ndarray
     cz: np.ndarray
-    cz_min_eig: float
-    #: cached realizations and propagators, keyed internally
+    cz_spectrum: np.ndarray
+    #: cz strictly positive definite: the model carries 2d independent
+    #: noise channels
+    kraus_rank_full: bool
+    #: greatest real part of the drift eigenvalues
+    abscissa: float
+    drift_eigenvalues: np.ndarray
+    drift_eigenvectors: np.ndarray
+    is_stable: bool
+    #: propagators and gramians of the dynamics layer, keyed by (kind, t)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim_d(self) -> int:
-        return self.z_pair.dim_d
+        return self.z2d.shape[0] // 2
 
     @property
-    def z2d(self):
-        if "z2d" not in self._cache:
-            self._cache["z2d"] = self.z_pair.realize()
-        return self._cache["z2d"]
-
-    @property
-    def c2d(self):
-        if "c2d" not in self._cache:
-            self._cache["c2d"] = self.c_pair.realize()
-        return self._cache["c2d"]
+    def cz_min_eig(self) -> float:
+        return float(self.cz_spectrum[0])
 
 
 def appendix_z_realization(model: GklsModel):
@@ -244,23 +248,17 @@ def appendix_cz(model: GklsModel):
 
 
 def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
-    """Assemble (Z, C, cz) from a model, cross-checking the defining and the
-    block constructions against each other.
+    """Assemble (Z, C, cz) and their spectral data from a model,
+    cross-checking the defining and the block constructions against each
+    other.
     """
     validate(model, strict=True)
     u, v = model.u_mat, model.v_mat
-    z_pair = RealLinearPair(
-        model.d,
+    z2d = realize_blocks(
         0.5 * (u.T @ u.conj() - v.T @ v.conj()) + 1j * model.omega,
         0.5 * (u.T @ v - v.T @ u) + 1j * model.kappa,
     )
-    c_pair = RealLinearPair(
-        model.d,
-        u.T @ u.conj() + v.T @ v.conj(),
-        u.T @ v + v.T @ u,
-    )
-    z2d = z_pair.realize()
-    c2d = c_pair.realize()
+    c2d = realize_blocks(u.T @ u.conj() + v.T @ v.conj(), u.T @ v + v.T @ u)
     j = jmat(model.d)
     cz = c2d.astype(complex) - 1j * (z2d.T @ j + j @ z2d)
     cz = 0.5 * (cz + cz.conj().T)
@@ -276,17 +274,23 @@ def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
     if np.linalg.norm(cz - m_stack.conj().T @ m_stack) > 1e-10 * scale:
         raise ConsistencyError("cz disagrees with its Gram factorization")
 
-    cz_min = float(np.linalg.eigvalsh(cz)[0])
+    cz_spectrum = np.linalg.eigvalsh(cz)
+    cz_min = float(cz_spectrum[0])
     if cz_min < -1e-10 * scale:
         raise ConsistencyError(f"cz has a genuinely negative eigenvalue {cz_min:.3e}")
-    dd = DriftDiffusion(z_pair=z_pair, c_pair=c_pair, cz=cz, cz_min_eig=cz_min)
-    dd._cache["z2d"] = z2d
-    dd._cache["c2d"] = c2d
-    return dd
-
-
-def kraus_rank_full(dd: DriftDiffusion) -> bool:
-    """True iff cz is strictly positive definite, i.e. the model carries
-    2d independent noise channels."""
-    scale = float(np.linalg.norm(dd.cz, 2))
-    return dd.cz_min_eig > RANK_TOL * max(scale, 1e-300)
+    # cz is Hermitian PSD, so its 2-norm is its top eigenvalue
+    cz_norm = float(cz_spectrum[-1])
+    evals, evecs = np.linalg.eig(z2d)
+    abscissa = float(np.max(evals.real))
+    stable_tol = 1e-12 * max(1.0, float(np.linalg.norm(z2d, 2)))
+    return DriftDiffusion(
+        z2d=z2d,
+        c2d=c2d,
+        cz=cz,
+        cz_spectrum=cz_spectrum,
+        kraus_rank_full=bool(cz_min > RANK_TOL * max(cz_norm, 1e-300)),
+        abscissa=abscissa,
+        drift_eigenvalues=evals,
+        drift_eigenvectors=evecs,
+        is_stable=bool(abscissa < -stable_tol),
+    )

@@ -1,11 +1,11 @@
-"""Algebra of real-linear operators on C^d.
+"""Phase-space coordinates and the Hermitian matrix-root helper.
 
-A real-linear operator A acts as ``A z = a1 @ z + a2 @ conj(z)`` with complex
-matrices a1, a2.  Identifying C^d with R^{2d} through z -> [Re z; Im z] turns
-A into a real 2d x 2d matrix (its *realization*), and the same matrix read
-with complex scalars is the complexification of A.  All spectral work in this
-package happens on realizations; the (a1, a2) pairs are kept only as the
-faithful parametrization of the model data.
+A real-linear operator A on C^d acts as ``A z = a1 @ z + a2 @ conj(z)`` with
+complex matrices a1, a2.  Identifying C^d with R^{2d} through
+z -> [Re z; Im z] turns A into a real 2d x 2d matrix (its *realization*), and
+the same matrix read with complex scalars is the complexification of A.  All
+spectral work in this package happens on realizations; the (a1, a2) pairs
+appear only as the faithful parametrization of the model data.
 
 The sharp adjoint is the adjoint with respect to the real scalar product
 Re<., .>; on realizations it is the plain transpose.
@@ -13,26 +13,27 @@ Re<., .>; on realizations it is the plain transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = [
-    "RealLinearPair",
-    "SymplecticForm",
-    "realize",
+    "ROOT_MARGIN",
     "realize_blocks",
-    "sharp_adjoint",
-    "pair_exp",
-    "pair_from_matrix",
-    "compose",
     "jmat",
     "vec2d",
     "unvec2d",
+    "hermitian_root_pair",
 ]
+
+#: relative eigenvalue margin: a Hermitian matrix whose smallest eigenvalue
+#: is at most ROOT_MARGIN times its largest counts as singular.  It decides
+#: both whether a matrix root is taken and whether an invariant state is
+#: faithful, so a state called faithful always has its roots.  The one-sided
+#: gap's similarity route loses accuracy like eps * cond(S + iJ); on
+#: single-mode families with |Z| up to ~400 its cross-check failed up to an
+#: eigenvalue ratio of 1.3e-6, so the margin keeps a factor of ~8 above that.
+ROOT_MARGIN = 1e-5
 
 
 def vec2d(z):
@@ -74,112 +75,22 @@ def jmat(d):
     return j
 
 
-@dataclass(frozen=True)
-class RealLinearPair:
-    """A real-linear operator on C^d stored as its (a1, a2) pair."""
+def hermitian_root_pair(mat):
+    """Square root and inverse square root of a Hermitian (or real
+    symmetric) positive definite matrix; real input gives real roots.
 
-    dim_d: int
-    a1: np.ndarray
-    a2: np.ndarray
-
-    def __post_init__(self):
-        a1 = np.asarray(self.a1, dtype=complex)
-        a2 = np.asarray(self.a2, dtype=complex)
-        d = self.dim_d
-        if d < 1:
-            raise DimensionMismatch("dim_d must be a positive integer")
-        if a1.shape != (d, d) or a2.shape != (d, d):
-            raise DimensionMismatch(
-                f"expected {d}x{d} blocks, got {a1.shape} and {a2.shape}"
-            )
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-
-    @classmethod
-    def zero(cls, d):
-        return cls(d, np.zeros((d, d)), np.zeros((d, d)))
-
-    @classmethod
-    def identity(cls, d):
-        return cls(d, np.eye(d), np.zeros((d, d)))
-
-    @classmethod
-    def conjugation_j(cls, d):
-        """The operator z -> -i z."""
-        return cls(d, -1j * np.eye(d), np.zeros((d, d)))
-
-    def apply(self, z):
-        z = np.asarray(z, dtype=complex).ravel()
-        if z.size != self.dim_d:
-            raise DimensionMismatch("vector length does not match dim_d")
-        return self.a1 @ z + self.a2 @ np.conj(z)
-
-    def realize(self):
-        return realize_blocks(self.a1, self.a2)
-
-    def sharp(self):
-        """Adjoint for Re<., .>; its realization is the transpose."""
-        return RealLinearPair(self.dim_d, self.a1.conj().T, self.a2.T)
-
-    def compose(self, other: "RealLinearPair") -> "RealLinearPair":
-        """Composition self o other as real-linear maps."""
-        if other.dim_d != self.dim_d:
-            raise DimensionMismatch("cannot compose pairs of different dimension")
-        a1 = self.a1 @ other.a1 + self.a2 @ np.conj(other.a2)
-        a2 = self.a1 @ other.a2 + self.a2 @ np.conj(other.a1)
-        return RealLinearPair(self.dim_d, a1, a2)
-
-    def __add__(self, other: "RealLinearPair") -> "RealLinearPair":
-        if other.dim_d != self.dim_d:
-            raise DimensionMismatch("cannot add pairs of different dimension")
-        return RealLinearPair(self.dim_d, self.a1 + other.a1, self.a2 + other.a2)
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The symplectic form of the 2d phase space, j2d = [[0, I], [-I, 0]]."""
-
-    dim_d: int
-    j2d: np.ndarray
-
-    @classmethod
-    def standard(cls, d):
-        return cls(d, jmat(d))
-
-
-def realize(pair: RealLinearPair):
-    """Real 2d x 2d realization of a pair (complexification when read over C)."""
-    return pair.realize()
-
-
-def sharp_adjoint(pair: RealLinearPair) -> RealLinearPair:
-    """Adjoint with respect to Re<., .>: (a1, a2) -> (a1*, a2^T)."""
-    return pair.sharp()
-
-
-def pair_exp(pair: RealLinearPair, t: float):
-    """Matrix exponential exp(t * realization(pair))."""
-    if not np.isfinite(t):
-        raise ValueError("time parameter must be finite")
-    return expm(float(t) * pair.realize())
-
-
-def pair_from_matrix(mat2d) -> RealLinearPair:
-    """Recover the (a1, a2) pair from a 2d x 2d realization.
-
-    Inverse of :func:`realize`; realizations determine pairs uniquely.
+    An eigenvalue at or below ROOT_MARGIN * lambda_max raises
+    NotPositiveDefinite instead of being regularized, since regularization
+    would fabricate a gap.
     """
-    m = np.asarray(mat2d, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n) or n % 2:
-        raise DimensionMismatch("realization must be a square matrix of even size")
-    d = n // 2
-    b11, b12 = m[:d, :d], m[:d, d:]
-    b21, b22 = m[d:, :d], m[d:, d:]
-    re1, re2 = (b11 + b22) / 2.0, (b11 - b22) / 2.0
-    im1, im2 = (b21 - b12) / 2.0, (b21 + b12) / 2.0
-    return RealLinearPair(d, re1 + 1j * im1, re2 + 1j * im2)
-
-
-def compose(a: RealLinearPair, b: RealLinearPair) -> RealLinearPair:
-    return a.compose(b)
+    mat = np.asarray(mat)
+    herm = 0.5 * (mat + mat.conj().T)
+    evals, evecs = np.linalg.eigh(herm)
+    if evals[0] <= ROOT_MARGIN * max(evals[-1], 0.0):
+        raise NotPositiveDefinite(
+            f"matrix is numerically singular (min eig {evals[0]:.3e}, "
+            f"max eig {evals[-1]:.3e})"
+        )
+    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
+    inv_root = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    return root, inv_root

@@ -1,4 +1,4 @@
-"""Invariant Gaussian state: stability, Lyapunov solve, Williamson data.
+"""Invariant Gaussian state: Lyapunov solve, Williamson data, faithfulness.
 
 For a stable drift the invariant state has mean mu solving Z# mu = zeta and
 covariance (in 2d coordinates) solving the continuous Lyapunov equation
@@ -6,7 +6,8 @@ covariance (in 2d coordinates) solving the continuous Lyapunov equation
     Z2d^T S + S Z2d = -C2d.
 
 Faithfulness of the state is positivity of s_tilde = S + iJ, equivalently all
-symplectic eigenvalues sigma_j of S exceeding 1.  The second covariance
+symplectic eigenvalues sigma_j of S exceeding 1; it is decided at the
+relative margin ROOT_MARGIN of the matrix-root helper.  The second covariance
 s_breve = M^T diag(nu, nu) M with nu_j = sqrt(sigma_j^2 - 1) shares the
 symplectic eigenbasis of S and drives the square-root-split embedding.
 """
@@ -26,42 +27,14 @@ from .errors import (
     Unstable,
 )
 from .model import DriftDiffusion
-from .realops import jmat, unvec2d, vec2d
+from .realops import hermitian_root_pair, jmat, unvec2d, vec2d
 
 __all__ = [
-    "StabilityInfo",
     "StationaryData",
-    "is_stable",
     "solve_stationary",
     "williamson",
     "kms_covariance",
 ]
-
-
-@dataclass(frozen=True)
-class StabilityInfo:
-    stable: bool
-    abscissa: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def is_stable(dd: DriftDiffusion) -> StabilityInfo:
-    """Spectral abscissa test on the drift realization.
-
-    Stable means every eigenvalue has strictly negative real part; the
-    threshold is relative to the drift norm so a zero drift is unstable.
-    """
-    z2d = dd.z2d
-    evals, evecs = np.linalg.eig(z2d)
-    abscissa = float(np.max(evals.real))
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(z2d, 2)))
-    return StabilityInfo(
-        stable=bool(abscissa < -tol),
-        abscissa=abscissa,
-        eigenvalues=evals,
-        eigenvectors=evecs,
-    )
 
 
 @dataclass(frozen=True)
@@ -74,6 +47,8 @@ class StationaryData:
     sigma: np.ndarray
     s_breve: Optional[np.ndarray]
     nu: Optional[np.ndarray]
+    #: (s_tilde^{1/2}, s_tilde^{-1/2}) of a faithful state, else None
+    tilde_roots: Optional[tuple]
 
     @property
     def dim_d(self) -> int:
@@ -109,10 +84,9 @@ def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
     Raises Unstable when the drift spectrum meets the closed right half
     plane and SingularLyapunov when the linear solves are defective.
     """
-    info = is_stable(dd)
-    if not info.stable:
+    if not dd.is_stable:
         raise Unstable(
-            f"drift has spectral abscissa {info.abscissa:.6g} >= 0; "
+            f"drift has spectral abscissa {dd.abscissa:.6g} >= 0; "
             "no invariant Gaussian state"
         )
     d = dd.dim_d
@@ -129,9 +103,17 @@ def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
     s_tilde = 0.5 * (s_tilde + s_tilde.conj().T)
 
     sympl_m, sigma = williamson(s2d)
-    # equivalent to positivity of s_tilde; the equivalence itself is covered
-    # by the test suite
-    faithful = bool(np.min(sigma) > 1.0)
+    # Faithful means s_tilde positive definite at ROOT_MARGIN, the margin of
+    # every later root.  s_breve is the operator geometric mean of s_tilde
+    # and its conjugate, so its eigenvalues lie within those of s_tilde and
+    # its root cannot fail once s_tilde's exists.
+    tilde_roots = None
+    if np.min(sigma) > 1.0:
+        try:
+            tilde_roots = hermitian_root_pair(s_tilde)
+        except NotPositiveDefinite:
+            pass
+    faithful = tilde_roots is not None
 
     if faithful:
         s_breve, nu = kms_covariance(sympl_m, sigma)
@@ -146,20 +128,8 @@ def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
         sigma=sigma,
         s_breve=s_breve,
         nu=nu,
+        tilde_roots=tilde_roots,
     )
-
-
-def _spd_root(mat, tol=1e-13):
-    """Symmetric PD square root and inverse root via eigendecomposition."""
-    mat = np.asarray(mat, dtype=float)
-    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    if evals[0] <= tol * max(evals[-1], 0.0):
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (min eig {evals[0]:.3e})"
-        )
-    root = (evecs * np.sqrt(evals)) @ evecs.T
-    inv_root = (evecs / np.sqrt(evals)) @ evecs.T
-    return root, inv_root
 
 
 def williamson(s2d):
@@ -178,7 +148,7 @@ def williamson(s2d):
     if np.linalg.norm(s2d - s2d.T) > 1e-10 * max(1.0, np.linalg.norm(s2d)):
         raise NotPositiveDefinite("covariance must be symmetric")
     d = n // 2
-    root, _ = _spd_root(s2d)
+    root, _ = hermitian_root_pair(s2d)
     j = jmat(d)
     k = root @ j @ root
     k = 0.5 * (k - k.T)

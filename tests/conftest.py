@@ -5,7 +5,7 @@ import pytest
 
 from gaussgap.errors import GaussGapError
 from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
-from gaussgap.stationary import is_stable, solve_stationary
+from gaussgap.stationary import solve_stationary
 
 MODEL_A_PARAMS = (3.0, 1.0, 0.0, 0.0)
 MODEL_B_PARAMS = (3.0, 1.0, 2.0, 1.0)
@@ -57,8 +57,7 @@ def random_stable_faithful(rng, d, max_tries=300):
         model = random_model(rng, d, m=2 * d)
         try:
             dd = build_drift_diffusion(model)
-            info = is_stable(dd)
-            if not info.stable or info.abscissa > -0.05:
+            if not dd.is_stable or dd.abscissa > -0.05:
                 continue
             st = solve_stationary(dd, model.zeta)
         except GaussGapError:
@@ -79,8 +78,7 @@ def random_unstable(rng, d, max_tries=300):
             dd = build_drift_diffusion(model)
         except GaussGapError:
             continue
-        info = is_stable(dd)
-        if info.abscissa > 1e-3:
+        if dd.abscissa > 1e-3:
             return model, dd
     raise RuntimeError("could not fuzz an unstable model")
 
@@ -91,10 +89,9 @@ def random_singular_cz(rng, d, max_tries=300):
         model = random_model(rng, d, m=max(1, d))
         try:
             dd = build_drift_diffusion(model)
-            info = is_stable(dd)
         except GaussGapError:
             continue
-        if info.stable and info.abscissa < -0.05:
+        if dd.is_stable and dd.abscissa < -0.05:
             return model, dd
     raise RuntimeError("could not fuzz a stable singular-cz model")
 

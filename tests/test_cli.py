@@ -79,6 +79,10 @@ class TestParse:
         with pytest.raises((ParseError, ShapeError)):
             parse_model(text)
 
+    def test_missing_path_reported(self):
+        with pytest.raises(ParseError, match="model file not found: no/such/model.json"):
+            parse_model("no/such/model.json")
+
     def test_version_required(self):
         with pytest.raises(ParseError):
             parse_model(json.dumps({"one_dim": {"mu2": 2, "lambda2": 0}}))
@@ -162,6 +166,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert "ParseError" in err
 
+    def test_missing_model_file(self, capsys, tmp_path):
+        path = str(tmp_path / "nonexistent.json")
+        assert main(["analyze", path]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error [ParseError]: model file not found: {path}\n"
+
+    def test_faithfulness_boundary_walk(self, capsys):
+        # sigma - 1 falls to ~1e-13 along this walk; a state called faithful
+        # must always get its gap, and an unfaithful one is a diagnostic
+        for kappa in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]:
+            doc = {"version": 1,
+                   "one_dim": {"mu2": 3.0, "lambda2": 0.0, "omega": 2.0, "kappa": kappa}}
+            code = main(["analyze", json.dumps(doc), "--json"])
+            assert code in (0, 2)
+            report = json.loads(capsys.readouterr().out)
+            assert report["stationary"]["faithful"] == report["gns"]["available"]
+            if not report["stationary"]["faithful"]:
+                assert "NotFaithful" in [d["kind"] for d in report["diagnostics"]]
+
+    def test_boundary_preset_reports_not_faithful(self, capsys):
+        doc = {"version": 1,
+               "one_dim": {"mu2": 3.0, "lambda2": 0.0, "omega": 2.0, "kappa": 1e-6}}
+        assert main(["analyze", json.dumps(doc)]) == 2
+        captured = capsys.readouterr()
+        assert "diagnostic [NotFaithful]" in captured.out
+        assert captured.err == ""
+
     def test_gap_command_modes(self, capsys):
         assert main(["gap", MODEL_B_PRESET, "--mode", "gns"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -225,16 +256,6 @@ class TestMain:
         for row in data:
             assert abs(float(row[g_idx]) - float(row[gc_idx])) <= 1e-10
             assert abs(float(row[gb_idx]) - float(row[gbc_idx])) <= 1e-10
-
-    def test_sweep_worker_pool_matches_serial(self, capsys, monkeypatch):
-        args = ["sweep", "--grid", "mu2=2.0,3.0;lambda2=0.5;omega=0.0,1.0;kappa=0.5"]
-        monkeypatch.delenv("GAUSSGAP_THREADS", raising=False)
-        main(args)
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("GAUSSGAP_THREADS", "2")
-        main(args)
-        pooled = capsys.readouterr().out
-        assert pooled == serial
 
     def test_sweep_default_grid_parity(self, capsys):
         assert main(["sweep"]) == 0

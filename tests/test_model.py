@@ -14,7 +14,6 @@ from gaussgap.model import (
     appendix_cz,
     appendix_z_realization,
     build_drift_diffusion,
-    kraus_rank_full,
     one_dim_family,
     validate,
 )
@@ -91,7 +90,7 @@ def test_model_a_triple(model_a):
     expected_cz = np.array([[4.0, 2.0j], [-2.0j, 4.0]])
     assert np.allclose(dd.cz, expected_cz, atol=1e-13)
     assert np.allclose(np.linalg.eigvalsh(dd.cz), [2.0, 6.0], atol=1e-12)
-    assert kraus_rank_full(dd)
+    assert dd.kraus_rank_full
 
 
 def test_model_b_drift(model_b):
@@ -103,13 +102,13 @@ def test_model_c_singular_noise_form(model_c):
     _, dd, _ = model_c
     assert abs(np.linalg.det(dd.cz)) < 1e-12
     assert abs(dd.cz_min_eig) < 1e-12
-    assert not kraus_rank_full(dd)
+    assert not dd.kraus_rank_full
 
 
 def test_single_lowering_channel_not_full_rank():
     # one jump operator can never span the 2d noise directions
     dd = build_drift_diffusion(one_dim_family(1.0, 0.0))
-    assert not kraus_rank_full(dd)
+    assert not dd.kraus_rank_full
 
 
 def test_diffusion_gram_factorization():
@@ -180,7 +179,7 @@ def test_kraus_rank_matches_m_and_rank():
             ]
         )
         rank = np.linalg.matrix_rank(m_stack, tol=1e-10)
-        assert kraus_rank_full(dd) == (m == 2 * d and rank == 2 * d)
+        assert dd.kraus_rank_full == (m == 2 * d and rank == 2 * d)
 
 
 def test_zeta_stored_but_gap_independent():

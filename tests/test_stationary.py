@@ -1,4 +1,4 @@
-"""Stability, Lyapunov solve, Williamson data and the second covariance."""
+"""Stability data, Lyapunov solve, Williamson data and the second covariance."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from gaussgap.errors import NotFaithful, NotPositiveDefinite, Unstable
 from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
 from gaussgap.realops import jmat
 from gaussgap.stationary import (
-    is_stable,
     kms_covariance,
     solve_stationary,
     williamson,
@@ -32,22 +31,19 @@ def pump_model():
 class TestStability:
     def test_model_a_stable(self, model_a):
         _, dd, _ = model_a
-        info = is_stable(dd)
-        assert info.stable
-        assert abs(info.abscissa + 1.0) < 1e-13
+        assert dd.is_stable
+        assert abs(dd.abscissa + 1.0) < 1e-13
 
     def test_model_b_eigenvalues(self, model_b):
         _, dd, _ = model_b
-        info = is_stable(dd)
-        assert info.stable
+        assert dd.is_stable
         expected = np.array([-1 + 1j * np.sqrt(3), -1 - 1j * np.sqrt(3)])
-        assert np.allclose(sorted(info.eigenvalues, key=np.imag), sorted(expected, key=np.imag), atol=1e-12)
+        assert np.allclose(sorted(dd.drift_eigenvalues, key=np.imag), sorted(expected, key=np.imag), atol=1e-12)
 
     def test_pump_unstable(self):
         dd = build_drift_diffusion(pump_model())
-        info = is_stable(dd)
-        assert not info.stable
-        assert abs(info.abscissa - 0.5) < 1e-13
+        assert not dd.is_stable
+        assert abs(dd.abscissa - 0.5) < 1e-13
         with pytest.raises(Unstable):
             solve_stationary(dd)
 
@@ -86,16 +82,19 @@ class TestStationarySolve:
         )
         dd = build_drift_diffusion(model)
         st = solve_stationary(dd, zeta)
-        # Z# mu = zeta through the pair form
-        resid = dd.z_pair.sharp().apply(st.mu) - zeta
+        # Z# mu = zeta through the pair form: Z has the pair (a1, a2) below,
+        # and its sharp adjoint the pair (a1*, a2^T)
+        u, v = model.u_mat, model.v_mat
+        a1 = 0.5 * (u.T @ u.conj() - v.T @ v.conj()) + 1j * model.omega
+        a2 = 0.5 * (u.T @ v - v.T @ u) + 1j * model.kappa
+        resid = a1.conj().T @ st.mu + a2.T @ np.conj(st.mu) - zeta
         assert np.linalg.norm(resid) < 1e-12
 
 
 def test_lyapunov_matches_quadrature():
     rng = np.random.default_rng(31)
     _, dd, st = random_stable_faithful(rng, 2)
-    info = is_stable(dd)
-    horizon = 40.0 / abs(info.abscissa)
+    horizon = 40.0 / abs(dd.abscissa)
 
     def integrand(s):
         e = expm(s * dd.z2d)
