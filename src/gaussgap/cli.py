@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
 )
 from .model import GklsModel, build_drift_diffusion, one_dim_family, validate
-from .stationary import solve_stationary
+from .stationary import require_stable, solve_stationary
 
 __all__ = ["parse_model", "run_report", "main"]
 
@@ -401,6 +401,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_decay(args) -> int:
     model = parse_model(args.model)
     dd = build_drift_diffusion(model)
+    require_stable(dd)
     grep = gap.analyze(dd, model.zeta)
     if grep.g is None:
         sys.stderr.write("decay curves need a faithful invariant state\n")

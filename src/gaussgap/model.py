@@ -197,6 +197,8 @@ class DriftDiffusion:
     #: cz strictly positive definite: the model carries 2d independent
     #: noise channels
     kraus_rank_full: bool
+    #: spectral norm of z2d, the scale of every drift-relative tolerance
+    drift_norm: float
     #: greatest real part of the drift eigenvalues
     abscissa: float
     drift_eigenvalues: np.ndarray
@@ -282,13 +284,15 @@ def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
     cz_norm = float(cz_spectrum[-1])
     evals, evecs = np.linalg.eig(z2d)
     abscissa = float(np.max(evals.real))
-    stable_tol = 1e-12 * max(1.0, float(np.linalg.norm(z2d, 2)))
+    drift_norm = float(np.linalg.norm(z2d, 2))
+    stable_tol = 1e-12 * max(1.0, drift_norm)
     return DriftDiffusion(
         z2d=z2d,
         c2d=c2d,
         cz=cz,
         cz_spectrum=cz_spectrum,
         kraus_rank_full=bool(cz_min > RANK_TOL * max(cz_norm, 1e-300)),
+        drift_norm=drift_norm,
         abscissa=abscissa,
         drift_eigenvalues=evals,
         drift_eigenvectors=evecs,

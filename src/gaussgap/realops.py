@@ -29,11 +29,10 @@ __all__ = [
 #: relative eigenvalue margin: a Hermitian matrix whose smallest eigenvalue
 #: is at most ROOT_MARGIN times its largest counts as singular.  It decides
 #: both whether a matrix root is taken and whether an invariant state is
-#: faithful, so a state called faithful always has its roots.  The one-sided
-#: gap's similarity route loses accuracy like eps * cond(S + iJ); on
-#: single-mode families with |Z| up to ~400 its cross-check failed up to an
-#: eigenvalue ratio of 1.3e-6, so the margin keeps a factor of ~8 above that.
-ROOT_MARGIN = 1e-5
+#: faithful, so a state called faithful always has its roots.  It sits a few
+#: hundred rounding units above zero: smaller eigenvalue ratios are not
+#: resolved by a Hermitian eigensolver in double precision.
+ROOT_MARGIN = 1e-13
 
 
 def vec2d(z):

@@ -6,8 +6,9 @@ covariance (in 2d coordinates) solving the continuous Lyapunov equation
     Z2d^T S + S Z2d = -C2d.
 
 Faithfulness of the state is positivity of s_tilde = S + iJ, equivalently all
-symplectic eigenvalues sigma_j of S exceeding 1; it is decided at the
-relative margin ROOT_MARGIN of the matrix-root helper.  The second covariance
+symplectic eigenvalues sigma_j of S exceeding 1; it is decided by whether the
+matrix roots the gaps need exist at the relative margin ROOT_MARGIN of the
+matrix-root helper.  The second covariance
 s_breve = M^T diag(nu, nu) M with nu_j = sqrt(sigma_j^2 - 1) shares the
 symplectic eigenbasis of S and drives the square-root-split embedding.
 """
@@ -31,6 +32,7 @@ from .realops import hermitian_root_pair, jmat, unvec2d, vec2d
 
 __all__ = [
     "StationaryData",
+    "require_stable",
     "solve_stationary",
     "williamson",
     "kms_covariance",
@@ -49,6 +51,8 @@ class StationaryData:
     nu: Optional[np.ndarray]
     #: (s_tilde^{1/2}, s_tilde^{-1/2}) of a faithful state, else None
     tilde_roots: Optional[tuple]
+    #: (s_breve^{1/2}, s_breve^{-1/2}) of a faithful state, else None
+    breve_roots: Optional[tuple]
 
     @property
     def dim_d(self) -> int:
@@ -71,11 +75,25 @@ def _solve_lyapunov(z2d, c2d):
     s = s_vec.reshape((n, n), order="F")
     s = 0.5 * (s + s.T)
     resid = np.linalg.norm(z2d.T @ s + s @ z2d + c2d)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(c2d)):
+    # normwise backward error: the residual of any solve in floating point
+    # grows like eps * |Z| * |S|, and |S| grows like 1 / (decay rate)
+    scale = max(
+        1.0, np.linalg.norm(c2d), 2.0 * np.linalg.norm(z2d) * np.linalg.norm(s)
+    )
+    if resid > 1e-10 * scale:
         raise SingularLyapunov(
             f"Lyapunov solve is numerically defective (residual {resid:.3e})"
         )
     return s
+
+
+def require_stable(dd: DriftDiffusion) -> None:
+    """Raise Unstable unless the drift has an invariant Gaussian state."""
+    if not dd.is_stable:
+        raise Unstable(
+            f"drift has spectral abscissa {dd.abscissa:.6g} >= 0; "
+            "no invariant Gaussian state"
+        )
 
 
 def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
@@ -84,11 +102,7 @@ def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
     Raises Unstable when the drift spectrum meets the closed right half
     plane and SingularLyapunov when the linear solves are defective.
     """
-    if not dd.is_stable:
-        raise Unstable(
-            f"drift has spectral abscissa {dd.abscissa:.6g} >= 0; "
-            "no invariant Gaussian state"
-        )
+    require_stable(dd)
     d = dd.dim_d
     if zeta is None:
         zeta = np.zeros(d, dtype=complex)
@@ -103,32 +117,27 @@ def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
     s_tilde = 0.5 * (s_tilde + s_tilde.conj().T)
 
     sympl_m, sigma = williamson(s2d)
-    # Faithful means s_tilde positive definite at ROOT_MARGIN, the margin of
-    # every later root.  s_breve is the operator geometric mean of s_tilde
-    # and its conjugate, so its eigenvalues lie within those of s_tilde and
-    # its root cannot fail once s_tilde's exists.
-    tilde_roots = None
-    if np.min(sigma) > 1.0:
-        try:
-            tilde_roots = hermitian_root_pair(s_tilde)
-        except NotPositiveDefinite:
-            pass
-    faithful = tilde_roots is not None
-
-    if faithful:
+    # Faithful means that every root the gaps take exists at ROOT_MARGIN, so
+    # no gap can fail on a state called faithful.  In exact arithmetic the
+    # s_tilde root decides it: s_breve is the operator geometric mean of
+    # s_tilde and its conjugate, so its spectrum lies within s_tilde's.
+    try:
+        tilde_roots = hermitian_root_pair(s_tilde)
         s_breve, nu = kms_covariance(sympl_m, sigma)
-    else:
-        s_breve, nu = None, None
+        breve_roots = hermitian_root_pair(s_breve)
+    except (NotPositiveDefinite, NotFaithful):
+        tilde_roots = breve_roots = s_breve = nu = None
     return StationaryData(
         mu=mu,
         s2d=s2d,
         s_tilde=s_tilde,
-        faithful=faithful,
+        faithful=tilde_roots is not None,
         sympl_m=sympl_m,
         sigma=sigma,
         s_breve=s_breve,
         nu=nu,
         tilde_roots=tilde_roots,
+        breve_roots=breve_roots,
     )
 
 

@@ -173,25 +173,39 @@ class TestMain:
         assert err == f"error [ParseError]: model file not found: {path}\n"
 
     def test_faithfulness_boundary_walk(self, capsys):
-        # sigma - 1 falls to ~1e-13 along this walk; a state called faithful
-        # must always get its gap, and an unfaithful one is a diagnostic
-        for kappa in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]:
-            doc = {"version": 1,
-                   "one_dim": {"mu2": 3.0, "lambda2": 0.0, "omega": 2.0, "kappa": kappa}}
-            code = main(["analyze", json.dumps(doc), "--json"])
-            assert code in (0, 2)
+        # Toward the pure boundary (lambda = 0, kappa -> 0) sigma - 1 falls to
+        # ~1e-13 and S + iJ turns singular; toward the stability boundary
+        # (kappa^2 -> gamma^2 + omega^2) the decay rate falls to ~1e-11 and S
+        # grows ill-conditioned.  No point may end as an error: a state called
+        # faithful gets its gaps, every other point a diagnostic.
+        walk = [(3.0, 0.0, 2.0, k) for k in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]]
+        walk += [(3.0, 1.0, 0.0, 1.0 - 10.0**-e) for e in range(1, 14)]
+        walk += [(3.0, 1.0, 2.0, np.sqrt(5.0) - 10.0**-e) for e in range(1, 14)]
+        for params in walk:
+            doc = json.dumps(
+                {"version": 1, "one_dim": dict(zip(("mu2", "lambda2", "omega", "kappa"), params))}
+            )
+            code = main(["analyze", doc, "--json"])
             report = json.loads(capsys.readouterr().out)
-            assert report["stationary"]["faithful"] == report["gns"]["available"]
-            if not report["stationary"]["faithful"]:
-                assert "NotFaithful" in [d["kind"] for d in report["diagnostics"]]
+            assert main(["analyze", doc]) == code, params
+            human = capsys.readouterr()
+            assert code in (0, 2) and human.err == "", params
+            kinds = [d["kind"] for d in report["diagnostics"]]
+            if not report["stationary"]["available"]:
+                assert "Unstable" in kinds, params
+                continue
+            faithful = report["stationary"]["faithful"]
+            assert faithful == report["gns"]["available"] == report["kms"]["available"], params
+            if not faithful:
+                assert "NotFaithful" in kinds, params
+                assert "diagnostic [NotFaithful]" in human.out, params
+            if params in [(3.0, 0.0, 2.0, 1e-2), (3.0, 0.0, 2.0, 1e-6)]:
+                # the first keeps its gap; the second is the near-pure preset
+                assert faithful == (params[3] == 1e-2), params
 
-    def test_boundary_preset_reports_not_faithful(self, capsys):
-        doc = {"version": 1,
-               "one_dim": {"mu2": 3.0, "lambda2": 0.0, "omega": 2.0, "kappa": 1e-6}}
-        assert main(["analyze", json.dumps(doc)]) == 2
-        captured = capsys.readouterr()
-        assert "diagnostic [NotFaithful]" in captured.out
-        assert captured.err == ""
+    def test_decay_on_unstable_model(self, capsys):
+        assert main(["decay", PUMP_JSON, "--samples", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error [Unstable]: drift has spectral abscissa")
 
     def test_gap_command_modes(self, capsys):
         assert main(["gap", MODEL_B_PRESET, "--mode", "gns"]) == 0
