@@ -451,6 +451,8 @@ def _sweep_point(params):
     mu2, lambda2, omega_h, kappa_h = params
     model = one_dim_family(mu2, lambda2, omega_h, kappa_h)
     dd = build_drift_diffusion(model)
+    if not dd.is_stable:
+        return None  # inadmissible: no invariant state
     st = solve_stationary(dd, model.zeta)
     cf = gap.one_dim_closed_forms(mu2, lambda2, omega_h, kappa_h)
     gns = gap.gns_gap(dd, st)
@@ -475,9 +477,19 @@ def _parse_grid(grid_arg: str) -> dict:
         if not part:
             continue
         if "=" not in part:
-            raise GaussGapError(f"bad grid component {part!r}; use name=v1,v2,...")
+            raise ParseError(f"bad grid component {part!r}; use name=v1,v2,...")
         name, values = part.split("=", 1)
-        grid[name.strip()] = [float(v) for v in values.split(",")]
+        name = name.strip()
+        if name not in DEFAULT_GRID:
+            raise ParseError(
+                f"unknown grid axis {name!r}; use {', '.join(DEFAULT_GRID)}"
+            )
+        try:
+            grid[name] = [float(v) for v in values.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"bad value on grid axis {name!r}: {exc}") from exc
+        if not np.all(np.isfinite(grid[name])):
+            raise ParseError(f"non-finite value on grid axis {name!r}")
     return grid
 
 
@@ -502,13 +514,10 @@ def _cmd_sweep(args) -> int:
                 for kappa_h in grid["kappa"]:
                     if not 0 <= lambda2 < mu2:
                         continue
-                    gamma = 0.5 * (mu2 - lambda2)
-                    if gamma**2 + omega_h**2 - kappa_h**2 <= 1e-12:
-                        continue  # inadmissible: no faithful invariant state
                     if lambda2 == 0.0 and kappa_h == 0.0:
                         continue  # pure vacuum boundary
                     points.append((mu2, lambda2, omega_h, kappa_h))
-    rows = [_sweep_point(p) for p in points]
+    rows = [row for row in map(_sweep_point, points) if row is not None]
     writer = csv.writer(sys.stdout, lineterminator="\r\n")
     writer.writerow(
         [
@@ -531,11 +540,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     model = parse_model(args.model)
     dd = build_drift_diffusion(model)
-    st = solve_stationary(dd, model.zeta)
+    require_stable(dd)
     cutoff = args.cutoff if args.cutoff else (30 if args.check == "gap" else 40)
     space = fock.build_space(model.d, cutoff)
     out = {"schema": REPORT_SCHEMA, "cutoff": cutoff, "check": args.check}
     if args.check == "char":
+        st = solve_stationary(dd, model.zeta)
         superop = fock.build_superoperator(model, space)
         rho = fock.steady_state(superop)
         sp = dynamics.GaussianStateParams(mean=st.mu, cov2d=st.s2d)
@@ -549,6 +559,7 @@ def _cmd_oracle(args) -> int:
         out["max_abs_error"] = float(max(errs))
         out["pass"] = bool(max(errs) < 1e-6)
     elif args.check == "kms-trace":
+        st = solve_stationary(dd, model.zeta)
         superop = fock.build_superoperator(model, space)
         rho = fock.steady_state(superop)
         errs = []

@@ -201,6 +201,8 @@ class DriftDiffusion:
     drift_norm: float
     #: greatest real part of the drift eigenvalues
     abscissa: float
+    #: is_stable means abscissa < -stable_tol = -1e-12 * max(1, drift_norm)
+    stable_tol: float
     drift_eigenvalues: np.ndarray
     drift_eigenvectors: np.ndarray
     is_stable: bool
@@ -294,6 +296,7 @@ def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
         kraus_rank_full=bool(cz_min > RANK_TOL * max(cz_norm, 1e-300)),
         drift_norm=drift_norm,
         abscissa=abscissa,
+        stable_tol=stable_tol,
         drift_eigenvalues=evals,
         drift_eigenvectors=evecs,
         is_stable=bool(abscissa < -stable_tol),

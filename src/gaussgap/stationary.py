@@ -15,11 +15,12 @@ symplectic eigenbasis of S and drives the square-root-split embedding.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import schur, solve_continuous_lyapunov
 
 from .errors import (
     NotFaithful,
@@ -64,15 +65,16 @@ class StationaryData:
 
 
 def _solve_lyapunov(z2d, c2d):
-    """Solve Z^T S + S Z = -C by Kronecker vectorization (column stacking)."""
-    n = z2d.shape[0]
-    eye = np.eye(n)
-    system = np.kron(eye, z2d.T) + np.kron(z2d.T, eye)
-    try:
-        s_vec = np.linalg.solve(system, -c2d.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SingularLyapunov(f"Lyapunov system is singular: {exc}") from exc
-    s = s_vec.reshape((n, n), order="F")
+    """Solve Z^T S + S Z = -C by Bartels-Stewart: a real Schur factorization
+    of Z^T and a quasi-triangular Sylvester solve, O(n^3) in n = 2d."""
+    with warnings.catch_warnings():
+        # trsyl warns when it has to perturb an eigenvalue pair of Z whose
+        # sum is ~0: the operator is then singular at working precision
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            s = solve_continuous_lyapunov(z2d.T, -c2d)
+        except (np.linalg.LinAlgError, ValueError, RuntimeWarning) as exc:
+            raise SingularLyapunov(f"Lyapunov system is singular: {exc}") from exc
     s = 0.5 * (s + s.T)
     resid = np.linalg.norm(z2d.T @ s + s @ z2d + c2d)
     # normwise backward error: the residual of any solve in floating point
@@ -91,7 +93,8 @@ def require_stable(dd: DriftDiffusion) -> None:
     """Raise Unstable unless the drift has an invariant Gaussian state."""
     if not dd.is_stable:
         raise Unstable(
-            f"drift has spectral abscissa {dd.abscissa:.6g} >= 0; "
+            f"drift has spectral abscissa {dd.abscissa:.6g}, not below "
+            f"-{dd.stable_tol:.6g} (1e-12 * max(1, |Z|_2)); "
             "no invariant Gaussian state"
         )
 

@@ -7,8 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from gaussgap import cli, gap
 from gaussgap.cli import main, parse_model, run_report
 from gaussgap.errors import ParseError, ShapeError
+from gaussgap.stationary import solve_stationary
 
 MODEL_A_JSON = json.dumps(
     {
@@ -281,6 +283,28 @@ class TestMain:
         worst = max(abs(float(r[g_idx]) - float(r[gc_idx])) for r in data)
         assert worst <= 1e-10
 
+    def test_sweep_skips_points_past_stability_threshold(self, capsys):
+        # gamma^2 - kappa^2 = 2e-12 passes an absolute 1e-12 test, but the
+        # drift's abscissa -1e-12 is not below its relative threshold -2e-12
+        grid = "mu2=3;lambda2=1;omega=0;kappa=0.999999999999,0.5"
+        assert main(["sweep", "--grid", grid]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert [row[3] for row in rows[1:]] == ["0.5"]
+
+    def test_sweep_unknown_axis(self, capsys):
+        assert main(["sweep", "--grid", "foo=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [ParseError]: unknown grid axis 'foo'")
+
+    def test_sweep_non_finite_value(self, capsys):
+        assert main(["sweep", "--grid", "mu2=3,nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error [ParseError]: non-finite value on grid axis 'mu2'\n"
+
     def test_csv_round_trips_doubles(self, capsys):
         main(["sweep", "--grid", "mu2=3.0;lambda2=1.0;omega=2.0;kappa=1.0"])
         out = capsys.readouterr().out
@@ -299,6 +323,19 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass"]
         assert payload["cutoff"] == 25
+
+    def test_oracle_gap_solves_stationary_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(dd, zeta=None):
+            calls.append(dd)
+            return solve_stationary(dd, zeta)
+
+        monkeypatch.setattr(cli, "solve_stationary", counting)
+        monkeypatch.setattr(gap, "solve_stationary", counting)
+        assert main(["oracle", MODEL_A_JSON, "--cutoff", "10", "--check", "gap"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"]
+        assert len(calls) == 1
 
     def test_oracle_default_cutoffs(self, capsys):
         assert main(["oracle", MODEL_A_JSON, "--check", "gap"]) == 0

@@ -1,15 +1,19 @@
 """Stability data, Lyapunov solve, Williamson data and the second covariance."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from conftest import random_stable_faithful
-from gaussgap.errors import NotFaithful, NotPositiveDefinite, Unstable
+from conftest import random_model, random_stable_faithful
+from gaussgap import stationary
+from gaussgap.errors import NotFaithful, NotPositiveDefinite, SingularLyapunov, Unstable
 from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
 from gaussgap.realops import jmat
 from gaussgap.stationary import (
+    _solve_lyapunov,
     kms_covariance,
     solve_stationary,
     williamson,
@@ -89,6 +93,90 @@ class TestStationarySolve:
         a2 = 0.5 * (u.T @ v - v.T @ u) + 1j * model.kappa
         resid = a1.conj().T @ st.mu + a2.T @ np.conj(st.mu) - zeta
         assert np.linalg.norm(resid) < 1e-12
+
+
+def kronecker_lyapunov(z2d, c2d):
+    """Z^T S + S Z = -C as a dense (2d)^2 x (2d)^2 system (column stacking)."""
+    n = z2d.shape[0]
+    eye = np.eye(n)
+    system = np.kron(eye, z2d.T) + np.kron(z2d.T, eye)
+    s = np.linalg.solve(system, -c2d.reshape(-1, order="F")).reshape((n, n), order="F")
+    return 0.5 * (s + s.T)
+
+
+def random_stable(rng, d):
+    """Random model whose drift decays at rate 0.05 or faster."""
+    while True:
+        dd = build_drift_diffusion(random_model(rng, d, m=2 * d))
+        if dd.is_stable and dd.abscissa < -0.05:
+            return dd
+
+
+def lyapunov_residual_ok(dd, s):
+    resid = np.linalg.norm(dd.z2d.T @ s + s @ dd.z2d + dd.c2d)
+    scale = max(
+        1.0, np.linalg.norm(dd.c2d), 2.0 * np.linalg.norm(dd.z2d) * np.linalg.norm(s)
+    )
+    return resid <= 1e-10 * scale
+
+
+class TestLyapunovSolve:
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+    def test_matches_kronecker_reference(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(3):
+            dd = random_stable(rng, d)
+            s = _solve_lyapunov(dd.z2d, dd.c2d)
+            ref = kronecker_lyapunov(dd.z2d, dd.c2d)
+            assert np.array_equal(s, s.T)
+            assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_d64_passes_residual_bound(self):
+        # the (2d)^2 x (2d)^2 Kronecker system would take 2 GB per matrix here
+        dd = random_stable(np.random.default_rng(164), 64)
+        s = _solve_lyapunov(dd.z2d, dd.c2d)
+        assert s.shape == (128, 128)
+        assert lyapunov_residual_ok(dd, s)
+        assert np.linalg.eigvalsh(s)[0] > 0
+
+    def test_perturbed_solution_rejected(self, model_b, monkeypatch):
+        _, dd, _ = model_b
+        solve = stationary.solve_continuous_lyapunov
+        monkeypatch.setattr(
+            stationary,
+            "solve_continuous_lyapunov",
+            lambda a, q: solve(a, q) + 1e-6 * np.array([[1.0, 0.0], [0.0, -1.0]]),
+        )
+        with pytest.raises(SingularLyapunov, match="numerically defective"):
+            solve_stationary(dd)
+
+    def test_singular_operator_raises_without_warning(self):
+        # eigenvalues 1 and -1 of Z sum to zero: trsyl perturbs them and warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingularLyapunov, match="singular"):
+                _solve_lyapunov(np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.5, 1.0]]))
+        assert caught == []
+
+    def test_stability_boundary_walk_emits_no_warning(self):
+        # kappa^2 -> gamma^2 + omega^2: the decay rate falls to ~1e-11 and
+        # the solve grows ill-conditioned; past the stability threshold the
+        # drift is unstable and nothing is solved
+        walk = [(3.0, 1.0, 0.0, 1.0 - 10.0**-e) for e in range(1, 14)]
+        walk += [(3.0, 1.0, 2.0, np.sqrt(5.0) - 10.0**-e) for e in range(1, 14)]
+        solved = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for params in walk:
+                dd = build_drift_diffusion(one_dim_family(*params))
+                if not dd.is_stable:
+                    with pytest.raises(Unstable):
+                        solve_stationary(dd)
+                    continue
+                st = solve_stationary(dd)
+                assert lyapunov_residual_ok(dd, st.s2d), params
+                solved += 1
+        assert solved >= 20
 
 
 def test_lyapunov_matches_quadrature():
