@@ -134,21 +134,10 @@ def _read_model(source):
 # ---------------------------------------------------------------------------
 
 
-def _c(x):
-    x = complex(x)
-    return [x.real, x.imag]
-
-
-def _cvec(v):
-    return [_c(x) for x in np.asarray(v).ravel()]
-
-
-def _cmat(m):
-    return [[_c(x) for x in row] for row in np.asarray(m)]
-
-
-def _rmat(m):
-    return [[float(x) for x in row] for row in np.asarray(m)]
+def _pairs(a):
+    """A complex scalar or array as (nested lists of) [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _unavailable(reason):
@@ -165,11 +154,11 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
     report["model"] = {
         "d": model.d,
         "m": model.m,
-        "omega": _cmat(model.omega),
-        "kappa": _cmat(model.kappa),
-        "U": _cmat(model.u_mat),
-        "V": _cmat(model.v_mat),
-        "zeta": _cvec(model.zeta),
+        "omega": _pairs(model.omega),
+        "kappa": _pairs(model.kappa),
+        "U": _pairs(model.u_mat),
+        "V": _pairs(model.v_mat),
+        "zeta": _pairs(model.zeta),
     }
     vrep = validate(model, strict=False)
     report["validation"] = {
@@ -186,10 +175,10 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
     report["stability"] = {
         "stable": dd.is_stable,
         "abscissa": dd.abscissa,
-        "eigenvalues": _cvec(dd.drift_eigenvalues),
+        "eigenvalues": _pairs(dd.drift_eigenvalues),
     }
     report["cz"] = {
-        "spectrum": [float(x) for x in dd.cz_spectrum],
+        "spectrum": dd.cz_spectrum.tolist(),
         "min_eig": dd.cz_min_eig,
         "full_rank": dd.kraus_rank_full,
     }
@@ -200,11 +189,11 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
             "kind": f.kind,
             "message": f.message,
             "case": f.case,
-            "eigenvalue": None if f.eigenvalue is None else _c(f.eigenvalue),
-            "eigenvector": None if f.eigenvector is None else _cvec(f.eigenvector),
+            "eigenvalue": None if f.eigenvalue is None else _pairs(f.eigenvalue),
+            "eigenvector": None if f.eigenvector is None else _pairs(f.eigenvector),
             "kernel_vector": None
             if f.kernel_vector is None
-            else _cvec(f.kernel_vector),
+            else _pairs(f.kernel_vector),
             "residual": f.residual,
         }
         for f in grep.diagnostics
@@ -217,38 +206,39 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
     else:
         report["stationary"] = {
             "available": True,
-            "mu": _cvec(st.mu),
-            "s2d": _rmat(st.s2d),
+            "mu": _pairs(st.mu),
+            "s2d": st.s2d.tolist(),
             "det_s_tilde": st.det_s_tilde,
-            "sigma": [float(x) for x in st.sigma],
+            "sigma": st.sigma.tolist(),
             "faithful": st.faithful,
             "unique": dd.is_stable and dd.kraus_rank_full,
         }
-        if grep.g is None:
+        gns, kms = grep.gns, grep.kms
+        if gns is None:
             report["gns"] = _unavailable("NotFaithful")
             report["kms"] = _unavailable("NotFaithful")
         else:
             report["gns"] = {
                 "available": True,
-                "omega0": grep.omega0,
-                "g": grep.g,
-                "witness": _cvec(grep.gns_witness),
+                "omega0": gns.omega0,
+                "g": gns.g,
+                "witness": _pairs(gns.witness),
                 "has_gap": grep.has_gns_gap,
             }
             report["kms"] = {
                 "available": True,
-                "omega0": grep.omega0_breve,
-                "g": grep.g_breve,
-                "witness": [float(x) for x in np.asarray(grep.kms_witness).real],
-                "kbreve_min_eig": grep.kbreve_min_eig,
-                "kernel_condition_ok": grep.kms_kernel_condition_ok,
+                "omega0": kms.omega0,
+                "g": kms.g,
+                "witness": kms.witness.tolist(),
+                "kbreve_min_eig": kms.form_min_eig,
+                "kernel_condition_ok": kms.kernel_condition_ok,
             }
     try:
         ou = classical.restrict_to_ou(model)
         block = {
             "available": True,
-            "Q": _rmat(ou.q_mat),
-            "A": _rmat(ou.a_mat),
+            "Q": ou.q_mat.tolist(),
+            "A": ou.a_mat.tolist(),
         }
         if model.d == 1 and float(ou.a_mat[0, 0]) < 0:
             block["gap_1d"] = classical.ou_gap_1d(ou)
@@ -357,12 +347,34 @@ def _cmd_gap(args) -> int:
     return _report_exit_code(report)
 
 
+def _parse_times(text, option):
+    """Comma-separated list of finite, non-negative times; blank entries are
+    skipped."""
+    try:
+        times = [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ParseError(f"bad value in {option}: {exc}") from exc
+    if not all(np.isfinite(t) and t >= 0 for t in times):
+        raise ParseError(f"{option} times must be finite and non-negative")
+    return times
+
+
+def _read_state(path):
+    """Initial state file {"mean": [[re, im], ...], "cov2d": [[...], ...]}."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        mean = np.asarray([re + 1j * im for re, im in doc["mean"]])
+        cov2d = np.asarray(doc["cov2d"], dtype=float)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"bad --s0 state file {path}: {exc}") from exc
+    return dynamics.GaussianStateParams(mean=mean, cov2d=cov2d)
+
+
 def _cmd_evolve(args) -> int:
     model = parse_model(args.model)
     dd = build_drift_diffusion(model)
-    times = [float(t) for t in args.t.split(",") if t.strip() != ""]
-    if any(t < 0 for t in times):
-        raise GaussGapError("evolution times must be non-negative")
+    times = _parse_times(args.t, "--t")
     st = None
     if args.s0 == "vacuum":
         sp = dynamics.GaussianStateParams.vacuum(model.d)
@@ -370,12 +382,7 @@ def _cmd_evolve(args) -> int:
         st = solve_stationary(dd, model.zeta)
         sp = dynamics.GaussianStateParams(mean=st.mu, cov2d=st.s2d)
     else:
-        with open(args.s0, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        sp = dynamics.GaussianStateParams(
-            mean=np.asarray([re + 1j * im for re, im in doc["mean"]]),
-            cov2d=np.asarray(doc["cov2d"], dtype=float),
-        )
+        sp = _read_state(args.s0)
     if st is None:
         try:
             st = solve_stationary(dd, model.zeta)
@@ -386,8 +393,8 @@ def _cmd_evolve(args) -> int:
         evolved = dynamics.state_evolve(dd, sp, t, model.zeta)
         row = {
             "t": t,
-            "mean": _cvec(evolved.mean),
-            "cov2d": _rmat(evolved.cov2d),
+            "mean": _pairs(evolved.mean),
+            "cov2d": evolved.cov2d.tolist(),
         }
         if st is not None:
             row["dist_to_stationary"] = float(
@@ -402,12 +409,12 @@ def _cmd_decay(args) -> int:
     model = parse_model(args.model)
     dd = build_drift_diffusion(model)
     require_stable(dd)
+    times = _parse_times(args.t_grid, "--t-grid")
     grep = gap.analyze(dd, model.zeta)
-    if grep.g is None:
+    if grep.gns is None:
         sys.stderr.write("decay curves need a faithful invariant state\n")
         return 1
     st = grep.stationary
-    times = [float(t) for t in args.t_grid.split(",")]
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\r\n")
     writer.writerow(
@@ -439,9 +446,9 @@ def _cmd_decay(args) -> int:
                     s,
                     _fmt(t),
                     _fmt(dynamics.norm_decay(st, dd, combo, t, "gns")),
-                    _fmt(np.exp(-2.0 * grep.g * t) * gns0),
+                    _fmt(np.exp(-2.0 * grep.gns.g * t) * gns0),
                     _fmt(dynamics.norm_decay(st, dd, combo, t, "kms")),
-                    _fmt(np.exp(-2.0 * grep.g_breve * t) * kms0),
+                    _fmt(np.exp(-2.0 * grep.kms.g * t) * kms0),
                 ]
             )
     return 0
@@ -454,6 +461,8 @@ def _sweep_point(params):
     if not dd.is_stable:
         return None  # inadmissible: no invariant state
     st = solve_stationary(dd, model.zeta)
+    if not st.faithful:
+        return None  # inadmissible: the embeddings need a faithful state
     cf = gap.one_dim_closed_forms(mu2, lambda2, omega_h, kappa_h)
     gns = gap.gns_gap(dd, st)
     kms = gap.kms_gap(dd, st)
@@ -573,14 +582,9 @@ def _cmd_oracle(args) -> int:
         out["pass"] = bool(max(errs) < 1e-6)
     else:  # gap
         grep = gap.analyze(dd, model.zeta)
-        out["gns"] = {
-            "oracle": fock.oracle_gap(model, space, "gns"),
-            "closed_form": grep.g,
-        }
-        out["kms"] = {
-            "oracle": fock.oracle_gap(model, space, "kms"),
-            "closed_form": grep.g_breve,
-        }
+        g, g_breve = fock.oracle_gap(model, space)
+        out["gns"] = {"oracle": g, "closed_form": grep.g}
+        out["kms"] = {"oracle": g_breve, "closed_form": grep.g_breve}
         rel = max(
             abs(out["gns"]["oracle"] - out["gns"]["closed_form"])
             / max(out["gns"]["closed_form"], 1e-300),

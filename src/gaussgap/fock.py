@@ -16,7 +16,7 @@ approximation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -141,7 +141,6 @@ class Superoperator:
     space: TruncatedSpace
     predual: np.ndarray
     heisenberg: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def trace_preservation_residual(self) -> float:
         """Norm of vec(1)^dagger applied to the predual generator; exact
@@ -287,7 +286,8 @@ def _thermal_envelope(model: GklsModel):
     """Check the gap-oracle envelope and return (mu2, lambda2).
 
     Envelope: d = 1, kappa = 0, every jump operator proportional to a or to
-    adag, and net damping (lambda2 < mu2).
+    adag, net damping (lambda2 < mu2) and a faithful thermal state
+    (lambda2 > 0; at lambda2 = 0 the state is the pure vacuum).
     """
     if model.d != 1:
         raise OutsideEnvelope("gap oracle is single mode only")
@@ -307,23 +307,25 @@ def _thermal_envelope(model: GklsModel):
         lambda2 += abs(u) ** 2
     if lambda2 >= mu2:
         raise OutsideEnvelope("gap oracle requires net damping (lambda2 < mu2)")
+    if lambda2 <= 0.0:
+        raise OutsideEnvelope(
+            "gap oracle requires a faithful thermal state (lambda2 > 0)"
+        )
     return mu2, lambda2
 
 
-def oracle_gap(model: GklsModel, space: TruncatedSpace, mode="gns") -> float:
-    """Spectral gap of the truncated embedded generator.
+def oracle_gap(model: GklsModel, space: TruncatedSpace) -> tuple[float, float]:
+    """Spectral gaps (g, g_breve) of the truncated generator in the
+    one-sided and the split embedding.
 
     The exactly-diagonal thermal stationary weights make both weighted inner
     products diagonal; the generator is conjugated into the corresponding
     orthonormal basis, symmetrized, projected off the invariant direction,
     and its least-negative remaining eigenvalue returned (sign flipped).
     """
-    if mode not in ("gns", "kms"):
-        raise ValueError(f"unknown mode {mode!r}")
     mu2, lambda2 = _thermal_envelope(model)
     nbar = lambda2 / (mu2 - lambda2)
-    rho = thermal_density(space, nbar)
-    pops = np.diag(rho).real
+    pops = np.diag(thermal_density(space, nbar)).real
     superop = build_superoperator(model, space)
 
     dim = space.dim
@@ -332,19 +334,19 @@ def oracle_gap(model: GklsModel, space: TruncatedSpace, mode="gns") -> float:
     # geometric mean of row and column populations
     l_idx = np.tile(np.arange(dim), dim)
     m_idx = np.repeat(np.arange(dim), dim)
-    if mode == "gns":
-        w = pops[m_idx]
-    else:
-        w = np.sqrt(pops[m_idx] * pops[l_idx])
-    w_root = np.sqrt(w)
-    gmat = (w_root[:, None] / w_root[None, :]) * superop.heisenberg
-    gsym = 0.5 * (gmat + gmat.conj().T)
-    u = w_root * np.eye(dim).reshape(-1, order="F")
-    u = u / np.linalg.norm(u)
-    gsym = gsym - np.outer(u, u.conj() @ gsym)
-    gsym = gsym - np.outer(gsym @ u, u.conj())
-    gsym = 0.5 * (gsym + gsym.conj().T)
-    evals = np.linalg.eigvalsh(gsym)
-    # the projection pins one eigenvalue at zero (the invariant direction);
-    # the gap is the distance from zero of the remaining spectrum
-    return -float(evals[-2])
+    eye_vec = np.eye(dim).reshape(-1, order="F")
+    gaps = []
+    for w in (pops[m_idx], np.sqrt(pops[m_idx] * pops[l_idx])):
+        w_root = np.sqrt(w)
+        gmat = (w_root[:, None] / w_root[None, :]) * superop.heisenberg
+        gsym = 0.5 * (gmat + gmat.conj().T)
+        u = w_root * eye_vec
+        u = u / np.linalg.norm(u)
+        gsym = gsym - np.outer(u, u.conj() @ gsym)
+        gsym = gsym - np.outer(gsym @ u, u.conj())
+        gsym = 0.5 * (gsym + gsym.conj().T)
+        evals = np.linalg.eigvalsh(gsym)
+        # the projection pins one eigenvalue at zero (the invariant
+        # direction); the gap is the distance from zero of the rest
+        gaps.append(-float(evals[-2]))
+    return tuple(gaps)

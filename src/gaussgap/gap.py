@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ConsistencyError, NoFaithfulState, NotFaithful
 from .model import DriftDiffusion
-from .realops import hermitian_root_pair  # noqa: F401  (kept importable from gap)
 from .stationary import StationaryData, solve_stationary
 
 __all__ = [
@@ -89,88 +88,81 @@ def optimal_growth_rate(y) -> float:
 
 @dataclass(frozen=True)
 class GapComputation:
+    """Decay rate of one embedding with the data that certifies it."""
+
     omega0: float
     g: float
     #: top eigenvector of the Hermitian similarity matrix, phase-fixed
     witness: np.ndarray
-    #: smallest eigenvalue of the dissipation form (route-b matrix)
-    dissipation_min_eig: float
-
-
-def gns_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
-    """Decay rate of the one-sided embedding.
-
-    omega0 is computed by the Hermitian similarity route and by the
-    cz-quadratic-form route; both must agree (see _routes_agree).  When cz is
-    singular the gap is reported as exactly zero.
-    """
-    if not st.faithful:
-        raise NotFaithful("one-sided gap needs a faithful invariant state")
-    root, inv_root = st.tilde_roots
-    zc = dd.z2d.astype(complex)
-    sim = root @ zc @ inv_root
-    h1 = sim + sim.conj().T
-    h1 = 0.5 * (h1 + h1.conj().T)
-    evals, evecs = np.linalg.eigh(h1)
-    omega0 = float(evals[-1])
-    k_form = inv_root @ dd.cz @ inv_root
-    k_form = 0.5 * (k_form + k_form.conj().T)
-    k_min = float(np.linalg.eigvalsh(k_form)[0])
-    if not _routes_agree(dd, omega0, -k_min, st.tilde_roots):
-        raise ConsistencyError(
-            f"gap routes disagree: similarity {omega0:.3e} vs form {-k_min:.3e}"
-        )
-    g = 0.0 if not dd.kraus_rank_full else -omega0 / 2.0
-    return GapComputation(
-        omega0=omega0,
-        g=g,
-        witness=fix_phase(evecs[:, -1]),
-        dissipation_min_eig=k_min,
-    )
-
-
-@dataclass(frozen=True)
-class KmsGapComputation:
-    omega0: float
-    g: float
-    witness: np.ndarray
-    #: smallest eigenvalue of kbreve = -(Z^T s_breve + s_breve Z)
-    kbreve_min_eig: float
-    #: kernel condition of the gap theorem: kbreve strictly positive
+    #: smallest eigenvalue of the dissipation form K = -(Z^T T + T Z):
+    #: cz for the one-sided embedding, kbreve for the split one
+    form_min_eig: float
+    #: kernel condition of the gap theorem: K strictly positive (for the
+    #: one-sided embedding, full Kraus rank)
     kernel_condition_ok: bool
 
 
-def kms_gap(dd: DriftDiffusion, st: StationaryData) -> KmsGapComputation:
-    """Decay rate of the split embedding, all in real arithmetic.
+def _top_rate(dd: DriftDiffusion, roots, k_form):
+    """omega0 and its phase-fixed witness for the embedding of T with
+    roots = (T^{1/2}, T^{-1/2}) and dissipation form k_form = K.
 
-    Also reports the smallest eigenvalue of
-    kbreve = -(Z^T s_breve + s_breve Z); a singular kbreve means the
-    sharpness hypothesis of the split-embedding gap theorem fails and the
-    returned rate is only an upper-bound candidate.
+    The similarity route takes the top eigenpair of
+    T^{1/2} Z T^{-1/2} + h.c.; the form route the smallest eigenvalue of
+    T^{-1/2} K T^{-1/2}, which is -omega0 by an algebraic identity.  Both
+    must agree (see _routes_agree).
+    """
+    root, inv_root = roots
+    sim = root @ dd.z2d @ inv_root
+    # sim + sim^H is exactly Hermitian in floating point
+    evals, evecs = np.linalg.eigh(sim + sim.conj().T)
+    omega0 = float(evals[-1])
+    form = inv_root @ k_form @ inv_root
+    form = 0.5 * (form + form.conj().T)
+    alt = -float(np.linalg.eigvalsh(form)[0])
+    if not _routes_agree(dd, omega0, alt, roots):
+        raise ConsistencyError(
+            f"gap routes disagree: similarity {omega0:.3e} vs form {alt:.3e}"
+        )
+    return omega0, fix_phase(evecs[:, -1])
+
+
+def gns_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
+    """Decay rate of the one-sided embedding, T = s_tilde and K = cz.
+
+    When cz is singular the gap is reported as exactly zero.
+    """
+    if not st.faithful:
+        raise NotFaithful("one-sided gap needs a faithful invariant state")
+    omega0, witness = _top_rate(dd, st.tilde_roots, dd.cz)
+    return GapComputation(
+        omega0=omega0,
+        g=-omega0 / 2.0 if dd.kraus_rank_full else 0.0,
+        witness=witness,
+        form_min_eig=dd.cz_min_eig,
+        kernel_condition_ok=dd.kraus_rank_full,
+    )
+
+
+def kms_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
+    """Decay rate of the split embedding, T = s_breve and
+    K = kbreve = -(Z^T s_breve + s_breve Z), all in real arithmetic.
+
+    A singular kbreve means the sharpness hypothesis of the split-embedding
+    gap theorem fails and the returned rate is only an upper-bound candidate.
     """
     if not st.faithful:
         raise NotFaithful("split-embedding gap needs a faithful invariant state")
-    root, inv_root = st.breve_roots
     z2d = dd.z2d
-    b = root @ z2d @ inv_root + inv_root @ z2d.T @ root
-    b = 0.5 * (b + b.T)
-    evals, evecs = np.linalg.eigh(b)
-    omega0 = float(evals[-1])
     kbreve = -(z2d.T @ st.s_breve + st.s_breve @ z2d)
     kbreve = 0.5 * (kbreve + kbreve.T)
     kb_min = float(np.linalg.eigvalsh(kbreve)[0])
-    # cross-check: B = -inv_root kbreve inv_root is an algebraic identity
-    alt = -float(np.linalg.eigvalsh(inv_root @ kbreve @ inv_root)[0])
-    if not _routes_agree(dd, omega0, alt, st.breve_roots):
-        raise ConsistencyError(
-            f"split-gap routes disagree: {omega0:.3e} vs {alt:.3e}"
-        )
+    omega0, witness = _top_rate(dd, st.breve_roots, kbreve)
     scale = max(1.0, float(np.linalg.norm(kbreve, 2)))
-    return KmsGapComputation(
+    return GapComputation(
         omega0=omega0,
         g=-omega0 / 2.0,
-        witness=fix_phase(evecs[:, -1]).real,
-        kbreve_min_eig=kb_min,
+        witness=witness.real,
+        form_min_eig=kb_min,
         kernel_condition_ok=bool(kb_min > 1e-10 * scale),
     )
 
@@ -328,16 +320,20 @@ class GapReport:
     """Aggregated gap data for one model."""
 
     has_gns_gap: bool
-    omega0: Optional[float] = None
-    g: Optional[float] = None
-    omega0_breve: Optional[float] = None
-    g_breve: Optional[float] = None
-    gns_witness: Optional[np.ndarray] = None
-    kms_witness: Optional[np.ndarray] = None
-    kbreve_min_eig: Optional[float] = None
-    kms_kernel_condition_ok: Optional[bool] = None
     stationary: Optional[StationaryData] = None
+    gns: Optional[GapComputation] = None
+    kms: Optional[GapComputation] = None
     diagnostics: list = field(default_factory=list)
+
+    @property
+    def g(self) -> Optional[float]:
+        """Decay rate of the one-sided embedding, None when unavailable."""
+        return None if self.gns is None else self.gns.g
+
+    @property
+    def g_breve(self) -> Optional[float]:
+        """Decay rate of the split embedding, None when unavailable."""
+        return None if self.kms is None else self.kms.g
 
 
 def analyze(dd: DriftDiffusion, zeta=None) -> GapReport:
@@ -362,17 +358,9 @@ def analyze(dd: DriftDiffusion, zeta=None) -> GapReport:
             )
         )
         return report
-    gns = gns_gap(dd, st)
-    report.omega0 = gns.omega0
-    report.g = gns.g
-    report.gns_witness = gns.witness
-    kms = kms_gap(dd, st)
-    report.omega0_breve = kms.omega0
-    report.g_breve = kms.g
-    report.kms_witness = kms.witness
-    report.kbreve_min_eig = kms.kbreve_min_eig
-    report.kms_kernel_condition_ok = kms.kernel_condition_ok
-    if not kms.kernel_condition_ok:
+    report.gns = gns_gap(dd, st)
+    report.kms = kms_gap(dd, st)
+    if not report.kms.kernel_condition_ok:
         report.diagnostics.append(
             Finding(
                 kind="KbreveSingular",

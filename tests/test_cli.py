@@ -293,6 +293,16 @@ class TestMain:
         rows = list(csv.reader(io.StringIO(captured.out)))
         assert [row[3] for row in rows[1:]] == ["0.5"]
 
+    def test_sweep_skips_unfaithful_points(self, capsys):
+        # kappa = 1e-6 at lambda = 0 is stable, but sigma - 1 ~ 1e-13: the
+        # state is not faithful and the point has no gaps
+        grid = "mu2=3;lambda2=0;omega=2;kappa=1e-6,0.5"
+        assert main(["sweep", "--grid", grid]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert [row[3] for row in rows[1:]] == ["0.5"]
+
     def test_sweep_unknown_axis(self, capsys):
         assert main(["sweep", "--grid", "foo=1"]) == 1
         captured = capsys.readouterr()
@@ -336,6 +346,45 @@ class TestMain:
         assert main(["oracle", MODEL_A_JSON, "--cutoff", "10", "--check", "gap"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]
         assert len(calls) == 1
+
+    def test_oracle_gap_on_pure_vacuum(self, capsys):
+        vacuum = json.dumps(
+            {"version": 1, "one_dim": {"mu2": 2, "lambda2": 0, "omega": 0, "kappa": 0}}
+        )
+        assert main(["oracle", vacuum, "--check", "gap", "--cutoff", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [OutsideEnvelope]: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay", "--t-grid", "0.1,abc"],
+            ["decay", "--t-grid", "0.1,-1"],
+            ["decay", "--t-grid", "0.1,inf"],
+            ["evolve", "--t", "0.1,abc"],
+            ["evolve", "--t", "0.1,nan"],
+        ],
+        ids=["t-grid-unparsable", "t-grid-negative", "t-grid-infinite", "t-unparsable", "t-nan"],
+    )
+    def test_bad_time_list(self, capsys, argv):
+        assert main([argv[0], MODEL_B_PRESET, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [ParseError]: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content", [None, "{", '{"mean": [[0.1, 0.0]]}'], ids=["missing", "not-json", "no-cov2d"]
+    )
+    def test_bad_state_file(self, capsys, tmp_path, content):
+        path = tmp_path / "state.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["evolve", MODEL_B_PRESET, "--t", "0.1", "--s0", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error [ParseError]: bad --s0 state file {path}: ")
 
     def test_oracle_default_cutoffs(self, capsys):
         assert main(["oracle", MODEL_A_JSON, "--check", "gap"]) == 0

@@ -363,7 +363,7 @@ class TestSharpness:
     def test_affine_in_omega_test(self, model_b):
         # f''(0) is affine in omega_test with slope -2 s0(z, z)
         _, dd, st = model_b
-        omega0 = analyze(dd).omega0
+        omega0 = analyze(dd).gns.omega0
         w1 = sharpness_witness(st, dd, 1.1 * omega0)
         w2 = sharpness_witness(st, dd, 1.3 * omega0)
         assert w1.f2 > 0 and w2.f2 > 0
@@ -375,7 +375,7 @@ class TestSharpness:
         # faster than omega0 at small r and t
         _, dd, st = model_b
         rep = analyze(dd)
-        omega_test = 1.05 * rep.omega0  # below omega0 (both negative)
+        omega_test = 1.05 * rep.gns.omega0  # below omega0 (both negative)
         wit = sharpness_witness(st, dd, omega_test)
         assert wit.f2 > 0
         violated = False

@@ -191,20 +191,20 @@ class TestGapOracle:
     @pytest.mark.parametrize("mode", ["gns", "kms"])
     def test_model_a_both_embeddings(self, mode):
         model = one_dim_family(3, 1)
-        g = oracle_gap(model, build_space(1, 30), mode)
+        g = oracle_gap(model, build_space(1, 30))[("gns", "kms").index(mode)]
         assert abs(g - 1.0) < 0.05
 
     @pytest.mark.parametrize("mode", ["gns", "kms"])
     def test_rotation_does_not_move_gap(self, mode):
         # kappa = 0: both closed forms reduce to gamma independently of omega
         model = one_dim_family(3, 1, omega=2.0)
-        g = oracle_gap(model, build_space(1, 30), mode)
+        g = oracle_gap(model, build_space(1, 30))[("gns", "kms").index(mode)]
         assert abs(g - 1.0) < 0.05
 
     def test_monotone_cutoff_study(self):
         model = one_dim_family(3, 1)
         errs = [
-            abs(oracle_gap(model, build_space(1, n), "gns") - 1.0)
+            abs(oracle_gap(model, build_space(1, n))[0] - 1.0)
             for n in (20, 25, 30)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -232,6 +232,9 @@ class TestGapOracle:
         )
         with pytest.raises(OutsideEnvelope):
             oracle_gap(mixed, build_space(1, 10))
+        # lambda2 = 0: the thermal state is the pure vacuum, not faithful
+        with pytest.raises(OutsideEnvelope):
+            oracle_gap(one_dim_family(2, 0), build_space(1, 10))
 
 
 def test_two_mode_cross_validation():

@@ -1,5 +1,7 @@
 """Spectral gap routes, closed forms and the no-gap diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,17 +11,17 @@ from conftest import (
     random_stable_faithful,
     random_unstable,
 )
-from gaussgap.errors import NoFaithfulState
+from gaussgap.errors import ConsistencyError, NoFaithfulState
 from gaussgap.gap import (
     analyze,
     gns_gap,
-    hermitian_root_pair,
     kms_gap,
     no_gap_diagnosis,
     one_dim_closed_forms,
     optimal_growth_rate,
 )
 from gaussgap.model import GklsModel, build_drift_diffusion
+from gaussgap.realops import hermitian_root_pair
 
 
 class TestOptimalGrowthRate:
@@ -98,7 +100,9 @@ class TestGnsGap:
             d = int(rng.integers(1, 4))
             _, dd, st = random_stable_faithful(rng, d)
             res = gns_gap(dd, st)
-            assert abs(res.omega0 + res.dissipation_min_eig) < 1e-10 * max(
+            _, inv_root = st.tilde_roots
+            form_min = np.linalg.eigvalsh(inv_root @ dd.cz @ inv_root)[0]
+            assert abs(res.omega0 + form_min) < 1e-10 * max(
                 1.0, abs(res.omega0)
             )
 
@@ -113,6 +117,13 @@ class TestGnsGap:
             lhs = root @ zc @ inv_root + inv_root @ zc.conj().T @ root
             rhs = -inv_root @ dd.cz @ inv_root
             assert np.linalg.norm(lhs - rhs) <= 1e-10
+
+    def test_route_disagreement_raises(self, model_b):
+        # a cz off by 1e-7 moves only the form route
+        _, dd, st = model_b
+        bad = dataclasses.replace(dd, cz=dd.cz + 1e-7 * np.eye(dd.cz.shape[0]))
+        with pytest.raises(ConsistencyError):
+            gns_gap(bad, st)
 
 
 class TestKmsGap:
@@ -137,7 +148,16 @@ class TestKmsGap:
         _, dd, st = model_b
         res = kms_gap(dd, st)
         kbreve = -(dd.z2d.T @ st.s_breve + st.s_breve @ dd.z2d)
-        assert abs(res.kbreve_min_eig - np.linalg.eigvalsh(kbreve)[0]) < 1e-12
+        assert abs(res.form_min_eig - np.linalg.eigvalsh(kbreve)[0]) < 1e-12
+
+    def test_route_disagreement_raises(self, model_b):
+        # an s_breve off by 1e-7, with its roots kept, moves only the form
+        # route through kbreve
+        _, dd, st = model_b
+        n = st.s_breve.shape[0]
+        bad = dataclasses.replace(st, s_breve=st.s_breve + 1e-7 * np.eye(n))
+        with pytest.raises(ConsistencyError):
+            kms_gap(dd, bad)
 
 
 class TestClosedForms:
@@ -288,5 +308,5 @@ def test_analyze_model_b_full_report(model_b):
     assert rep.has_gns_gap
     assert abs(rep.g - 0.5) < 1e-12
     assert abs(rep.g_breve - (1 - 1 / np.sqrt(5))) < 1e-12
-    assert rep.kms_kernel_condition_ok
+    assert rep.kms.kernel_condition_ok
     assert rep.diagnostics == []
