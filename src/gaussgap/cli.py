@@ -34,7 +34,13 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .model import GklsModel, build_drift_diffusion, one_dim_family, validate
+from .model import (
+    GklsModel,
+    build_drift_diffusion,
+    one_dim_family,
+    one_dim_family_stack,
+    validate,
+)
 from .stationary import require_stable, solve_stationary
 
 __all__ = ["parse_model", "run_report", "main"]
@@ -368,6 +374,8 @@ def _read_state(path):
         cov2d = np.asarray(doc["cov2d"], dtype=float)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad --s0 state file {path}: {exc}") from exc
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov2d))):
+        raise ParseError(f"bad --s0 state file {path}: non-finite entries rejected")
     return dynamics.GaussianStateParams(mean=mean, cov2d=cov2d)
 
 
@@ -454,29 +462,50 @@ def _cmd_decay(args) -> int:
     return 0
 
 
-def _sweep_point(params):
-    mu2, lambda2, omega_h, kappa_h = params
-    model = one_dim_family(mu2, lambda2, omega_h, kappa_h)
-    dd = build_drift_diffusion(model)
-    if not dd.is_stable:
-        return None  # inadmissible: no invariant state
-    st = solve_stationary(dd, model.zeta)
-    if not st.faithful:
-        return None  # inadmissible: the embeddings need a faithful state
-    cf = gap.one_dim_closed_forms(mu2, lambda2, omega_h, kappa_h)
-    gns = gap.gns_gap(dd, st)
-    kms = gap.kms_gap(dd, st)
-    return (
-        mu2,
-        lambda2,
-        omega_h,
-        kappa_h,
-        gns.g,
-        cf.g,
-        kms.g,
-        cf.g_breve,
-        float(st.sigma[0]),
-    )
+def _sweep_rows(points):
+    """CSV rows of the admissible points among the (mu2, lambda2, omega,
+    kappa) tuples, in their order.  A failed check raises for the first
+    failing point, with its parameters in the message."""
+    try:
+        return _stacked_rows(points)
+    except GaussGapError as exc:
+        if exc.index is None:
+            raise
+        # the stack reports a failing point, not necessarily the first
+        _sweep_rows(points[: exc.index])
+        mu2, lambda2, omega_h, kappa_h = points[exc.index]
+        raise type(exc)(
+            f"at mu2={mu2!r}, lambda2={lambda2!r}, omega={omega_h!r}, "
+            f"kappa={kappa_h!r}: {exc}"
+        ) from exc
+
+
+def _stacked_rows(points):
+    """Evaluate the points as one model stack per jump count (lambda2 = 0
+    drops the lambda jump); errors carry the failing point's position in
+    points as ``index``."""
+    params = np.array(points, dtype=float).reshape(-1, 4)
+    found = []
+    for group in (params[:, 1] == 0.0, params[:, 1] > 0.0):
+        pos = np.flatnonzero(group)
+        if not pos.size:
+            continue
+        try:
+            res = gap.analyze_stack(one_dim_family_stack(*params[pos].T))
+        except GaussGapError as exc:
+            if exc.index is not None:
+                exc.index = int(pos[exc.index])
+            raise
+        found += zip(pos[res.index].tolist(), res.g, res.g_breve, res.sigma[:, 0])
+    rows = []
+    for i, g, g_breve, sigma in sorted(found):
+        try:
+            cf = gap.one_dim_closed_forms(*points[i])
+        except GaussGapError as exc:
+            exc.index = i
+            raise
+        rows.append((*points[i], g, cf.g, g_breve, cf.g_breve, sigma))
+    return rows
 
 
 def _parse_grid(grid_arg: str) -> dict:
@@ -526,7 +555,7 @@ def _cmd_sweep(args) -> int:
                     if lambda2 == 0.0 and kappa_h == 0.0:
                         continue  # pure vacuum boundary
                     points.append((mu2, lambda2, omega_h, kappa_h))
-    rows = [row for row in map(_sweep_point, points) if row is not None]
+    rows = _sweep_rows(points)
     writer = csv.writer(sys.stdout, lineterminator="\r\n")
     writer.writerow(
         [
@@ -547,10 +576,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.cutoff is None:
+        cutoff = 30 if args.check == "gap" else 40
+    elif args.cutoff < 1:
+        raise ParseError(f"--cutoff must be at least 1, got {args.cutoff}")
+    else:
+        cutoff = args.cutoff
     model = parse_model(args.model)
     dd = build_drift_diffusion(model)
     require_stable(dd)
-    cutoff = args.cutoff if args.cutoff else (30 if args.check == "gap" else 40)
     space = fock.build_space(model.d, cutoff)
     out = {"schema": REPORT_SCHEMA, "cutoff": cutoff, "check": args.check}
     if args.check == "char":
@@ -648,7 +682,6 @@ def _build_parser():
     p.add_argument(
         "--cutoff",
         type=int,
-        default=0,
         help="occupation cutoff (default 40 for trace checks, 30 for gap)",
     )
     p.add_argument("--check", choices=["char", "kms-trace", "gap"], default="char")

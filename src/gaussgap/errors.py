@@ -4,12 +4,34 @@ Every error raised on a user-facing code path derives from GaussGapError so
 callers (and the CLI) can distinguish model problems from genuine bugs.
 """
 
+import numpy as np
+
 
 class GaussGapError(Exception):
     """Base class for all gaussgap errors."""
 
     #: short machine-readable code used in CLI reports
     code = "Error"
+    #: position of the failing entry when a check on a stack of models
+    #: failed (see raise_first), else None
+    index = None
+
+
+def raise_first(bad, error, message, *values):
+    """Raise error(message) for the first true entry of the boolean array
+    bad, if any; message is formatted with the entries of values (arrays of
+    bad's shape) at that position.  When bad has a leading stack axis the
+    error carries the entry's flat position as ``index``."""
+    stacked = np.ndim(bad) > 0
+    if not (stacked or bad):
+        return
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        i = int(hits[0])
+        exc = error(message.format(*(np.ravel(v)[i] for v in values)))
+        if stacked:
+            exc.index = i
+        raise exc
 
 
 class DimensionMismatch(GaussGapError):

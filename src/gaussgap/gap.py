@@ -15,6 +15,9 @@ computed and must agree; disagreements raise, they are never averaged away.
 When the drift is unstable or cz is singular there is no gap in the
 one-sided embedding; no_gap_diagnosis produces a checkable witness for the
 failing condition.
+
+analyze_stack runs the pipeline on a stack of models at once, through the
+*_stack functions of model, stationary and this module.
 """
 
 from __future__ import annotations
@@ -24,20 +27,40 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, NoFaithfulState, NotFaithful
-from .model import DriftDiffusion
-from .stationary import StationaryData, solve_stationary
+from .errors import (
+    ConsistencyError,
+    GaussGapError,
+    NoFaithfulState,
+    NotFaithful,
+    raise_first,
+)
+from .model import (
+    DriftDiffusion,
+    DriftDiffusionStack,
+    GklsModelStack,
+    build_drift_diffusion_stack,
+)
+from .stationary import (
+    StationaryData,
+    StationaryStack,
+    solve_stationary,
+    solve_stationary_stack,
+)
 
 __all__ = [
     "GapReport",
     "Finding",
     "optimal_growth_rate",
     "gns_gap",
+    "gns_gap_stack",
     "kms_gap",
+    "kms_gap_stack",
     "one_dim_closed_forms",
     "OneDimClosedForms",
     "no_gap_diagnosis",
     "analyze",
+    "analyze_stack",
+    "StackAnalysis",
     "fix_phase",
 ]
 
@@ -49,16 +72,20 @@ ROUTE_TOL = 1e-10
 ROUTE_ROUNDING = 64
 
 
-def _routes_agree(dd: DriftDiffusion, omega0, other, roots) -> bool:
+def _routes_agree(drift_norm, omega0, other, roots):
     """Whether two routes to omega0 that go through roots = (T^{1/2},
     T^{-1/2}) agree to ROUTE_TOL, or else within ROUTE_ROUNDING times their
-    rounding."""
+    rounding; entrywise for stacks."""
     diff = abs(omega0 - other)
-    if diff <= ROUTE_TOL * max(1.0, abs(omega0)):
-        return True
+    agree = diff <= ROUTE_TOL * np.maximum(1.0, abs(omega0))
+    if agree.all():
+        return agree
     root, inv_root = roots
-    cond = (np.linalg.norm(root, 2) * np.linalg.norm(inv_root, 2)) ** 2
-    return diff <= ROUTE_ROUNDING * np.finfo(float).eps * dd.drift_norm * cond
+    cond = (
+        np.linalg.norm(root, 2, axis=(-2, -1))
+        * np.linalg.norm(inv_root, 2, axis=(-2, -1))
+    ) ** 2
+    return agree | (diff <= ROUTE_ROUNDING * np.finfo(float).eps * drift_norm * cond)
 
 
 def fix_phase(v):
@@ -102,9 +129,10 @@ class GapComputation:
     kernel_condition_ok: bool
 
 
-def _top_rate(dd: DriftDiffusion, roots, k_form):
-    """omega0 and its phase-fixed witness for the embedding of T with
-    roots = (T^{1/2}, T^{-1/2}) and dissipation form k_form = K.
+def _top_rate(z2d, drift_norm, roots, k_form):
+    """omega0 and its top eigenvector for the embedding of T with
+    roots = (T^{1/2}, T^{-1/2}) and dissipation form k_form = K; entrywise
+    for stacks.
 
     The similarity route takes the top eigenpair of
     T^{1/2} Z T^{-1/2} + h.c.; the form route the smallest eigenvalue of
@@ -112,18 +140,27 @@ def _top_rate(dd: DriftDiffusion, roots, k_form):
     must agree (see _routes_agree).
     """
     root, inv_root = roots
-    sim = root @ dd.z2d @ inv_root
+    sim = root @ z2d @ inv_root
     # sim + sim^H is exactly Hermitian in floating point
-    evals, evecs = np.linalg.eigh(sim + sim.conj().T)
-    omega0 = float(evals[-1])
+    evals, evecs = np.linalg.eigh(sim + sim.swapaxes(-1, -2).conj())
+    omega0 = evals[..., -1]
     form = inv_root @ k_form @ inv_root
-    form = 0.5 * (form + form.conj().T)
-    alt = -float(np.linalg.eigvalsh(form)[0])
-    if not _routes_agree(dd, omega0, alt, roots):
-        raise ConsistencyError(
-            f"gap routes disagree: similarity {omega0:.3e} vs form {alt:.3e}"
-        )
-    return omega0, fix_phase(evecs[:, -1])
+    form = 0.5 * (form + form.swapaxes(-1, -2).conj())
+    alt = -np.linalg.eigvalsh(form)[..., 0]
+    raise_first(
+        ~_routes_agree(drift_norm, omega0, alt, roots),
+        ConsistencyError,
+        "gap routes disagree: similarity {:.3e} vs form {:.3e}",
+        omega0,
+        alt,
+    )
+    return omega0, evecs[..., -1]
+
+
+def _kbreve(z2d, s_breve):
+    """kbreve = -(Z^T s_breve + s_breve Z), symmetrized."""
+    kbreve = -(z2d.swapaxes(-1, -2) @ s_breve + s_breve @ z2d)
+    return 0.5 * (kbreve + kbreve.swapaxes(-1, -2))
 
 
 def gns_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
@@ -133,11 +170,12 @@ def gns_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
     """
     if not st.faithful:
         raise NotFaithful("one-sided gap needs a faithful invariant state")
-    omega0, witness = _top_rate(dd, st.tilde_roots, dd.cz)
+    omega0, top = _top_rate(dd.z2d, dd.drift_norm, st.tilde_roots, dd.cz)
+    omega0 = float(omega0)
     return GapComputation(
         omega0=omega0,
         g=-omega0 / 2.0 if dd.kraus_rank_full else 0.0,
-        witness=witness,
+        witness=fix_phase(top),
         form_min_eig=dd.cz_min_eig,
         kernel_condition_ok=dd.kraus_rank_full,
     )
@@ -152,19 +190,43 @@ def kms_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
     """
     if not st.faithful:
         raise NotFaithful("split-embedding gap needs a faithful invariant state")
-    z2d = dd.z2d
-    kbreve = -(z2d.T @ st.s_breve + st.s_breve @ z2d)
-    kbreve = 0.5 * (kbreve + kbreve.T)
+    kbreve = _kbreve(dd.z2d, st.s_breve)
     kb_min = float(np.linalg.eigvalsh(kbreve)[0])
-    omega0, witness = _top_rate(dd, st.breve_roots, kbreve)
+    omega0, top = _top_rate(dd.z2d, dd.drift_norm, st.breve_roots, kbreve)
+    omega0 = float(omega0)
     scale = max(1.0, float(np.linalg.norm(kbreve, 2)))
     return GapComputation(
         omega0=omega0,
         g=-omega0 / 2.0,
-        witness=witness.real,
+        witness=fix_phase(top).real,
         form_min_eig=kb_min,
         kernel_condition_ok=bool(kb_min > 1e-10 * scale),
     )
+
+
+def gns_gap_stack(dds: DriftDiffusionStack, sts: StationaryStack) -> np.ndarray:
+    """The one-sided rate g of each entry of a stack, 0 where cz is
+    singular; every entry must have a faithful state.  Routes that disagree
+    raise for the first such entry, whose position the error carries as
+    ``index``."""
+    raise_first(
+        ~sts.faithful, NotFaithful, "one-sided gap needs a faithful invariant state"
+    )
+    omega0, _ = _top_rate(dds.z2d, dds.drift_norm, sts.tilde_roots, dds.cz)
+    return np.where(dds.kraus_rank_full, -omega0 / 2.0, 0.0)
+
+
+def kms_gap_stack(dds: DriftDiffusionStack, sts: StationaryStack) -> np.ndarray:
+    """The split-embedding rate g_breve of each entry of a stack, as
+    :func:`gns_gap_stack` does for g."""
+    raise_first(
+        ~sts.faithful,
+        NotFaithful,
+        "split-embedding gap needs a faithful invariant state",
+    )
+    kbreve = _kbreve(dds.z2d, sts.s_breve)
+    omega0, _ = _top_rate(dds.z2d, dds.drift_norm, sts.breve_roots, kbreve)
+    return -omega0 / 2.0
 
 
 @dataclass(frozen=True)
@@ -371,3 +433,39 @@ def analyze(dd: DriftDiffusion, zeta=None) -> GapReport:
             )
         )
     return report
+
+
+@dataclass(frozen=True)
+class StackAnalysis:
+    """Rates of the entries of a stack that have a stable drift and a
+    faithful state, in stack order."""
+
+    #: positions of those entries in the stack
+    index: np.ndarray
+    g: np.ndarray
+    g_breve: np.ndarray
+    #: ascending symplectic eigenvalues, shape (len(index), d)
+    sigma: np.ndarray
+
+
+def analyze_stack(models: GklsModelStack) -> StackAnalysis:
+    """Both gaps of each model of a stack whose drift is stable and whose
+    state is faithful; the other models have no gaps and are left out.
+
+    Each entry passes every check of the per-model pipeline; a failed check
+    raises for an entry that fails it, and the error carries that entry's
+    position in the stack as ``index``.
+    """
+    index = np.arange(models.omega.shape[0])
+    try:
+        dds = build_drift_diffusion_stack(models)
+        index, dds = index[dds.is_stable], dds[dds.is_stable]
+        sts = solve_stationary_stack(dds)
+        index, dds, sts = index[sts.faithful], dds[sts.faithful], sts[sts.faithful]
+        g = gns_gap_stack(dds, sts)
+        g_breve = kms_gap_stack(dds, sts)
+    except GaussGapError as exc:
+        if exc.index is not None:
+            exc.index = int(index[exc.index])
+        raise
+    return StackAnalysis(index=index, g=g, g_breve=g_breve, sigma=sts.sigma)

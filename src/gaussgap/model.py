@@ -19,11 +19,14 @@ Two independent constructions are cross-checked on every build: the defining
 formulas for Z and C in terms of (U, V, Omega, kappa), and the equivalent
 block formulas in terms of U +- conj(V), including cz = M* M with
 M = [U + conj(V), -i (U - conj(V))].
+
+The *_stack functions do the same for N models of one shape (d, m) at once,
+on arrays with a leading axis of length N, keeping every per-model check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,16 +36,21 @@ from .errors import (
     DimensionMismatch,
     NotHermitian,
     NotSymmetric,
+    raise_first,
 )
 from .realops import jmat, realize_blocks
 
 __all__ = [
     "GklsModel",
+    "GklsModelStack",
     "DriftDiffusion",
+    "DriftDiffusionStack",
     "ValidationReport",
     "one_dim_family",
+    "one_dim_family_stack",
     "validate",
     "build_drift_diffusion",
+    "build_drift_diffusion_stack",
     "appendix_z_realization",
     "appendix_cz",
 ]
@@ -100,27 +108,103 @@ def one_dim_family(mu2, lambda2, omega=0.0, kappa=0.0):
     Requires 0 <= lambda2 < mu2.  For lambda2 = 0 the (identically zero)
     second jump operator is dropped so the remaining one stays independent.
     """
-    if not 0 <= lambda2 < mu2:
-        raise ValueError("family requires 0 <= lambda2 < mu2")
-    mu = float(np.sqrt(mu2))
-    lam = float(np.sqrt(lambda2))
-    if lambda2 > 0:
-        u = np.array([[0.0], [lam]], dtype=complex)
-        v = np.array([[mu], [0.0]], dtype=complex)
-        m = 2
-    else:
-        u = np.array([[0.0]], dtype=complex)
-        v = np.array([[mu]], dtype=complex)
-        m = 1
+    stack = one_dim_family_stack([mu2], [lambda2], [omega], [kappa])
     return GklsModel(
         d=1,
-        m=m,
-        omega=np.array([[omega]], dtype=complex),
-        kappa=np.array([[kappa]], dtype=complex),
-        u_mat=u,
-        v_mat=v,
+        m=stack.m,
+        omega=stack.omega[0],
+        kappa=stack.kappa[0],
+        u_mat=stack.u_mat[0],
+        v_mat=stack.v_mat[0],
         zeta=np.zeros(1, dtype=complex),
     )
+
+
+@dataclass(frozen=True)
+class GklsModelStack:
+    """N models of one shape (d, m) and without linear drive: omega and
+    kappa of shape (N, d, d), u_mat and v_mat of shape (N, m, d)."""
+
+    omega: np.ndarray
+    kappa: np.ndarray
+    u_mat: np.ndarray
+    v_mat: np.ndarray
+
+    def __post_init__(self):
+        omega, kappa, u, v = (
+            np.asarray(a, dtype=complex)
+            for a in (self.omega, self.kappa, self.u_mat, self.v_mat)
+        )
+        if not (
+            omega.ndim == 3
+            and omega.shape[1] == omega.shape[2]
+            and kappa.shape == omega.shape
+            and u.ndim == 3
+            and v.shape == u.shape
+            and u.shape[::2] == omega.shape[:2]
+        ):
+            raise DimensionMismatch(
+                f"stack shapes omega {omega.shape}, kappa {kappa.shape}, "
+                f"u_mat {u.shape}, v_mat {v.shape} are not (N, d, d) and (N, m, d)"
+            )
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "u_mat", u)
+        object.__setattr__(self, "v_mat", v)
+
+    @property
+    def d(self) -> int:
+        return self.omega.shape[-1]
+
+    @property
+    def m(self) -> int:
+        return self.u_mat.shape[1]
+
+
+def one_dim_family_stack(mu2, lambda2, omega, kappa) -> GklsModelStack:
+    """:func:`one_dim_family` for N parameter points given as four arrays.
+
+    A stack has one jump count, so lambda2 must be positive everywhere
+    (m = 2) or zero everywhere (m = 1).
+    """
+    mu2, lambda2 = (np.asarray(a, dtype=float).ravel() for a in (mu2, lambda2))
+    omega, kappa = (np.asarray(a, dtype=complex).ravel() for a in (omega, kappa))
+    if not np.all((0 <= lambda2) & (lambda2 < mu2)):
+        raise ValueError("family requires 0 <= lambda2 < mu2")
+    mu = np.sqrt(mu2)
+    zero = np.zeros_like(mu)
+    if np.all(lambda2 > 0):
+        u = np.stack([zero, np.sqrt(lambda2)], axis=-1)
+        v = np.stack([mu, zero], axis=-1)
+    elif np.all(lambda2 == 0):
+        u, v = zero[:, None], mu[:, None]
+    else:
+        raise ValueError("a family stack needs lambda2 > 0 everywhere or nowhere")
+    return GklsModelStack(
+        omega=omega[:, None, None],
+        kappa=kappa[:, None, None],
+        u_mat=u[..., None],
+        v_mat=v[..., None],
+    )
+
+
+def _adjoint(a):
+    """Conjugate transpose over the last two axes."""
+    return a.swapaxes(-1, -2).conj()
+
+
+def _fro(a):
+    """Frobenius norm over the last two axes."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+def _kraus_rank(u, v):
+    """Numerical rank of the stacked 2d x m matrix [V*; U^T]: ker(V*) and
+    ker(U^T) both live in C^m, and their intersection is its kernel."""
+    stacked = np.concatenate([_adjoint(v), u.swapaxes(-1, -2)], axis=-2)
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    smax = np.maximum(svals[..., 0], 1e-300)
+    return np.sum(svals > RANK_TOL * smax[..., None], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -154,12 +238,7 @@ def validate(model: GklsModel, strict: bool = True) -> ValidationReport:
         errors.append(
             DimensionMismatch(f"m = {model.m} exceeds 2d = {2 * model.d}")
         )
-    # ker(V*) and ker(U^T) both live in C^m; their intersection is the kernel
-    # of the stacked 2d x m matrix.
-    stacked = np.vstack([model.v_mat.conj().T, model.u_mat.T])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > RANK_TOL * max(smax, 1e-300)))
+    rank = int(_kraus_rank(model.u_mat, model.v_mat))
     if rank < model.m:
         errors.append(
             DependentKraus(
@@ -218,16 +297,49 @@ class DriftDiffusion:
         return float(self.cz_spectrum[0])
 
 
-def appendix_z_realization(model: GklsModel):
-    """Block formula for the drift realization in terms of U +- conj(V)."""
+class EntryStack:
+    """Base of the frozen stack dataclasses, whose fields are arrays (or
+    tuples of arrays) with one leading entry axis: indexing a stack with a
+    boolean mask or index array selects those entries in every field."""
+
+    def __getitem__(self, sel):
+        def pick(value):
+            if isinstance(value, tuple):
+                return tuple(a[sel] for a in value)
+            return value[sel]
+
+        return replace(
+            self, **{f.name: pick(getattr(self, f.name)) for f in fields(self)}
+        )
+
+
+@dataclass(frozen=True)
+class DriftDiffusionStack(EntryStack):
+    """The DriftDiffusion fields of N models, each with a leading axis of
+    length N; the drift eigenpairs are not kept."""
+
+    z2d: np.ndarray
+    c2d: np.ndarray
+    cz: np.ndarray
+    cz_spectrum: np.ndarray
+    kraus_rank_full: np.ndarray
+    drift_norm: np.ndarray
+    abscissa: np.ndarray
+    stable_tol: np.ndarray
+    is_stable: np.ndarray
+
+
+def appendix_z_realization(model):
+    """Block formula for the drift realization in terms of U +- conj(V), for
+    a GklsModel or a GklsModelStack."""
     u, v = model.u_mat, model.v_mat
     om, ka = model.omega, model.kappa
     p = u + v.conj()
     q = u - v.conj()
     noise = 0.5 * np.block(
         [
-            [(q.conj().T @ p).real, (q.conj().T @ q).imag],
-            [-(p.conj().T @ p).imag, (p.conj().T @ q).real],
+            [(_adjoint(q) @ p).real, (_adjoint(q) @ q).imag],
+            [-(_adjoint(p) @ p).imag, (_adjoint(p) @ q).real],
         ]
     )
     hamil = np.block(
@@ -239,16 +351,62 @@ def appendix_z_realization(model: GklsModel):
     return noise + hamil
 
 
-def appendix_cz(model: GklsModel):
-    """Block formula for cz in terms of U +- conj(V)."""
+def appendix_cz(model):
+    """Block formula for cz in terms of U +- conj(V), for a GklsModel or a
+    GklsModelStack."""
     p = model.u_mat + model.v_mat.conj()
     q = model.u_mat - model.v_mat.conj()
     return np.block(
         [
-            [p.conj().T @ p, -1j * (p.conj().T @ q)],
-            [1j * (q.conj().T @ p), q.conj().T @ q],
+            [_adjoint(p) @ p, -1j * (_adjoint(p) @ q)],
+            [1j * (_adjoint(q) @ p), _adjoint(q) @ q],
         ]
     )
+
+
+def _realizations(model):
+    """(z2d, c2d, cz, cz_spectrum) of a GklsModel or a GklsModelStack,
+    cross-checked against the block formulas and the Gram factorization of
+    cz; a stack raises for the first entry that fails a check."""
+    u, v = model.u_mat, model.v_mat
+    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    z2d = realize_blocks(
+        0.5 * (ut @ u.conj() - vt @ v.conj()) + 1j * model.omega,
+        0.5 * (ut @ v - vt @ u) + 1j * model.kappa,
+    )
+    c2d = realize_blocks(ut @ u.conj() + vt @ v.conj(), ut @ v + vt @ u)
+    j = jmat(z2d.shape[-1] // 2)
+    cz = c2d.astype(complex) - 1j * (z2d.swapaxes(-1, -2) @ j + j @ z2d)
+    cz = 0.5 * (cz + _adjoint(cz))
+
+    z_resid = _fro(z2d - appendix_z_realization(model))
+    raise_first(
+        z_resid > 1e-12 * np.maximum(1.0, _fro(z2d)),
+        ConsistencyError,
+        "drift realization disagrees with block formula",
+    )
+    scale = np.maximum(1.0, _fro(cz))
+    raise_first(
+        _fro(cz - appendix_cz(model)) > 1e-12 * scale,
+        ConsistencyError,
+        "cz disagrees with block formula",
+    )
+    m_stack = np.concatenate([u + v.conj(), -1j * (u - v.conj())], axis=-1)
+    raise_first(
+        _fro(cz - _adjoint(m_stack) @ m_stack) > 1e-10 * scale,
+        ConsistencyError,
+        "cz disagrees with its Gram factorization",
+    )
+
+    cz_spectrum = np.linalg.eigvalsh(cz)
+    cz_min = cz_spectrum[..., 0]
+    raise_first(
+        cz_min < -1e-10 * scale,
+        ConsistencyError,
+        "cz has a genuinely negative eigenvalue {:.3e}",
+        cz_min,
+    )
+    return z2d, c2d, cz, cz_spectrum
 
 
 def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
@@ -257,31 +415,8 @@ def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
     other.
     """
     validate(model, strict=True)
-    u, v = model.u_mat, model.v_mat
-    z2d = realize_blocks(
-        0.5 * (u.T @ u.conj() - v.T @ v.conj()) + 1j * model.omega,
-        0.5 * (u.T @ v - v.T @ u) + 1j * model.kappa,
-    )
-    c2d = realize_blocks(u.T @ u.conj() + v.T @ v.conj(), u.T @ v + v.T @ u)
-    j = jmat(model.d)
-    cz = c2d.astype(complex) - 1j * (z2d.T @ j + j @ z2d)
-    cz = 0.5 * (cz + cz.conj().T)
-
-    z_blocks = appendix_z_realization(model)
-    if np.linalg.norm(z2d - z_blocks) > 1e-12 * max(1.0, np.linalg.norm(z2d)):
-        raise ConsistencyError("drift realization disagrees with block formula")
-    cz_blocks = appendix_cz(model)
-    scale = max(1.0, float(np.linalg.norm(cz)))
-    if np.linalg.norm(cz - cz_blocks) > 1e-12 * scale:
-        raise ConsistencyError("cz disagrees with block formula")
-    m_stack = np.hstack([u + v.conj(), -1j * (u - v.conj())])
-    if np.linalg.norm(cz - m_stack.conj().T @ m_stack) > 1e-10 * scale:
-        raise ConsistencyError("cz disagrees with its Gram factorization")
-
-    cz_spectrum = np.linalg.eigvalsh(cz)
+    z2d, c2d, cz, cz_spectrum = _realizations(model)
     cz_min = float(cz_spectrum[0])
-    if cz_min < -1e-10 * scale:
-        raise ConsistencyError(f"cz has a genuinely negative eigenvalue {cz_min:.3e}")
     # cz is Hermitian PSD, so its 2-norm is its top eigenvalue
     cz_norm = float(cz_spectrum[-1])
     evals, evecs = np.linalg.eig(z2d)
@@ -300,4 +435,51 @@ def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
         drift_eigenvalues=evals,
         drift_eigenvectors=evecs,
         is_stable=bool(abscissa < -stable_tol),
+    )
+
+
+def build_drift_diffusion_stack(models: GklsModelStack) -> DriftDiffusionStack:
+    """:func:`build_drift_diffusion` for a stack of models, with the checks
+    of :func:`validate` and every cross-check applied to each entry; a
+    failed check raises for the first entry that fails it, whose position
+    the error carries as ``index``."""
+    omega, kappa = models.omega, models.kappa
+    herm = _fro(omega - _adjoint(omega))
+    raise_first(
+        herm > 1e-12 * np.maximum(1.0, _fro(omega)),
+        NotHermitian,
+        "omega is not Hermitian (residual {:.3e})",
+        herm,
+    )
+    symm = _fro(kappa - kappa.swapaxes(-1, -2))
+    raise_first(
+        symm > 1e-12 * np.maximum(1.0, _fro(kappa)),
+        NotSymmetric,
+        "kappa is not symmetric (residual {:.3e})",
+        symm,
+    )
+    if models.m > 2 * models.d:
+        raise DimensionMismatch(f"m = {models.m} exceeds 2d = {2 * models.d}")
+    rank = _kraus_rank(models.u_mat, models.v_mat)
+    raise_first(
+        rank < models.m,
+        DependentKraus,
+        "jump operators are linearly dependent (rank {} < m = " + f"{models.m})",
+        rank,
+    )
+    z2d, c2d, cz, cz_spectrum = _realizations(models)
+    abscissa = np.max(np.linalg.eigvals(z2d).real, axis=-1)
+    drift_norm = np.linalg.norm(z2d, 2, axis=(-2, -1))
+    stable_tol = 1e-12 * np.maximum(1.0, drift_norm)
+    return DriftDiffusionStack(
+        z2d=z2d,
+        c2d=c2d,
+        cz=cz,
+        cz_spectrum=cz_spectrum,
+        kraus_rank_full=cz_spectrum[:, 0]
+        > RANK_TOL * np.maximum(cz_spectrum[:, -1], 1e-300),
+        drift_norm=drift_norm,
+        abscissa=abscissa,
+        stable_tol=stable_tol,
+        is_stable=abscissa < -stable_tol,
     )

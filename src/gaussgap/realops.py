@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite, raise_first
 
 __all__ = [
     "ROOT_MARGIN",
@@ -24,6 +24,7 @@ __all__ = [
     "vec2d",
     "unvec2d",
     "hermitian_root_pair",
+    "hermitian_root_pairs",
 ]
 
 #: relative eigenvalue margin: a Hermitian matrix whose smallest eigenvalue
@@ -53,17 +54,17 @@ def unvec2d(x):
 def realize_blocks(a1, a2):
     """Real block matrix of the real-linear map z -> a1 z + a2 conj(z).
 
-    Accepts rectangular m x d blocks (maps C^d -> C^m) and returns the
-    2m x 2d realization
+    Accepts rectangular m x d blocks (maps C^d -> C^m), or stacks of them
+    along leading axes, and returns the 2m x 2d realization
     ``[[Re a1 + Re a2, Im a2 - Im a1], [Im a1 + Im a2, Re a1 - Re a2]]``.
     """
     a1 = np.atleast_2d(np.asarray(a1, dtype=complex))
     a2 = np.atleast_2d(np.asarray(a2, dtype=complex))
     if a1.shape != a2.shape:
         raise DimensionMismatch(f"block shapes differ: {a1.shape} vs {a2.shape}")
-    top = np.hstack([a1.real + a2.real, a2.imag - a1.imag])
-    bot = np.hstack([a1.imag + a2.imag, a1.real - a2.real])
-    return np.vstack([top, bot])
+    top = np.concatenate([a1.real + a2.real, a2.imag - a1.imag], axis=-1)
+    bot = np.concatenate([a1.imag + a2.imag, a1.real - a2.real], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def jmat(d):
@@ -80,16 +81,41 @@ def hermitian_root_pair(mat):
 
     An eigenvalue at or below ROOT_MARGIN * lambda_max raises
     NotPositiveDefinite instead of being regularized, since regularization
-    would fabricate a gap.
+    would fabricate a gap.  A stack of matrices (leading axes) raises for
+    its first such entry.
     """
+    evals, evecs, regular = _regular_eigh(mat)
+    raise_first(
+        ~regular,
+        NotPositiveDefinite,
+        "matrix is numerically singular (min eig {:.3e}, max eig {:.3e})",
+        evals[..., 0],
+        evals[..., -1],
+    )
+    return _roots(evals, evecs)
+
+
+def hermitian_root_pairs(mat):
+    """Entrywise :func:`hermitian_root_pair` of a stack (..., n, n) that
+    does not raise: returns (root, inv_root, regular), where regular marks
+    the entries whose smallest eigenvalue exceeds ROOT_MARGIN times the
+    largest and the roots of every other entry are NaN."""
+    evals, evecs, regular = _regular_eigh(mat)
+    root, inv_root = _roots(np.where(regular[..., None], evals, 1.0), evecs)
+    root[~regular] = np.nan
+    inv_root[~regular] = np.nan
+    return root, inv_root, regular
+
+
+def _regular_eigh(mat):
+    """Eigenpairs of the Hermitian part of mat and whether its smallest
+    eigenvalue clears ROOT_MARGIN times the largest; entrywise for stacks."""
     mat = np.asarray(mat)
-    herm = 0.5 * (mat + mat.conj().T)
-    evals, evecs = np.linalg.eigh(herm)
-    if evals[0] <= ROOT_MARGIN * max(evals[-1], 0.0):
-        raise NotPositiveDefinite(
-            f"matrix is numerically singular (min eig {evals[0]:.3e}, "
-            f"max eig {evals[-1]:.3e})"
-        )
-    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    inv_root = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    return root, inv_root
+    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.swapaxes(-1, -2).conj()))
+    return evals, evecs, evals[..., 0] > ROOT_MARGIN * np.maximum(evals[..., -1], 0.0)
+
+
+def _roots(evals, evecs):
+    sqrt_evals = np.sqrt(evals)[..., None, :]
+    adjoint = evecs.swapaxes(-1, -2).conj()
+    return (evecs * sqrt_evals) @ adjoint, (evecs / sqrt_evals) @ adjoint

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussgap.errors import GaussGapError
+from gaussgap.gap import ROUTE_ROUNDING
 from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
 
@@ -32,6 +33,25 @@ def model_b():
 @pytest.fixture(scope="session")
 def model_c():
     return make_pipeline(MODEL_C_PARAMS)
+
+
+def rounding_allowances(dd, st):
+    """How far two correct evaluations of (g, g_breve, sigma) may differ
+    beyond 1e-12 relative: ROUTE_ROUNDING rounding units of |Z| cond(T) in
+    each gap (absolute, the envelope of the route cross-check, T the matrix
+    whose roots the gap takes), and of the drift condition |Z| / |abscissa|
+    in sigma (relative)."""
+    eps = np.finfo(float).eps
+
+    def gap_allowance(roots):
+        cond = (np.linalg.norm(roots[0], 2) * np.linalg.norm(roots[1], 2)) ** 2
+        return 0.5 * ROUTE_ROUNDING * eps * dd.drift_norm * cond
+
+    return (
+        gap_allowance(st.tilde_roots),
+        gap_allowance(st.breve_roots),
+        ROUTE_ROUNDING * eps * dd.drift_norm / abs(dd.abscissa),
+    )
 
 
 def random_model(rng, d, m, u_scale=0.35, v_scale=1.0, h_scale=0.5):

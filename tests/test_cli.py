@@ -1,15 +1,19 @@
 """Model file parsing, report content, determinism and CSV output."""
 
 import csv
+import dataclasses
 import io
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from conftest import rounding_allowances
 from gaussgap import cli, gap
 from gaussgap.cli import main, parse_model, run_report
 from gaussgap.errors import ParseError, ShapeError
+from gaussgap.model import build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
 
 MODEL_A_JSON = json.dumps(
@@ -386,6 +390,28 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith(f"error [ParseError]: bad --s0 state file {path}: ")
 
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [("[[NaN, 0.0]]", "[[1.0, 0.0], [0.0, 1.0]]"), ("[[0.1, 0.0]]", "[[Infinity, 0.0], [0.0, 1.0]]")],
+        ids=["nan-mean", "infinite-cov"],
+    )
+    def test_non_finite_state_file(self, capsys, tmp_path, mean, cov):
+        path = tmp_path / "state.json"
+        path.write_text(f'{{"mean": {mean}, "cov2d": {cov}}}')
+        assert main(["evolve", MODEL_B_PRESET, "--t", "0.1", "--s0", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error [ParseError]: bad --s0 state file {path}: non-finite entries rejected\n"
+        )
+
+    @pytest.mark.parametrize("cutoff", ["-1", "0"])
+    def test_oracle_cutoff_below_one(self, capsys, cutoff):
+        assert main(["oracle", MODEL_A_JSON, "--cutoff", cutoff, "--check", "gap"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error [ParseError]: --cutoff must be at least 1, got {cutoff}\n"
+
     def test_oracle_default_cutoffs(self, capsys):
         assert main(["oracle", MODEL_A_JSON, "--check", "gap"]) == 0
         assert json.loads(capsys.readouterr().out)["cutoff"] == 30
@@ -393,3 +419,172 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cutoff"] == 40
         assert payload["pass"]
+
+
+def _sweep_csv_rows(capsys, grid):
+    """Data rows of a sweep over the grid spec, as CSV strings."""
+    assert main(["sweep", "--grid", grid]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return list(csv.reader(io.StringIO(captured.out)))[1:]
+
+
+def _grid_spec(axes):
+    return ";".join(f"{name}={','.join(repr(float(v)) for v in vals)}" for name, vals in axes.items())
+
+
+def _per_model_rows(axes):
+    """The per-model pipeline over the grid's candidate points: the
+    reference the stacked sweep is compared with."""
+    rows = []
+    for params in itertools.product(*(axes[name] for name in cli.DEFAULT_GRID)):
+        params = tuple(float(p) for p in params)
+        mu2, lambda2, _, kappa = params
+        if not 0 <= lambda2 < mu2 or lambda2 == kappa == 0.0:
+            continue
+        model = one_dim_family(*params)
+        dd = build_drift_diffusion(model)
+        if not dd.is_stable:
+            continue
+        st = solve_stationary(dd, model.zeta)
+        if not st.faithful:
+            continue
+        cf = gap.one_dim_closed_forms(*params)
+        g, g_breve = gap.gns_gap(dd, st).g, gap.kms_gap(dd, st).g
+        rows.append((params, (g, cf.g, g_breve, cf.g_breve, float(st.sigma[0])), dd, st))
+    return rows
+
+
+def _jittered_grid():
+    rng = np.random.default_rng(5)
+
+    def jitter(values):
+        step = values[1] - values[0]
+        return [v if v == 0.0 else v + rng.uniform(-0.2, 0.2) * step for v in values]
+
+    return {
+        "mu2": jitter(np.linspace(1.2, 6.2, 7)),
+        "lambda2": jitter(np.linspace(0.0, 2.0, 5)),
+        "omega": jitter(np.linspace(-1.0, 3.0, 4)),
+        "kappa": jitter(np.linspace(0.0, 1.6, 5)),
+    }
+
+
+SWEEP_GRIDS = {
+    "default": (cli.DEFAULT_GRID, False),
+    "jittered": (_jittered_grid(), False),
+    # kappa^2 -> gamma^2 + omega^2: the decay rate falls to ~1e-11
+    "stability-walk-omega0": (
+        {"mu2": [3.0], "lambda2": [1.0], "omega": [0.0],
+         "kappa": [1.0 - 10.0**-e for e in range(1, 16)]},
+        True,
+    ),
+    "stability-walk-omega2": (
+        {"mu2": [3.0], "lambda2": [1.0], "omega": [2.0],
+         "kappa": [np.sqrt(5.0) - 10.0**-e for e in range(1, 16)]},
+        True,
+    ),
+    # kappa -> 0 at lambda2 = 0: the state approaches the pure vacuum
+    "pure-walk": (
+        {"mu2": [3.0], "lambda2": [0.0], "omega": [2.0],
+         "kappa": [10.0**-e for e in range(1, 16)]},
+        True,
+    ),
+}
+
+
+class TestSweepStack:
+    """The sweep evaluates its grid as one stack of models per jump count;
+    these pin its contract against the per-model pipeline."""
+
+    def test_rows_in_nested_loop_grid_order(self, capsys):
+        axes = {"mu2": [3.0, 2.0], "lambda2": [0.5, 0.0, 1.0], "omega": [1.0, 0.0],
+                "kappa": [0.5, 0.0, 1.0]}
+        rows = _sweep_csv_rows(capsys, _grid_spec(axes))
+        expected = [params for params, *_ in _per_model_rows(axes)]
+        assert len(expected) > 20
+        assert [tuple(float(x) for x in row[:4]) for row in rows] == expected
+
+    def test_duplicate_axis_values_kept(self, capsys):
+        rows = _sweep_csv_rows(capsys, "mu2=3;lambda2=1;omega=2;kappa=0.5,0.5")
+        assert len(rows) == 2 and rows[0] == rows[1]
+
+    @pytest.mark.parametrize(
+        "grid", ["mu2=1;lambda2=2", "mu2=3;lambda2=1;omega=0;kappa=5"],
+        ids=["no-candidate", "all-unstable"],
+    )
+    def test_no_admissible_point_prints_header_only(self, capsys, grid):
+        assert main(["sweep", "--grid", grid]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "mu2,lambda2,omega,kappa,g,g_closed,g_breve,g_breve_closed,sigma\r\n"
+
+    @staticmethod
+    def _plant(monkeypatch, plants):
+        """Corrupt the built stack at the points named by (mu2, lambda2):
+        'cz' adds 1e-7 I to cz, so the one-sided gap routes disagree; 'c2d'
+        zeroes the diffusion, so the covariance has no root."""
+        build = gap.build_drift_diffusion_stack
+
+        def planted(models):
+            dds = build(models)
+            mu2 = np.abs(models.v_mat[:, 0, 0]) ** 2
+            lambda2 = np.abs(models.u_mat[:, -1, 0]) ** 2
+            cz, c2d = dds.cz.copy(), dds.c2d.copy()
+            for (mu2_p, lambda2_p), field in plants.items():
+                hit = np.isclose(mu2, mu2_p) & np.isclose(lambda2, lambda2_p)
+                if field == "cz":
+                    cz[hit] += 1e-7 * np.eye(2)
+                else:
+                    c2d[hit] = 0.0
+            return dataclasses.replace(dds, cz=cz, c2d=c2d)
+
+        monkeypatch.setattr(gap, "build_drift_diffusion_stack", planted)
+
+    def test_planted_route_failure_names_point(self, capsys, monkeypatch):
+        self._plant(monkeypatch, {(3.0, 1.0): "cz"})
+        assert main(["sweep", "--grid", "mu2=2,3;lambda2=0.5,1;omega=2;kappa=0.7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error [ConsistencyError]: at mu2=3.0, lambda2=1.0, omega=2.0, kappa=0.7: "
+            "gap routes disagree: similarity "
+        )
+
+    @pytest.mark.parametrize(
+        "plants, expected",
+        [
+            ({(3.0, 0.0): "c2d"}, "[NotPositiveDefinite]: at mu2=3.0, lambda2=0.0,"),
+            (
+                {(3.0, 0.0): "c2d", (2.0, 0.5): "cz"},
+                "[ConsistencyError]: at mu2=2.0, lambda2=0.5,",
+            ),
+        ],
+        ids=["one-failure", "earlier-point-fails-later-stage"],
+    )
+    def test_first_failing_point_in_grid_order(self, capsys, monkeypatch, plants, expected):
+        # the lambda2 = 0 stack runs first and fails in its stationary stage;
+        # the sweep still reports the earlier point, whose gap routes fail
+        self._plant(monkeypatch, plants)
+        assert main(["sweep", "--grid", "mu2=2,3;lambda2=0,0.5;omega=1;kappa=0.5"]) == 1
+        assert capsys.readouterr().err.startswith("error " + expected)
+
+    @pytest.mark.parametrize("name", list(SWEEP_GRIDS))
+    def test_matches_per_model_pipeline(self, capsys, name):
+        axes, ill_conditioned = SWEEP_GRIDS[name]
+        rows = _sweep_csv_rows(capsys, "" if axes is cli.DEFAULT_GRID else _grid_spec(axes))
+        reference = _per_model_rows(axes)
+        assert [row[:4] for row in rows] == [[cli._fmt(p) for p in params]
+                                             for params, *_ in reference]
+        for row, (params, values, dd, st) in zip(rows, reference):
+            g, g_closed, g_breve, g_breve_closed, sigma = values
+            assert [row[5], row[7]] == [cli._fmt(g_closed), cli._fmt(g_breve_closed)]
+            tol = [1e-12 * abs(g), 1e-12 * abs(g_breve), 1e-12 * sigma]
+            if ill_conditioned:
+                # near a boundary both paths are only as exact as the
+                # conditioning allows
+                g_tol, g_breve_tol, sigma_rel = rounding_allowances(dd, st)
+                tol = [max(tol[0], g_tol), max(tol[1], g_breve_tol),
+                       max(tol[2], sigma_rel * sigma)]
+            for got, want, allowed in zip(row[4::2], (g, g_breve, sigma), tol):
+                assert abs(float(got) - want) <= allowed, (params, got, want)

@@ -1,26 +1,35 @@
 """Spectral gap routes, closed forms and the no-gap diagnostics."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conftest import (
+    random_model,
     random_singular_cz,
     random_stable_faithful,
     random_unstable,
+    rounding_allowances,
 )
 from gaussgap.errors import ConsistencyError, NoFaithfulState
 from gaussgap.gap import (
     analyze,
+    analyze_stack,
     gns_gap,
     kms_gap,
     no_gap_diagnosis,
     one_dim_closed_forms,
     optimal_growth_rate,
 )
-from gaussgap.model import GklsModel, build_drift_diffusion
+from gaussgap.model import (
+    GklsModel,
+    GklsModelStack,
+    build_drift_diffusion,
+    one_dim_family_stack,
+)
 from gaussgap.realops import hermitian_root_pair
 
 
@@ -215,6 +224,77 @@ def test_split_gap_dominates_on_grid():
                         assert cf.g_breve - cf.g > 1e-12
                     if kappa == 0:
                         assert abs(cf.g_breve - cf.g) < 1e-12
+
+
+def _fuzzed_stack(rng, d, count):
+    models = [random_model(rng, d, m=2 * d) for _ in range(count)]
+    stack = GklsModelStack(
+        omega=[m.omega for m in models],
+        kappa=[m.kappa for m in models],
+        u_mat=[m.u_mat for m in models],
+        v_mat=[m.v_mat for m in models],
+    )
+    return models, stack
+
+
+def _assert_split_gap_dominates(res):
+    # equality holds at kappa = 0, so only rounding may put g above g_breve
+    excess = res.g - res.g_breve
+    assert np.all(excess <= 1e-12 * np.maximum(1.0, np.abs(res.g_breve))), np.max(excess)
+
+
+def test_split_gap_dominates_stacked_one_mode_grid():
+    # g <= g_breve over a dense one-mode grid, strictly when kappa != 0 and
+    # both noise channels are active
+    axes = (
+        np.linspace(1.2, 6.0, 13),
+        np.linspace(0.0, 2.4, 13),
+        np.linspace(-2.0, 3.0, 11),
+        np.linspace(0.0, 2.5, 11),
+    )
+    params = np.array(
+        [p for p in itertools.product(*axes) if p[1] < p[0] and (p[1] or p[3])]
+    )
+    admitted = 0
+    for group in (params[:, 1] == 0.0, params[:, 1] > 0.0):
+        res = analyze_stack(one_dim_family_stack(*params[group].T))
+        _assert_split_gap_dominates(res)
+        kappa = params[group][res.index, 3]
+        strict = (kappa != 0.0) & (params[group][res.index, 1] > 0.0)
+        margin = (res.g_breve - res.g)[strict]
+        assert np.all(margin > 1e-12 * np.maximum(1.0, res.g_breve[strict]))
+        admitted += res.index.size
+    assert admitted > 12000
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_split_gap_dominates_fuzzed_multimode(d):
+    _, stack = _fuzzed_stack(np.random.default_rng(7 + d), d, 150)
+    res = analyze_stack(stack)
+    assert res.index.size > 100  # stable, with a faithful state
+    assert np.all(res.g > 0)  # m = 2d independent jumps: cz is full rank
+    _assert_split_gap_dominates(res)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_analyze_stack_matches_per_model(d):
+    models, stack = _fuzzed_stack(np.random.default_rng(40 + d), d, 40)
+    res = analyze_stack(stack)
+    admitted = []
+    for i, model in enumerate(models):
+        dd = build_drift_diffusion(model)
+        rep = analyze(dd)
+        if rep.gns is None:
+            continue
+        k = len(admitted)
+        admitted.append(i)
+        g_tol, g_breve_tol, sigma_rel = rounding_allowances(dd, rep.stationary)
+        assert abs(res.g[k] - rep.g) <= max(1e-12 * abs(rep.g), g_tol)
+        assert abs(res.g_breve[k] - rep.g_breve) <= max(1e-12 * abs(rep.g_breve), g_breve_tol)
+        sigma = rep.stationary.sigma
+        assert np.all(np.abs(res.sigma[k] - sigma) <= max(1e-12, sigma_rel) * sigma)
+    assert res.index.tolist() == admitted
+    assert len(admitted) > 20
 
 
 def test_gap_positive_iff_stable_and_full_rank():

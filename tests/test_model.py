@@ -11,10 +11,13 @@ from gaussgap.errors import (
 )
 from gaussgap.model import (
     GklsModel,
+    GklsModelStack,
     appendix_cz,
     appendix_z_realization,
     build_drift_diffusion,
+    build_drift_diffusion_stack,
     one_dim_family,
+    one_dim_family_stack,
     validate,
 )
 from gaussgap.realops import realize_blocks
@@ -200,3 +203,49 @@ def test_zeta_stored_but_gap_independent():
     assert abs(rep0.g - rep1.g) < 1e-14
     assert abs(rep0.g_breve - rep1.g_breve) < 1e-14
     assert np.linalg.norm(rep1.stationary.mu) > 0
+
+
+class TestStack:
+    def test_stack_matches_per_model_build(self):
+        rng = np.random.default_rng(60)
+        models = [random_model(rng, 2, 3) for _ in range(6)]
+        stack = GklsModelStack(
+            omega=[m.omega for m in models],
+            kappa=[m.kappa for m in models],
+            u_mat=[m.u_mat for m in models],
+            v_mat=[m.v_mat for m in models],
+        )
+        dds = build_drift_diffusion_stack(stack)
+        for i, model in enumerate(models):
+            dd = build_drift_diffusion(model)
+            for name in ("z2d", "c2d", "cz", "cz_spectrum", "kraus_rank_full", "drift_norm",
+                         "stable_tol", "is_stable"):
+                assert np.array_equal(getattr(dds, name)[i], getattr(dd, name)), name
+            assert abs(dds.abscissa[i] - dd.abscissa) <= 1e-14 * dd.drift_norm
+
+    def test_family_stack_matches_family(self):
+        stack = one_dim_family_stack([3.0, 2.0], [1.0, 0.5], [2.0, 0.0], [1.0, 0.3])
+        for i, params in enumerate([(3.0, 1.0, 2.0, 1.0), (2.0, 0.5, 0.0, 0.3)]):
+            model = one_dim_family(*params)
+            for name in ("omega", "kappa", "u_mat", "v_mat"):
+                assert np.array_equal(getattr(stack, name)[i], getattr(model, name))
+
+    def test_family_stack_needs_one_jump_count(self):
+        with pytest.raises(ValueError, match="lambda2 > 0 everywhere or nowhere"):
+            one_dim_family_stack([3.0, 3.0], [0.0, 1.0], [0.0, 0.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="0 <= lambda2 < mu2"):
+            one_dim_family_stack([3.0, 1.0], [1.0, 2.0], [0.0, 0.0], [0.5, 0.5])
+
+    def test_failed_check_names_entry(self):
+        # lambda / mu below RANK_TOL: the two jumps are numerically dependent
+        stack = one_dim_family_stack([3.0] * 3, [1.0, 1e-25, 1e-25], [0.0] * 3, [0.5] * 3)
+        with pytest.raises(DependentKraus, match=r"rank 1 < m = 2") as caught:
+            build_drift_diffusion_stack(stack)
+        assert caught.value.index == 1
+        with pytest.raises(DependentKraus):
+            build_drift_diffusion(one_dim_family(3.0, 1e-25, 0.0, 0.5))
+
+    def test_stack_shapes_checked(self):
+        with pytest.raises(DimensionMismatch):
+            GklsModelStack(omega=np.zeros((2, 1, 1)), kappa=np.zeros((2, 1, 1)),
+                           u_mat=np.zeros((3, 1, 1)), v_mat=np.zeros((3, 1, 1)))

@@ -16,6 +16,7 @@ from gaussgap.model import build_drift_diffusion, one_dim_family
 from gaussgap.realops import (
     ROOT_MARGIN,
     hermitian_root_pair,
+    hermitian_root_pairs,
     jmat,
     realize_blocks,
     unvec2d,
@@ -222,6 +223,27 @@ class TestHermitianRootPair:
         with pytest.raises(NotPositiveDefinite):
             hermitian_root_pair(np.diag([1.0, 0.5 * ROOT_MARGIN]))
         hermitian_root_pair(np.diag([1.0, 10.0 * ROOT_MARGIN]))
+
+    def test_stack_entrywise(self):
+        mats = np.array([np.diag([4.0, 9.0]), np.diag([1.0, 0.5 * ROOT_MARGIN]), np.eye(2)])
+        root, inv_root, regular = hermitian_root_pairs(mats)
+        assert regular.tolist() == [True, False, True]
+        assert np.all(np.isnan(root[1])) and np.all(np.isnan(inv_root[1]))
+        for i in (0, 2):
+            assert np.array_equal(root[i], hermitian_root_pair(mats[i])[0])
+            assert np.array_equal(inv_root[i], hermitian_root_pair(mats[i])[1])
+        with pytest.raises(NotPositiveDefinite) as caught:
+            hermitian_root_pair(mats)
+        assert caught.value.index == 1
+
+
+def test_realize_blocks_stack_is_entrywise():
+    rng = np.random.default_rng(16)
+    a1 = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+    a2 = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+    stacked = realize_blocks(a1, a2)
+    for i in range(5):
+        assert np.array_equal(stacked[i], realize_blocks(a1[i], a2[i]))
 
 
 def test_dimension_checks():

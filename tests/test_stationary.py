@@ -10,13 +10,23 @@ from scipy.linalg import expm
 from conftest import random_model, random_stable_faithful
 from gaussgap import stationary
 from gaussgap.errors import NotFaithful, NotPositiveDefinite, SingularLyapunov, Unstable
-from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
+from gaussgap.model import (
+    GklsModel,
+    build_drift_diffusion,
+    build_drift_diffusion_stack,
+    one_dim_family,
+    one_dim_family_stack,
+)
 from gaussgap.realops import jmat
 from gaussgap.stationary import (
+    _check_lyapunov_residual,
     _solve_lyapunov,
+    _solve_lyapunov_stack,
     kms_covariance,
     solve_stationary,
+    solve_stationary_stack,
     williamson,
+    williamson_stack,
 )
 
 
@@ -179,6 +189,52 @@ class TestLyapunovSolve:
         assert solved >= 20
 
 
+class TestStationaryStack:
+    def test_matches_per_model(self):
+        params = np.array([[3.0, 1.0, 2.0, 1.0], [4.0, 0.5, 1.0, 1.2], [2.0, 1.5, 0.0, 0.1]])
+        dds = build_drift_diffusion_stack(one_dim_family_stack(*params.T))
+        sts = solve_stationary_stack(dds)
+        for i, p in enumerate(params):
+            st = solve_stationary(build_drift_diffusion(one_dim_family(*p)))
+            assert sts.faithful[i]
+            assert np.linalg.norm(sts.s2d[i] - st.s2d) < 1e-13 * np.linalg.norm(st.s2d)
+            assert np.linalg.norm(sts.s_breve[i] - st.s_breve) < 1e-13 * np.linalg.norm(st.s_breve)
+            assert abs(sts.sigma[i, 0] - st.sigma[0]) < 1e-13 * st.sigma[0]
+
+    def test_unfaithful_entry_flagged(self):
+        # kappa = 1e-6 at lambda = 0: sigma - 1 ~ 1e-13, inside the root margin
+        dds = build_drift_diffusion_stack(one_dim_family_stack([3.0] * 2, [0.0] * 2, [2.0] * 2, [1e-6, 0.5]))
+        sts = solve_stationary_stack(dds)
+        assert sts.faithful.tolist() == [False, True]
+        assert np.all(np.isnan(sts.tilde_roots[0][0])) and np.all(np.isnan(sts.s_breve[0]))
+        assert not solve_stationary(build_drift_diffusion(one_dim_family(3.0, 0.0, 2.0, 1e-6))).faithful
+
+    def test_unstable_entry_raises(self):
+        dds = build_drift_diffusion_stack(one_dim_family_stack([3.0] * 2, [1.0] * 2, [0.0] * 2, [0.5, 2.0]))
+        with pytest.raises(Unstable, match="spectral abscissa") as caught:
+            solve_stationary_stack(dds)
+        assert caught.value.index == 1
+
+    def test_singular_system_names_entry(self):
+        # eigenvalues 1 and -1 of the second drift sum to zero
+        z = np.array([-np.eye(2), np.diag([1.0, -1.0])])
+        c = np.array([np.eye(2)] * 2)
+        with pytest.raises(SingularLyapunov, match="singular") as caught:
+            _solve_lyapunov_stack(z, c)
+        assert caught.value.index == 1
+
+    def test_residual_check_names_entry(self, model_b):
+        _, dd, st = model_b
+        z = np.array([dd.z2d] * 3)
+        c = np.array([dd.c2d] * 3)
+        s = np.array([st.s2d] * 3)
+        _check_lyapunov_residual(z, c, s)
+        s[2] += 1e-6 * np.array([[1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(SingularLyapunov, match="numerically defective") as caught:
+            _check_lyapunov_residual(z, c, s)
+        assert caught.value.index == 2
+
+
 def test_lyapunov_matches_quadrature():
     rng = np.random.default_rng(31)
     _, dd, st = random_stable_faithful(rng, 2)
@@ -242,6 +298,25 @@ class TestWilliamson:
             assert np.linalg.norm(m.T @ j @ m - j) < 1e-10
             assert np.all(sigma[:-1] <= sigma[1:])
             assert np.all(sigma > 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_reconstruction_and_symplectic_identity(self, d):
+        rng = np.random.default_rng(35 + d)
+        a = rng.standard_normal((12, 2 * d, 2 * d))
+        s = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(2 * d)
+        m, sigma = williamson_stack(s)
+        j = jmat(d)
+        for i in range(len(s)):
+            d_sigma = np.diag(np.concatenate([sigma[i], sigma[i]]))
+            scale = max(1.0, np.linalg.norm(s[i]))
+            assert np.linalg.norm(m[i].T @ d_sigma @ m[i] - s[i]) < 1e-10 * scale
+            assert np.linalg.norm(m[i].T @ j @ m[i] - j) < 1e-10
+            assert np.all(np.abs(sigma[i] - williamson(s[i])[1]) < 1e-12 * sigma[i])
+
+    def test_stack_rejects_non_spd_entry(self):
+        with pytest.raises(NotPositiveDefinite) as caught:
+            williamson_stack(np.array([np.eye(2), np.diag([1.0, -1.0])]))
+        assert caught.value.index == 1
 
     def test_rejects_non_spd(self):
         with pytest.raises(NotPositiveDefinite):
