@@ -24,6 +24,7 @@ import csv
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -215,7 +216,7 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
             "mu": _pairs(st.mu),
             "s2d": st.s2d.tolist(),
             "det_s_tilde": st.det_s_tilde,
-            "sigma": st.sigma.tolist(),
+            "sigma": None if st.sigma is None else st.sigma.tolist(),
             "faithful": st.faithful,
             "unique": dd.is_stable and dd.kraus_rank_full,
         }
@@ -275,8 +276,56 @@ def _report_exit_code(report: dict) -> int:
 
 
 def _dump_json(obj, stream):
-    json.dump(obj, stream, sort_keys=True, indent=2)
-    stream.write("\n")
+    """Write obj followed by a newline, byte for byte as
+    json.dump(obj, stream, sort_keys=True, indent=2) would write it, handed
+    to the stream in pieces rather than as one string."""
+    pieces = []
+    _json_pieces(obj, "\n", pieces, stream)
+    pieces.append("\n")
+    stream.writelines(pieces)
+
+
+def _json_pieces(obj, newline, pieces, stream):
+    """Append the indented JSON text of obj, which starts a line whose break
+    and indentation are newline, to pieces; every few thousand pieces go to
+    the stream.  A list of floats without NaN or infinities is one piece
+    (json writes every float with float.__repr__); a dict whose keys are not
+    all strings goes to json itself."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # not a list of floats
+            text = None
+        # float.__repr__ spells NaN and the infinities nan and inf, which
+        # json writes as NaN and Infinity: such lists take the general path
+        if text is not None and "n" not in text:
+            pieces += ("[", inner, text, newline, "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            pieces.append(sep)
+            _json_pieces(item, inner, pieces, stream)
+            sep = "," + inner
+        pieces.append(newline + "]")
+        if len(pieces) > 4096:
+            stream.writelines(pieces)
+            pieces.clear()
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            pieces += (sep, encode_basestring_ascii(key), ": ")
+            _json_pieces(obj[key], inner, pieces, stream)
+            sep = "," + inner
+        pieces.append(newline + "}")
+    elif isinstance(obj, dict):
+        pieces.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+    else:
+        pieces.append(json.dumps(obj))
 
 
 def _fmt(x) -> str:
@@ -397,8 +446,8 @@ def _cmd_evolve(args) -> int:
         except GaussGapError:
             st = None
     rows = []
-    for t in times:
-        evolved = dynamics.state_evolve(dd, sp, t, model.zeta)
+    states = dynamics.state_evolve(dd, sp, np.array(times), model.zeta, stationary=st)
+    for t, evolved in zip(times, states):
         row = {
             "t": t,
             "mean": _pairs(evolved.mean),
@@ -423,6 +472,8 @@ def _cmd_decay(args) -> int:
         sys.stderr.write("decay curves need a faithful invariant state\n")
         return 1
     st = grep.stationary
+    # the grid's propagators, once for every sample
+    props = dynamics.propagator(dd, np.array(times))
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\r\n")
     writer.writerow(
@@ -446,16 +497,16 @@ def _cmd_decay(args) -> int:
                 + 1j * rng.standard_normal((n_terms, model.d))
             ),
         )
-        gns0 = dynamics.norm_decay(st, dd, combo, 0.0, "gns")
-        kms0 = dynamics.norm_decay(st, dd, combo, 0.0, "kms")
-        for t in times:
+        gns0 = dynamics.norm_decay_at(st, combo, None, "gns")
+        kms0 = dynamics.norm_decay_at(st, combo, None, "kms")
+        for t, et in zip(times, props):
             writer.writerow(
                 [
                     s,
                     _fmt(t),
-                    _fmt(dynamics.norm_decay(st, dd, combo, t, "gns")),
+                    _fmt(dynamics.norm_decay_at(st, combo, et, "gns")),
                     _fmt(np.exp(-2.0 * grep.gns.g * t) * gns0),
-                    _fmt(dynamics.norm_decay(st, dd, combo, t, "kms")),
+                    _fmt(dynamics.norm_decay_at(st, combo, et, "kms")),
                     _fmt(np.exp(-2.0 * grep.kms.g * t) * kms0),
                 ]
             )

@@ -6,10 +6,17 @@ The semigroup acts on a Weyl operator with argument z by damping it with
     exp(-1/2 int_0^t Re<exp(sZ) z, C exp(sZ) z> ds)
 
 (plus a phase from the linear drive) and transporting the argument along
-exp(tZ).  All finite-time integrals are evaluated with the block-matrix
-exponential trick (exponentiate [[-Z^T, C], [0, Z]] t and read the
-off-diagonal block), which is quadrature-free and accurate to machine
-precision.
+exp(tZ).  Every function takes its propagators exp(tZ2d) from one expm call,
+for one time or a whole array of times.  On a stable drift the finite-time
+integrals follow from the invariant state S, mu without quadrature:
+
+    int_0^t exp(sZ^T) C exp(sZ) ds = S - exp(tZ^T) S exp(tZ),
+    int_0^t exp(sZ^T) zeta ds      = (exp(tZ^T) - 1) mu,
+
+which hold to rounding of S and mu at every t.  A drift that is not stable
+has no invariant state; its integrals come from the block-matrix exponential
+(exponentiate [[-Z^T, C], [0, Z]] t and read the off-diagonal block), whose
+error grows like exp(t max|Re lambda|) times the rounding unit.
 
 The decay of centered Weyl combinations in either embedding reduces to the
 kernels
@@ -23,7 +30,6 @@ combination with centered coefficients xi_j = exp(-Re<z_j, S z_j>/2) eta_j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +43,7 @@ from .errors import (
 )
 from .model import DriftDiffusion
 from .realops import jmat, unvec2d, vec2d
-from .stationary import StationaryData
+from .stationary import StationaryData, stationary_moments
 from .gap import fix_phase, gns_gap
 
 __all__ = [
@@ -49,6 +55,7 @@ __all__ = [
     "char_fn",
     "kernel_s",
     "norm_decay",
+    "norm_decay_at",
     "kernel_psd_check",
     "sharpness_witness",
     "SharpnessWitness",
@@ -120,43 +127,84 @@ class WeylCombo:
         return self.coefficients.shape[0]
 
 
-def propagator(dd: DriftDiffusion, t: float):
-    """exp(t Z2d), cached on the drift/diffusion object."""
-    if not math.isfinite(t):
+def _times(t):
+    """A time or a 1-D array of times as a float array (0-d for a time)."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-D array")
+    if not np.all(np.isfinite(times)):
         raise ValueError("time parameter must be finite")
-    key = ("prop", float(t))
-    if key not in dd._cache:
-        dd._cache[key] = expm(float(t) * dd.z2d)
-    return dd._cache[key]
+    return times
 
 
-def gramian_cov(dd: DriftDiffusion, t: float):
-    """int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds by the block-exponential
-    method."""
-    key = ("gram", float(t))
-    if key in dd._cache:
-        return dd._cache[key]
-    z2d, c2d = dd.z2d, dd.c2d
-    n = z2d.shape[0]
-    blk = np.zeros((2 * n, 2 * n))
-    blk[:n, :n] = -z2d.T
-    blk[:n, n:] = c2d
-    blk[n:, n:] = z2d
-    eblk = expm(float(t) * blk)
-    gram = expm(float(t) * z2d.T) @ eblk[:n, n:]
-    gram = 0.5 * (gram + gram.T)
-    dd._cache[key] = gram
-    return gram
+def _evolution_times(t):
+    """:func:`_times` for an evolution, which runs forward only."""
+    times = _times(t)
+    if np.any(times < 0):
+        raise ValueError("evolution time must be non-negative")
+    return times
 
 
-def integrated_exp(a2d, t: float):
-    """int_0^t exp(s A) ds by the block-exponential method."""
+def propagator(dd: DriftDiffusion, t):
+    """exp(t Z2d) for a time t, or the stack (len(t), 2d, 2d) of them for a
+    1-D array of times, from one expm call.  expm treats each slice of a
+    stack as a separate matrix, so a slice equals the single-time result
+    bit for bit."""
+    return expm(_times(t)[..., None, None] * dd.z2d)
+
+
+def _gramian(dd, times, et, s2d):
+    """int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds at each time, given
+    et = exp(t Z2d): S - et^T S et on a stable drift (s2d the invariant
+    covariance S), else the block-exponential method."""
+    if dd.is_stable:
+        gram = s2d - et.swapaxes(-1, -2) @ s2d @ et
+    else:
+        # exponentiate [[-Z^T, C], [0, Z]] t and read the upper-right block,
+        # which is exp(-t Z^T) times the integral; its error grows like
+        # exp(t max|Re lambda|), so this serves only drifts that are not
+        # stable and have no invariant covariance
+        z2d = dd.z2d
+        n = z2d.shape[0]
+        blk = np.zeros((2 * n, 2 * n))
+        blk[:n, :n] = -z2d.T
+        blk[:n, n:] = dd.c2d
+        blk[n:, n:] = z2d
+        eblk = expm(times[..., None, None] * blk)
+        gram = et.swapaxes(-1, -2) @ eblk[..., :n, n:]
+    return 0.5 * (gram + gram.swapaxes(-1, -2))
+
+
+def gramian_cov(dd: DriftDiffusion, t):
+    """int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds for a time t or a 1-D array of
+    times.
+
+    On a stable drift this is S - exp(t Z2d^T) S exp(t Z2d) with S the
+    invariant covariance, accurate to rounding of S at every t; otherwise
+    the block-exponential method, whose error grows with t.
+    """
+    times = _times(t)
+    s2d = stationary_moments(dd)[0] if dd.is_stable else None
+    return _gramian(dd, times, propagator(dd, times), s2d)
+
+
+def integrated_exp(a2d, t):
+    """int_0^t exp(s A) ds for a time t or a 1-D array of times, by the
+    block-exponential method."""
     a2d = np.asarray(a2d, dtype=float)
     n = a2d.shape[0]
     blk = np.zeros((2 * n, 2 * n))
     blk[:n, :n] = a2d
     blk[:n, n:] = np.eye(n)
-    return expm(float(t) * blk)[:n, n:]
+    return expm(_times(t)[..., None, None] * blk)[..., :n, n:]
+
+
+def _nonzero(zeta):
+    """zeta as a complex vector, or None when it is absent or zero."""
+    if zeta is None:
+        return None
+    zeta = np.asarray(zeta, dtype=complex).ravel()
+    return zeta if np.any(zeta != 0) else None
 
 
 @dataclass(frozen=True)
@@ -168,38 +216,69 @@ class WeylEvolution:
 
 def weyl_evolve(dd: DriftDiffusion, z, t: float, zeta=None) -> WeylEvolution:
     """Damping exponent, drive phase and transported argument of an evolved
-    Weyl operator: the image is exp(decay + i phase) W(z_t)."""
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
-    z = np.asarray(z, dtype=complex).ravel()
+    Weyl operator: the image is exp(decay + i phase) W(z_t).
+
+    On a stable drift the phase Re<zeta, int_0^t exp(sZ) z ds> is
+    Re<mu, z_t - z> with mu the invariant mean.
+    """
+    times = _evolution_times(t)
     vz = vec2d(z)
-    decay = -0.5 * float(vz @ gramian_cov(dd, t) @ vz)
-    z_t = unvec2d(propagator(dd, t) @ vz)
+    et = propagator(dd, times)
+    zeta = _nonzero(zeta)
+    s2d = mu = None
+    if dd.is_stable:
+        s2d, mu = stationary_moments(dd, zeta)
+    decay = -0.5 * float(vz @ _gramian(dd, times, et, s2d) @ vz)
+    vz_t = et @ vz
     phase = 0.0
     if zeta is not None:
-        zeta = np.asarray(zeta, dtype=complex).ravel()
-        if np.any(zeta != 0):
-            phase = float(vec2d(zeta) @ integrated_exp(dd.z2d, t) @ vz)
-    return WeylEvolution(decay_exponent=decay, phase=phase, z_t=z_t)
+        if mu is not None:
+            phase = float(vec2d(mu) @ (vz_t - vz))
+        else:
+            phase = float(vec2d(zeta) @ integrated_exp(dd.z2d, times) @ vz)
+    return WeylEvolution(decay_exponent=decay, phase=phase, z_t=unvec2d(vz_t))
 
 
 def state_evolve(
-    dd: DriftDiffusion, sp: GaussianStateParams, t: float, zeta=None
-) -> GaussianStateParams:
-    """Flow of Gaussian state parameters:
-    mu_t = exp(tZ#) mu - int_0^t exp(sZ#) zeta ds,
-    S_t = exp(tZ#) S exp(tZ) + int_0^t exp(sZ#) C exp(sZ) ds."""
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
-    et = propagator(dd, t)
-    et_sharp = et.T
-    mu_vec = et_sharp @ vec2d(sp.mean)
-    if zeta is not None:
-        zeta = np.asarray(zeta, dtype=complex).ravel()
-        if np.any(zeta != 0):
-            mu_vec = mu_vec - integrated_exp(dd.z2d.T, t) @ vec2d(zeta)
-    cov_t = et_sharp @ sp.cov2d @ et + gramian_cov(dd, t)
-    return GaussianStateParams(mean=unvec2d(mu_vec), cov2d=cov_t)
+    dd: DriftDiffusion, sp: GaussianStateParams, t, zeta=None, stationary=None
+):
+    """Flow of Gaussian state parameters,
+
+        mu_t = exp(tZ#) mu - int_0^t exp(sZ#) zeta ds,
+        S_t = exp(tZ#) S exp(tZ) + int_0^t exp(sZ#) C exp(sZ) ds,
+
+    for a time t, or as a list of states for a 1-D array of times, from one
+    propagator stack.  On a stable drift both are taken relative to the
+    invariant state (mu*, S*):
+
+        mu_t = mu* + exp(tZ#) (mu - mu*),   S_t = S* + exp(tZ#) (S - S*) exp(tZ),
+
+    accurate to rounding of (mu*, S*) at every t; stationary, when the
+    caller has it, is the StationaryData of the same drift and zeta.
+    Otherwise the integrals come from the block-exponential method, whose
+    error grows with t.
+    """
+    times = _evolution_times(t)
+    et = propagator(dd, times)
+    et_sharp = et.swapaxes(-1, -2)
+    mu0 = vec2d(sp.mean)
+    zeta = _nonzero(zeta)
+    if dd.is_stable:
+        if stationary is None:
+            s2d, mu = stationary_moments(dd, zeta)
+        else:
+            s2d, mu = stationary.s2d, stationary.mu
+        mu = vec2d(mu)
+        mean = mu + (mu0 - mu) @ et
+        cov = s2d + et_sharp @ (sp.cov2d - s2d) @ et
+    else:
+        mean = mu0 @ et
+        if zeta is not None:
+            mean = mean - integrated_exp(dd.z2d.T, times) @ vec2d(zeta)
+        cov = et_sharp @ sp.cov2d @ et + _gramian(dd, times, et, None)
+    if times.ndim == 0:
+        return GaussianStateParams(mean=unvec2d(mean), cov2d=cov)
+    return [GaussianStateParams(mean=unvec2d(m), cov2d=c) for m, c in zip(mean, cov)]
 
 
 def char_fn(sp: GaussianStateParams, z) -> complex:
@@ -211,11 +290,12 @@ def char_fn(sp: GaussianStateParams, z) -> complex:
     return complex(np.exp(-1j * lin - 0.5 * quad))
 
 
-def _kernel_matrix(st: StationaryData, dd: DriftDiffusion, vecs, t, mode):
-    """Gram matrix of the decay kernel over the columns of vecs (2d x l)."""
+def _kernel_matrix(st: StationaryData, vecs, et, mode):
+    """Gram matrix of the decay kernel over the columns of vecs (2d x l) at
+    the time whose propagator exp(t Z2d) is et (None at t = 0)."""
     if mode not in ("gns", "kms"):
         raise ValueError(f"unknown mode {mode!r}")
-    w = propagator(dd, t) @ vecs if t != 0 else vecs
+    w = vecs if et is None else et @ vecs
     if mode == "gns":
         return w.T @ st.s_tilde @ w
     if st.s_breve is None:
@@ -223,13 +303,18 @@ def _kernel_matrix(st: StationaryData, dd: DriftDiffusion, vecs, t, mode):
     return w.T @ st.s_breve @ w
 
 
+def _propagator_at(dd, t):
+    """exp(t Z2d) for a kernel time t >= 0, None at t = 0."""
+    if t < 0:
+        raise ValueError("kernel time must be non-negative")
+    return propagator(dd, t) if t != 0 else None
+
+
 def kernel_s(st: StationaryData, dd: DriftDiffusion, z, w, t: float, mode="gns"):
     """Decay kernel s_t(z, w) (complex for the one-sided embedding, real for
     the split one)."""
-    if t < 0:
-        raise ValueError("kernel time must be non-negative")
     vecs = np.column_stack([vec2d(z), vec2d(w)])
-    val = _kernel_matrix(st, dd, vecs, t, mode)[0, 1]
+    val = _kernel_matrix(st, vecs, _propagator_at(dd, t), mode)[0, 1]
     return complex(val) if mode == "gns" else float(val.real)
 
 
@@ -250,8 +335,15 @@ def norm_decay(
     """
     if t < 0:
         raise ValueError("decay time must be non-negative")
+    return norm_decay_at(st, combo, _propagator_at(dd, t), mode)
+
+
+def norm_decay_at(st: StationaryData, combo: WeylCombo, et, mode="gns") -> float:
+    """:func:`norm_decay` at the time whose propagator exp(t Z2d) is et (None
+    at t = 0), for callers that evaluate a fixed time grid: the propagators
+    of a whole grid come from one :func:`propagator` call."""
     vecs = np.column_stack([vec2d(z) for z in combo.vectors])
-    gram = _kernel_matrix(st, dd, vecs, t, mode)
+    gram = _kernel_matrix(st, vecs, et, mode)
     if float(np.max(np.abs(gram))) > EXP_GUARD:
         raise RangeExceeded(
             "kernel values exceed the exp() envelope; rescale the Weyl arguments"
@@ -286,11 +378,10 @@ def kernel_psd_check(
     """
     if n < 1:
         raise ValueError("kernel order must be >= 1")
-    if t < 0:
-        raise ValueError("kernel time must be non-negative")
+    et = _propagator_at(dd, t)
     vecs = np.column_stack([vec2d(z) for z in points])
-    g0 = _kernel_matrix(st, dd, vecs, 0.0, mode)
-    gt = _kernel_matrix(st, dd, vecs, t, mode)
+    g0 = _kernel_matrix(st, vecs, None, mode)
+    gt = _kernel_matrix(st, vecs, et, mode)
     if use_root:
         term0 = np.exp(-2.0 * rate * t / n) * g0
         termt = gt

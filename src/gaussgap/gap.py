@@ -402,7 +402,9 @@ def analyze(dd: DriftDiffusion, zeta=None) -> GapReport:
     """Run the full gap pipeline on a built model, degrading gracefully.
 
     Unstable or unfaithful models produce a report whose unavailable fields
-    stay None and whose diagnostics say why.
+    stay None and whose diagnostics say why.  A state that is not faithful
+    at working precision leaves no gap to report, so has_gns_gap is then
+    False even when the noise form has full rank.
     """
     finding = no_gap_diagnosis(dd)
     report = GapReport(has_gns_gap=dd.is_stable and dd.kraus_rank_full)
@@ -413,6 +415,7 @@ def analyze(dd: DriftDiffusion, zeta=None) -> GapReport:
     st = solve_stationary(dd, zeta)
     report.stationary = st
     if not st.faithful:
+        report.has_gns_gap = False
         report.diagnostics.append(
             Finding(
                 kind="NotFaithful",

@@ -26,7 +26,7 @@ on arrays with a leading axis of length N, keeping every per-model check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -285,8 +285,6 @@ class DriftDiffusion:
     drift_eigenvalues: np.ndarray
     drift_eigenvectors: np.ndarray
     is_stable: bool
-    #: propagators and gramians of the dynamics layer, keyed by (kind, t)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim_d(self) -> int:

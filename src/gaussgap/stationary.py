@@ -45,6 +45,7 @@ __all__ = [
     "StationaryData",
     "StationaryStack",
     "require_stable",
+    "stationary_moments",
     "solve_stationary",
     "solve_stationary_stack",
     "williamson",
@@ -59,8 +60,11 @@ class StationaryData:
     s2d: np.ndarray
     s_tilde: np.ndarray
     faithful: bool
-    sympl_m: np.ndarray
-    sigma: np.ndarray
+    #: Williamson data; None when the condition of s2d exceeds
+    #: 1 / ROOT_MARGIN, so that s2d has no root at that margin (the state
+    #: then counts as not faithful)
+    sympl_m: Optional[np.ndarray]
+    sigma: Optional[np.ndarray]
     s_breve: Optional[np.ndarray]
     nu: Optional[np.ndarray]
     #: (s_tilde^{1/2}, s_tilde^{-1/2}) of a faithful state, else None
@@ -158,37 +162,52 @@ def require_stable(dd: DriftDiffusion) -> None:
         )
 
 
-def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
-    """Invariant mean and covariance plus faithfulness/Williamson data.
+def stationary_moments(dd: DriftDiffusion, zeta=None):
+    """Invariant covariance S (2d x 2d) and mean mu (complex d-vector) of a
+    stable drift, without the Williamson data.
 
     Raises Unstable when the drift spectrum meets the closed right half
-    plane and SingularLyapunov when the linear solves are defective.
+    plane and SingularLyapunov when the Lyapunov solve is defective.
     """
     require_stable(dd)
-    d = dd.dim_d
     if zeta is None:
-        zeta = np.zeros(d, dtype=complex)
-    zeta = np.asarray(zeta, dtype=complex).ravel()
+        zeta = np.zeros(dd.dim_d, dtype=complex)
     z2d = dd.z2d
     s2d = _solve_lyapunov(z2d, dd.c2d)
     # Z# mu = zeta, on realizations a plain linear system with Z2d^T.
     mu = unvec2d(np.linalg.solve(z2d.T, vec2d(zeta)))
+    return s2d, mu
 
-    j = jmat(d)
-    s_tilde = s2d.astype(complex) + 1j * j
+
+def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
+    """Invariant mean and covariance plus faithfulness/Williamson data.
+
+    Raises Unstable when the drift spectrum meets the closed right half
+    plane, SingularLyapunov when the linear solves are defective and
+    NotPositiveDefinite when the covariance is not positive definite.
+    """
+    s2d, mu = stationary_moments(dd, zeta)
+    s_tilde = s2d.astype(complex) + 1j * jmat(dd.dim_d)
     s_tilde = 0.5 * (s_tilde + s_tilde.conj().T)
 
-    sympl_m, sigma = williamson(s2d)
     # Faithful means that every root the gaps take exists at ROOT_MARGIN, so
     # no gap can fail on a state called faithful.  In exact arithmetic the
     # s_tilde root decides it: s_breve is the operator geometric mean of
-    # s_tilde and its conjugate, so its spectrum lies within s_tilde's.
+    # s_tilde and its conjugate, so its spectrum lies within s_tilde's.  A
+    # covariance too ill-conditioned for its own root has no Williamson data
+    # and no faithful state at that margin.
+    tilde_roots = breve_roots = s_breve = nu = None
     try:
-        tilde_roots = hermitian_root_pair(s_tilde)
-        s_breve, nu = kms_covariance(sympl_m, sigma)
-        breve_roots = hermitian_root_pair(s_breve)
-    except (NotPositiveDefinite, NotFaithful):
-        tilde_roots = breve_roots = s_breve = nu = None
+        sympl_m, sigma = williamson(s2d)
+    except NotFaithful:
+        sympl_m = sigma = None
+    if sigma is not None:
+        try:
+            tilde_roots = hermitian_root_pair(s_tilde)
+            s_breve, nu = kms_covariance(sympl_m, sigma)
+            breve_roots = hermitian_root_pair(s_breve)
+        except (NotPositiveDefinite, NotFaithful):
+            tilde_roots = breve_roots = s_breve = nu = None
     return StationaryData(
         mu=mu,
         s2d=s2d,
@@ -257,7 +276,12 @@ def williamson(s2d):
     if np.linalg.norm(s2d - s2d.T) > 1e-10 * max(1.0, np.linalg.norm(s2d)):
         raise NotPositiveDefinite("covariance must be symmetric")
     d = n // 2
-    root, _ = hermitian_root_pair(s2d)
+    root, regular = _covariance_root(s2d)
+    if not regular:
+        raise NotFaithful(
+            "covariance condition exceeds 1 / ROOT_MARGIN; it has no root and "
+            "no Williamson data at that margin"
+        )
     j = jmat(d)
     k = root @ j @ root
     k = 0.5 * (k - k.T)
@@ -290,13 +314,15 @@ def williamson_stack(s2d):
     Uses a Hermitian eigendecomposition of i sqrt(S) J sqrt(S) in place of
     the real Schur form: its eigenvalues are -sigma_j and +sigma_j, and the
     imaginary and real parts of the +sigma_j eigenvector, scaled by sqrt(2),
-    are the (q-like, p-like) columns of that rotation block.  A singular
-    root of S or a singular symplectic spectrum raises NotPositiveDefinite
-    for the first such entry.
+    are the (q-like, p-like) columns of that rotation block.  A covariance
+    that is not positive definite or a singular symplectic spectrum raises
+    NotPositiveDefinite for the first such entry; M and sigma are NaN at the
+    entries whose condition exceeds 1 / ROOT_MARGIN, where
+    :func:`williamson` raises NotFaithful.
     """
     n = s2d.shape[-1]
     d = n // 2
-    root, _ = hermitian_root_pair(s2d)
+    root, regular = _covariance_root(s2d)
     k = root @ jmat(d) @ root
     k = 0.5 * (k - k.swapaxes(-1, -2))
     evals, evecs = np.linalg.eigh(1j * k)
@@ -310,7 +336,27 @@ def williamson_stack(s2d):
     q_ordered = np.sqrt(2.0) * np.concatenate([top.imag, top.real], axis=-1)
     d_inv_root = 1.0 / np.sqrt(np.concatenate([sigma, sigma], axis=-1))
     m = (d_inv_root[..., :, None] * q_ordered.swapaxes(-1, -2)) @ root
+    m[~regular] = np.nan
+    sigma[~regular] = np.nan
     return m, sigma
+
+
+def _covariance_root(s2d):
+    """Root of a covariance, or of each of a stack, and whether it exists at
+    ROOT_MARGIN; the identity stands in for the roots that do not.  A
+    covariance that is not positive definite raises NotPositiveDefinite,
+    for the first such entry of a stack."""
+    root, _, regular = hermitian_root_pairs(s2d)
+    if not np.all(regular):
+        min_eig = np.linalg.eigvalsh(s2d)[..., 0]
+        raise_first(
+            ~(regular | (min_eig > 0)),
+            NotPositiveDefinite,
+            "covariance is not positive definite (min eig {:.3e})",
+            min_eig,
+        )
+        root[~regular] = np.eye(s2d.shape[-1])
+    return root, regular
 
 
 def kms_covariance(sympl_m, sigma):

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import rounding_allowances
+from conftest import random_stable_faithful, rounding_allowances
 from gaussgap import cli, gap
 from gaussgap.cli import main, parse_model, run_report
 from gaussgap.errors import ParseError, ShapeError
@@ -187,6 +187,9 @@ class TestMain:
         walk = [(3.0, 0.0, 2.0, k) for k in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]]
         walk += [(3.0, 1.0, 0.0, 1.0 - 10.0**-e) for e in range(1, 14)]
         walk += [(3.0, 1.0, 2.0, np.sqrt(5.0) - 10.0**-e) for e in range(1, 14)]
+        # a stable drift whose covariance (condition 4e16) has no root at
+        # ROOT_MARGIN: no Williamson data, so no faithful state either
+        walk += [(3.0, 1.0, 1e8, 1e8)]
         for params in walk:
             doc = json.dumps(
                 {"version": 1, "one_dim": dict(zip(("mu2", "lambda2", "omega", "kappa"), params))}
@@ -208,6 +211,9 @@ class TestMain:
             if params in [(3.0, 0.0, 2.0, 1e-2), (3.0, 0.0, 2.0, 1e-6)]:
                 # the first keeps its gap; the second is the near-pure preset
                 assert faithful == (params[3] == 1e-2), params
+            if params == (3.0, 1.0, 1e8, 1e8):
+                assert code == 2 and not faithful, params
+                assert report["stationary"]["sigma"] is None, params
 
     def test_decay_on_unstable_model(self, capsys):
         assert main(["decay", PUMP_JSON, "--samples", "1"]) == 1
@@ -247,6 +253,33 @@ class TestMain:
         for row in rows[1:]:
             assert float(row[2]) <= float(row[3]) * (1 + 1e-9)
             assert float(row[4]) <= float(row[5]) * (1 + 1e-9)
+
+    def test_evolve_stays_stationary_at_long_times(self, capsys):
+        # drift rates 1.95 and 0.05: the block-exponential gramian was 15 %
+        # off at t = 20 and broke the uncertainty bound at t = 25
+        doc = json.dumps(
+            {"version": 1, "one_dim": {"mu2": 3, "lambda2": 1, "omega": 0, "kappa": 0.95}}
+        )
+        assert main(["evolve", doc, "--t", "10,20,25,50", "--s0", "stationary"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        states = json.loads(captured.out)["states"]
+        assert [s["t"] for s in states] == [10.0, 20.0, 25.0, 50.0]
+        for s in states:
+            cov = np.array(s["cov2d"])
+            assert np.allclose(np.diag(cov), 800.0 / 39.0, rtol=0, atol=1e-9), s["t"]
+            assert s["dist_to_stationary"] <= 1e-9
+
+    def test_decay_grid_with_zero_time(self, capsys):
+        # the grid's propagators come from one stacked exponential; t = 0
+        # gives the initial norms exactly
+        assert main(
+            ["decay", MODEL_B_PRESET, "--samples", "2", "--seed", "3", "--t-grid", "0,0.4"]
+        ) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert len(rows) == 4
+        for row in rows[::2]:
+            assert row[2] == row[3] and row[4] == row[5]
 
     def test_decay_deterministic_given_seed(self, capsys):
         main(["decay", MODEL_B_PRESET, "--samples", "2", "--seed", "3"])
@@ -490,6 +523,12 @@ SWEEP_GRIDS = {
          "kappa": [10.0**-e for e in range(1, 16)]},
         True,
     ),
+    # omega = kappa = 1e8: stable, but the covariance has condition 4e16,
+    # beyond ROOT_MARGIN, so that point is skipped as not faithful
+    "ill-conditioned-covariance": (
+        {"mu2": [3.0], "lambda2": [1.0], "omega": [2.0, 1e8], "kappa": [1.0, 1e8]},
+        True,
+    ),
 }
 
 
@@ -588,3 +627,95 @@ class TestSweepStack:
                        max(tol[2], sigma_rel * sigma)]
             for got, want, allowed in zip(row[4::2], (g, g_breve, sigma), tol):
                 assert abs(float(got) - want) <= allowed, (params, got, want)
+
+
+def _mixed_d4_model():
+    """A rotated d = 4 model with a linear drive, as a model document."""
+    rng = np.random.default_rng(81)
+    model, _, _ = random_stable_faithful(rng, 4)
+    zeta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+    def pairs(a):
+        a = np.asarray(a)
+        return np.stack([a.real, a.imag], axis=-1).tolist()
+
+    return json.dumps(
+        {"version": 1, "d": 4, "m": model.m, "omega": pairs(model.omega),
+         "kappa": pairs(model.kappa), "U": pairs(model.u_mat),
+         "V": pairs(model.v_mat), "zeta": pairs(zeta)}
+    )
+
+
+class TestDumpJson:
+    """_dump_json writes what json.dump(obj, sort_keys=True, indent=2) would."""
+
+    @staticmethod
+    def _assert_identical(obj):
+        out = io.StringIO()
+        cli._dump_json(obj, out)
+        assert out.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", MODEL_B_PRESET, "--json"],
+            ["analyze", "MIXED_D4", "--json"],
+            ["gap", MODEL_B_PRESET, "--mode", "both"],
+            ["evolve", "MIXED_D4", "--t", "0,0.5,3", "--s0", "stationary"],
+            ["evolve", MODEL_B_PRESET, "--t", "0.25,1"],
+            ["oracle", MODEL_B_PRESET, "--cutoff", "8", "--check", "char"],
+            ["oracle", MODEL_A_JSON, "--cutoff", "8", "--check", "kms-trace"],
+            ["oracle", MODEL_A_JSON, "--cutoff", "8", "--check", "gap"],
+        ],
+        ids=["analyze-preset", "analyze-d4", "gap-both", "evolve-d4", "evolve-preset",
+             "oracle-char", "oracle-kms-trace", "oracle-gap"],
+    )
+    def test_every_json_command(self, capsys, monkeypatch, argv):
+        argv = [_mixed_d4_model() if a == "MIXED_D4" else a for a in argv]
+        written = []
+        dump = cli._dump_json
+        monkeypatch.setattr(
+            cli, "_dump_json", lambda obj, stream: (written.append(obj), dump(obj, stream))
+        )
+        main(argv)
+        captured = capsys.readouterr()
+        assert len(written) == 1 and captured.err == ""
+        assert captured.out == json.dumps(written[0], sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1.0, float("nan"), 2.0],
+            [float("inf"), -float("inf")],
+            {"a": [0.5, float("nan")], "b": [[1.0, -float("inf")]]},
+            [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1e16],
+            [1, True, None, 2.5, False, 0, "x"],
+            [1.0, 2],
+            [],
+            {},
+            {"empty": [], "nested": {"also": {}}},
+            {"q": 'say "hi", then, é ✓ \n\t\\'},
+            [[1.0, 2.0], [[3.0], []], [[]], [[4.0, [5.0]]]],
+            ([1.0, 2.0], (3.0,)),
+            3.5,
+            float("nan"),
+            -0.0,
+            7,
+            "top",
+            None,
+            True,
+            {"b": 1, "a": {"d": [1.0], "c": None}, "B": "upper"},
+            {1: [1.0, 2.0], 2: "non-string keys"},
+            {"outer": {3: {"x": [1.0]}}},
+        ],
+    )
+    def test_edge_cases(self, obj):
+        self._assert_identical(obj)
+
+    def test_float_lists_with_non_finite_values_fall_back(self):
+        # the one-piece path writes nan/inf as Python spells them, which is
+        # not JSON; the fallback must catch every such list
+        out = io.StringIO()
+        cli._dump_json({"v": [1.0, float("nan"), float("inf"), -float("inf")]}, out)
+        assert "NaN" in out.getvalue() and "-Infinity" in out.getvalue()
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()

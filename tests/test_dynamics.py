@@ -1,9 +1,16 @@
 """Closed-form dynamics, decay kernels, sharpness and the split trace."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_stable_faithful, random_weyl_combo
+from conftest import (
+    random_model,
+    random_stable_faithful,
+    random_unstable,
+    random_weyl_combo,
+)
 from gaussgap.dynamics import (
     GaussianStateParams,
     WeylCombo,
@@ -13,6 +20,7 @@ from gaussgap.dynamics import (
     kernel_s,
     kms_weyl_trace,
     norm_decay,
+    propagator,
     sharpness_witness,
     state_evolve,
     weyl_evolve,
@@ -20,6 +28,7 @@ from gaussgap.dynamics import (
 from gaussgap.errors import NotPositiveDefinite, RangeExceeded
 from gaussgap.gap import analyze
 from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
+from gaussgap.realops import vec2d
 from gaussgap.stationary import solve_stationary
 
 
@@ -435,10 +444,146 @@ class TestKmsWeylTrace:
 def test_gramian_additivity(model_b):
     # int_0^{s+t} = int_0^t + exp(tZ)^T int_0^s exp(tZ)
     _, dd, _ = model_b
-    from gaussgap.dynamics import propagator
-
     s, t = 0.6, 1.1
     full = gramian_cov(dd, s + t)
     et = propagator(dd, t)
     stitched = gramian_cov(dd, t) + et.T @ gramian_cov(dd, s) @ et
     assert np.linalg.norm(full - stitched) < 1e-12
+
+
+def _mp_vacuum_flow(dd, zeta, t, z):
+    """60-digit reference for the flow from the vacuum and for the evolved
+    Weyl operator W(z), from the eigendecomposition Z2d = V diag(lam) V^-1:
+    exp(tZ) = V diag(exp(t lam)) V^-1 and
+
+        int_0^t exp(sZ^T) C exp(sZ) ds
+            = V^-T [(V^T C V)_ij expm1(t (lam_i + lam_j)) / (lam_i + lam_j)] V^-1,
+
+    which involves neither the Lyapunov solution nor a block exponential.
+    Returns (cov, mean, decay, phase, z_t) as doubles."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        lam, v = mp.eig(mp.matrix(dd.z2d.tolist()))
+        vinv = v**-1
+        n = len(lam)
+        noise = v.T * mp.matrix(dd.c2d.tolist()) * v
+        inner = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                rate = lam[i] + lam[j]
+                inner[i, j] = noise[i, j] * mp.expm1(t * rate) / rate
+        gram = vinv.T * inner * vinv
+        et = v * mp.diag([mp.exp(t * x) for x in lam]) * vinv
+        integ = mp.diag([mp.expm1(t * x) / x for x in lam])
+        zeta_v = mp.matrix(vec2d(zeta).tolist())
+        vz = mp.matrix(vec2d(z).tolist())
+        cov = et.T * et + gram
+        mean = -(vinv.T * integ * v.T * zeta_v)
+        decay = -(vz.T * gram * vz)[0] / 2
+        phase = (zeta_v.T * v * integ * vinv * vz)[0]
+        z_t = et * vz
+
+        def real(a):
+            return np.array(
+                [[float(mp.re(a[i, j])) for j in range(a.cols)] for i in range(a.rows)]
+            )
+
+        return (
+            real(cov),
+            real(mean).ravel(),
+            float(mp.re(decay)),
+            float(mp.re(phase)),
+            real(z_t).ravel(),
+        )
+
+
+def _long_time_models():
+    """The kappa = 0.95 one-mode model (drift rates 1.95 and 0.05) and fuzzed
+    stable models at d = 2..4, every second one with a linear drive."""
+    models = [one_dim_family(3.0, 1.0, 0.0, 0.95)]
+    rng = np.random.default_rng(71)
+    for d in (2, 3, 4):
+        for k in range(2):
+            while True:
+                model = random_model(rng, d, m=2 * d)
+                dd = build_drift_diffusion(model)
+                if dd.is_stable and dd.abscissa < -0.05:
+                    break
+            if k:
+                zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                model = dataclasses.replace(model, zeta=zeta)
+            models.append(model)
+    return models
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_long_time_flow_matches_mpmath(index):
+    # from the vacuum, so that the stationary identity is not trivially
+    # exact; the block-exponential gramian failed here from t = 20 on
+    model = _long_time_models()[index]
+    dd = build_drift_diffusion(model)
+    times = [0.5, 5.0, 20.0, 50.0]
+    rng = np.random.default_rng(72 + index)
+    z = 0.4 * rng.standard_normal(model.d) + 0.3j * rng.standard_normal(model.d)
+    states = state_evolve(dd, GaussianStateParams.vacuum(model.d), np.array(times), model.zeta)
+    for t, state in zip(times, states):
+        cov, mean, decay, phase, z_t = _mp_vacuum_flow(dd, model.zeta, t, z)
+        assert np.linalg.norm(state.cov2d - cov) <= 1e-12 * np.linalg.norm(cov), t
+        assert np.linalg.norm(vec2d(state.mean) - mean) <= 1e-12 * np.linalg.norm(mean), t
+        res = weyl_evolve(dd, z, t, model.zeta)
+        assert abs(res.decay_exponent - decay) <= 1e-12 * abs(decay), t
+        assert abs(res.phase - phase) <= 1e-12 * abs(phase), t
+        assert np.linalg.norm(vec2d(res.z_t) - z_t) <= 1e-12 * np.linalg.norm(z_t), t
+
+
+class TestTimeArrays:
+    """propagator and the flows take an array of times through one stacked
+    exponential; each entry equals the single-time call."""
+
+    def test_propagator_slices_are_bit_identical(self):
+        rng = np.random.default_rng(73)
+        times = np.array([0.0, 0.05, 0.5, 2.0, 7.5])
+        for d in (1, 3):
+            model, dd, _ = random_stable_faithful(rng, d)
+            stack = propagator(dd, times)
+            assert stack.shape == (len(times), 2 * d, 2 * d)
+            for t, et in zip(times, stack):
+                assert np.array_equal(et, propagator(dd, t))
+
+    def test_propagator_rejects_bad_times(self, model_b):
+        _, dd, _ = model_b
+        with pytest.raises(ValueError):
+            propagator(dd, np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            propagator(dd, np.array([0.5, np.nan]))
+
+    def test_state_evolve_list_matches_single_times(self, model_b):
+        _, dd, st = model_b
+        sp = GaussianStateParams.vacuum(1)
+        times = [0.0, 0.3, 1.7]
+        states = state_evolve(dd, sp, np.array(times))
+        assert len(states) == len(times)
+        for t, state in zip(times, states):
+            single = state_evolve(dd, sp, t)
+            assert np.array_equal(state.cov2d, single.cov2d)
+            assert np.array_equal(state.mean, single.mean)
+        # the caller's stationary data give the same flow
+        given = state_evolve(dd, sp, np.array(times), stationary=st)
+        assert all(np.array_equal(a.cov2d, b.cov2d) for a, b in zip(states, given))
+
+    def test_unstable_drift_uses_block_gramian(self):
+        rng = np.random.default_rng(74)
+        model, dd = random_unstable(rng, 2)
+        times = np.array([0.2, 0.6])
+        gram = gramian_cov(dd, times)
+        # additivity over [0, 0.2] + [0.2, 0.6] checks the block method
+        et = propagator(dd, 0.2)
+        stitched = gram[0] + et.T @ gramian_cov(dd, 0.4) @ et
+        assert np.linalg.norm(gram[1] - stitched) < 1e-10 * np.linalg.norm(gram[1])
+        zeta = np.array([0.3 + 0.1j, -0.2j])
+        states = state_evolve(dd, GaussianStateParams.vacuum(2), times, zeta)
+        for t, state in zip(times, states):
+            single = state_evolve(dd, GaussianStateParams.vacuum(2), float(t), zeta)
+            assert np.allclose(state.cov2d, single.cov2d, rtol=1e-13, atol=0)
+            assert np.allclose(state.mean, single.mean, rtol=1e-13, atol=0)
