@@ -446,7 +446,7 @@ def _cmd_evolve(args) -> int:
         except GaussGapError:
             st = None
     rows = []
-    states = dynamics.state_evolve(dd, sp, np.array(times), model.zeta, stationary=st)
+    states = dynamics.state_evolve(dd, sp, np.array(times), model.zeta)
     for t, evolved in zip(times, states):
         row = {
             "t": t,

@@ -7,16 +7,12 @@ The semigroup acts on a Weyl operator with argument z by damping it with
 
 (plus a phase from the linear drive) and transporting the argument along
 exp(tZ).  Every function takes its propagators exp(tZ2d) from one expm call,
-for one time or a whole array of times.  On a stable drift the finite-time
-integrals follow from the invariant state S, mu without quadrature:
-
-    int_0^t exp(sZ^T) C exp(sZ) ds = S - exp(tZ^T) S exp(tZ),
-    int_0^t exp(sZ^T) zeta ds      = (exp(tZ^T) - 1) mu,
-
-which hold to rounding of S and mu at every t.  A drift that is not stable
-has no invariant state; its integrals come from the block-matrix exponential
-(exponentiate [[-Z^T, C], [0, Z]] t and read the off-diagonal block), whose
-error grows like exp(t max|Re lambda|) times the rounding unit.
+for one time or a whole array of times.  The finite-time integrals of the
+flow come from the block-matrix exponential (exponentiate
+[[-Z^T, C], [0, Z]] h and read the off-diagonal block) at a step h short
+enough that the block stays of order one, followed by doubling steps up to
+t, which add positive semidefinite terms only; this keeps full relative
+precision at short times, at long times and near the stability boundary.
 
 The decay of centered Weyl combinations in either embedding reduces to the
 kernels
@@ -43,7 +39,7 @@ from .errors import (
 )
 from .model import DriftDiffusion
 from .realops import jmat, unvec2d, vec2d
-from .stationary import StationaryData, stationary_moments
+from .stationary import StationaryData
 from .gap import fix_phase, gns_gap
 
 __all__ = [
@@ -61,7 +57,6 @@ __all__ = [
     "SharpnessWitness",
     "kms_weyl_trace",
     "gramian_cov",
-    "integrated_exp",
     "propagator",
 ]
 
@@ -153,50 +148,59 @@ def propagator(dd: DriftDiffusion, t):
     return expm(_times(t)[..., None, None] * dd.z2d)
 
 
-def _gramian(dd, times, et, s2d):
-    """int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds at each time, given
-    et = exp(t Z2d): S - et^T S et on a stable drift (s2d the invariant
-    covariance S), else the block-exponential method."""
-    if dd.is_stable:
-        gram = s2d - et.swapaxes(-1, -2) @ s2d @ et
+def _flow(dd: DriftDiffusion, times, zeta=None):
+    """(E, G, f) at each time t: the propagator E = exp(t Z2d), the gramian
+    G = int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds and, for a drive zeta, the
+    drift f = int_0^t exp(s Z2d^T) ds vec2d(zeta) (else None).
+
+    One expm call exponentiates [[-Z^T, C], [0, Z]] h, and [[Z^T, 1], [0, 0]] h
+    for a drive, at the step h = t / 2^k of each time, with the least k >= 0
+    such that h |Z2d|_1 <= 1; the blocks give E(h), E(h)^-T G(h) and f(h).
+    k doubling steps
+
+        G(2h) = G(h) + E(h)^T G(h) E(h),  f(2h) = f(h) + E(h)^T f(h),
+        E(2h) = E(h)^2
+
+    then reach t.  The block grows by at most exp(h |Z2d|_1) <= e over a
+    step, and every doubling adds positive semidefinite terms, so G keeps
+    its relative precision at every t, on stable drifts and on others.  A
+    time's result does not depend on the other times of the array.
+    """
+    z2d = dd.z2d
+    n = z2d.shape[0]
+    span = np.abs(times) * np.linalg.norm(z2d, 1)
+    k = np.ceil(np.log2(np.maximum(span, 1.0)))
+    h = (times / 2.0**k)[..., None, None]
+    blk = np.zeros((2 * n, 2 * n))
+    blk[:n, :n] = -z2d.T
+    blk[:n, n:] = dd.c2d
+    blk[n:, n:] = z2d
+    if zeta is None:
+        eblk = expm(h * blk)
+        drift = None
     else:
-        # exponentiate [[-Z^T, C], [0, Z]] t and read the upper-right block,
-        # which is exp(-t Z^T) times the integral; its error grows like
-        # exp(t max|Re lambda|), so this serves only drifts that are not
-        # stable and have no invariant covariance
-        z2d = dd.z2d
-        n = z2d.shape[0]
-        blk = np.zeros((2 * n, 2 * n))
-        blk[:n, :n] = -z2d.T
-        blk[:n, n:] = dd.c2d
-        blk[n:, n:] = z2d
-        eblk = expm(times[..., None, None] * blk)
-        gram = et.swapaxes(-1, -2) @ eblk[..., :n, n:]
-    return 0.5 * (gram + gram.swapaxes(-1, -2))
+        dblk = np.zeros((2 * n, 2 * n))
+        dblk[:n, :n] = z2d.T
+        dblk[:n, n:] = np.eye(n)
+        eblk, edrift = expm(np.stack([h * blk, h * dblk]))
+        drift = edrift[..., :n, n:] @ vec2d(zeta)
+    et = eblk[..., n:, n:]
+    gram = et.swapaxes(-1, -2) @ eblk[..., :n, n:]
+    for step in range(int(np.max(k, initial=0.0))):
+        # the times that still double
+        live = (step < k)[..., None, None]
+        et_sharp = et.swapaxes(-1, -2)
+        gram = np.where(live, gram + et_sharp @ gram @ et, gram)
+        if drift is not None:
+            drift = np.where(live[..., 0], drift + (et_sharp @ drift[..., None])[..., 0], drift)
+        et = np.where(live, et @ et, et)
+    return et, 0.5 * (gram + gram.swapaxes(-1, -2)), drift
 
 
 def gramian_cov(dd: DriftDiffusion, t):
     """int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds for a time t or a 1-D array of
-    times.
-
-    On a stable drift this is S - exp(t Z2d^T) S exp(t Z2d) with S the
-    invariant covariance, accurate to rounding of S at every t; otherwise
-    the block-exponential method, whose error grows with t.
-    """
-    times = _times(t)
-    s2d = stationary_moments(dd)[0] if dd.is_stable else None
-    return _gramian(dd, times, propagator(dd, times), s2d)
-
-
-def integrated_exp(a2d, t):
-    """int_0^t exp(s A) ds for a time t or a 1-D array of times, by the
-    block-exponential method."""
-    a2d = np.asarray(a2d, dtype=float)
-    n = a2d.shape[0]
-    blk = np.zeros((2 * n, 2 * n))
-    blk[:n, :n] = a2d
-    blk[:n, n:] = np.eye(n)
-    return expm(_times(t)[..., None, None] * blk)[..., :n, n:]
+    times, to full relative precision at every t (see :func:`_flow`)."""
+    return _flow(dd, _times(t))[1]
 
 
 def _nonzero(zeta):
@@ -216,66 +220,29 @@ class WeylEvolution:
 
 def weyl_evolve(dd: DriftDiffusion, z, t: float, zeta=None) -> WeylEvolution:
     """Damping exponent, drive phase and transported argument of an evolved
-    Weyl operator: the image is exp(decay + i phase) W(z_t).
-
-    On a stable drift the phase Re<zeta, int_0^t exp(sZ) z ds> is
-    Re<mu, z_t - z> with mu the invariant mean.
-    """
-    times = _evolution_times(t)
+    Weyl operator: the image is exp(decay + i phase) W(z_t)."""
     vz = vec2d(z)
-    et = propagator(dd, times)
-    zeta = _nonzero(zeta)
-    s2d = mu = None
-    if dd.is_stable:
-        s2d, mu = stationary_moments(dd, zeta)
-    decay = -0.5 * float(vz @ _gramian(dd, times, et, s2d) @ vz)
-    vz_t = et @ vz
-    phase = 0.0
-    if zeta is not None:
-        if mu is not None:
-            phase = float(vec2d(mu) @ (vz_t - vz))
-        else:
-            phase = float(vec2d(zeta) @ integrated_exp(dd.z2d, times) @ vz)
-    return WeylEvolution(decay_exponent=decay, phase=phase, z_t=unvec2d(vz_t))
+    et, gram, drift = _flow(dd, _evolution_times(t), _nonzero(zeta))
+    decay = -0.5 * float(vz @ gram @ vz)
+    phase = 0.0 if drift is None else float(drift @ vz)
+    return WeylEvolution(decay_exponent=decay, phase=phase, z_t=unvec2d(et @ vz))
 
 
-def state_evolve(
-    dd: DriftDiffusion, sp: GaussianStateParams, t, zeta=None, stationary=None
-):
+def state_evolve(dd: DriftDiffusion, sp: GaussianStateParams, t, zeta=None):
     """Flow of Gaussian state parameters,
 
         mu_t = exp(tZ#) mu - int_0^t exp(sZ#) zeta ds,
         S_t = exp(tZ#) S exp(tZ) + int_0^t exp(sZ#) C exp(sZ) ds,
 
-    for a time t, or as a list of states for a 1-D array of times, from one
-    propagator stack.  On a stable drift both are taken relative to the
-    invariant state (mu*, S*):
-
-        mu_t = mu* + exp(tZ#) (mu - mu*),   S_t = S* + exp(tZ#) (S - S*) exp(tZ),
-
-    accurate to rounding of (mu*, S*) at every t; stationary, when the
-    caller has it, is the StationaryData of the same drift and zeta.
-    Otherwise the integrals come from the block-exponential method, whose
-    error grows with t.
+    for a time t, or as a list of states for a 1-D array of times, with
+    every integral from one :func:`_flow` call.
     """
     times = _evolution_times(t)
-    et = propagator(dd, times)
-    et_sharp = et.swapaxes(-1, -2)
-    mu0 = vec2d(sp.mean)
-    zeta = _nonzero(zeta)
-    if dd.is_stable:
-        if stationary is None:
-            s2d, mu = stationary_moments(dd, zeta)
-        else:
-            s2d, mu = stationary.s2d, stationary.mu
-        mu = vec2d(mu)
-        mean = mu + (mu0 - mu) @ et
-        cov = s2d + et_sharp @ (sp.cov2d - s2d) @ et
-    else:
-        mean = mu0 @ et
-        if zeta is not None:
-            mean = mean - integrated_exp(dd.z2d.T, times) @ vec2d(zeta)
-        cov = et_sharp @ sp.cov2d @ et + _gramian(dd, times, et, None)
+    et, gram, drift = _flow(dd, times, _nonzero(zeta))
+    mean = vec2d(sp.mean) @ et
+    if drift is not None:
+        mean = mean - drift
+    cov = et.swapaxes(-1, -2) @ sp.cov2d @ et + gram
     if times.ndim == 0:
         return GaussianStateParams(mean=unvec2d(mean), cov2d=cov)
     return [GaussianStateParams(mean=unvec2d(m), cov2d=c) for m, c in zip(mean, cov)]

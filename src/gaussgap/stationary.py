@@ -45,7 +45,6 @@ __all__ = [
     "StationaryData",
     "StationaryStack",
     "require_stable",
-    "stationary_moments",
     "solve_stationary",
     "solve_stationary_stack",
     "williamson",
@@ -162,32 +161,25 @@ def require_stable(dd: DriftDiffusion) -> None:
         )
 
 
-def stationary_moments(dd: DriftDiffusion, zeta=None):
-    """Invariant covariance S (2d x 2d) and mean mu (complex d-vector) of a
-    stable drift, without the Williamson data.
-
-    Raises Unstable when the drift spectrum meets the closed right half
-    plane and SingularLyapunov when the Lyapunov solve is defective.
-    """
-    require_stable(dd)
-    if zeta is None:
-        zeta = np.zeros(dd.dim_d, dtype=complex)
-    z2d = dd.z2d
-    s2d = _solve_lyapunov(z2d, dd.c2d)
-    # Z# mu = zeta, on realizations a plain linear system with Z2d^T.
-    mu = unvec2d(np.linalg.solve(z2d.T, vec2d(zeta)))
-    return s2d, mu
-
-
 def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
     """Invariant mean and covariance plus faithfulness/Williamson data.
 
     Raises Unstable when the drift spectrum meets the closed right half
     plane, SingularLyapunov when the linear solves are defective and
-    NotPositiveDefinite when the covariance is not positive definite.
+    NotPositiveDefinite when the covariance is not positive semidefinite.
     """
-    s2d, mu = stationary_moments(dd, zeta)
-    s_tilde = s2d.astype(complex) + 1j * jmat(dd.dim_d)
+    require_stable(dd)
+    d = dd.dim_d
+    if zeta is None:
+        zeta = np.zeros(d, dtype=complex)
+    zeta = np.asarray(zeta, dtype=complex).ravel()
+    z2d = dd.z2d
+    s2d = _solve_lyapunov(z2d, dd.c2d)
+    # Z# mu = zeta, on realizations a plain linear system with Z2d^T.
+    mu = unvec2d(np.linalg.solve(z2d.T, vec2d(zeta)))
+
+    j = jmat(d)
+    s_tilde = s2d.astype(complex) + 1j * j
     s_tilde = 0.5 * (s_tilde + s_tilde.conj().T)
 
     # Faithful means that every root the gaps take exists at ROOT_MARGIN, so
@@ -344,16 +336,21 @@ def williamson_stack(s2d):
 def _covariance_root(s2d):
     """Root of a covariance, or of each of a stack, and whether it exists at
     ROOT_MARGIN; the identity stands in for the roots that do not.  A
-    covariance that is not positive definite raises NotPositiveDefinite,
-    for the first such entry of a stack."""
+    covariance that is not positive semidefinite to rounding raises
+    NotPositiveDefinite, for the first such entry of a stack."""
     root, _, regular = hermitian_root_pairs(s2d)
     if not np.all(regular):
-        min_eig = np.linalg.eigvalsh(s2d)[..., 0]
+        evals = np.linalg.eigvalsh(s2d)
+        # eigvalsh is exact to about n eps lambda_max, so a smallest eigenvalue
+        # above minus that is no evidence against a positive semidefinite
+        # covariance, which an invariant one is in exact arithmetic; an
+        # all-zero covariance has no such margin and is rejected
+        floor = -s2d.shape[-1] * np.finfo(float).eps * evals[..., -1]
         raise_first(
-            ~(regular | (min_eig > 0)),
+            ~(regular | (evals[..., 0] > floor)),
             NotPositiveDefinite,
             "covariance is not positive definite (min eig {:.3e})",
-            min_eig,
+            evals[..., 0],
         )
         root[~regular] = np.eye(s2d.shape[-1])
     return root, regular

@@ -187,9 +187,10 @@ class TestMain:
         walk = [(3.0, 0.0, 2.0, k) for k in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]]
         walk += [(3.0, 1.0, 0.0, 1.0 - 10.0**-e) for e in range(1, 14)]
         walk += [(3.0, 1.0, 2.0, np.sqrt(5.0) - 10.0**-e) for e in range(1, 14)]
-        # a stable drift whose covariance (condition 4e16) has no root at
-        # ROOT_MARGIN: no Williamson data, so no faithful state either
-        walk += [(3.0, 1.0, 1e8, 1e8)]
+        # stable drifts whose covariances (condition 4e16 to 4e22) have no
+        # root at ROOT_MARGIN: no Williamson data, so no faithful state either
+        ill_conditioned = [(3.0, 1.0, w, w) for w in (1e8, 1e9, 1e10, 1e11)]
+        walk += ill_conditioned
         for params in walk:
             doc = json.dumps(
                 {"version": 1, "one_dim": dict(zip(("mu2", "lambda2", "omega", "kappa"), params))}
@@ -211,7 +212,7 @@ class TestMain:
             if params in [(3.0, 0.0, 2.0, 1e-2), (3.0, 0.0, 2.0, 1e-6)]:
                 # the first keeps its gap; the second is the near-pure preset
                 assert faithful == (params[3] == 1e-2), params
-            if params == (3.0, 1.0, 1e8, 1e8):
+            if params in ill_conditioned:
                 assert code == 2 and not faithful, params
                 assert report["stationary"]["sigma"] is None, params
 
@@ -523,10 +524,12 @@ SWEEP_GRIDS = {
          "kappa": [10.0**-e for e in range(1, 16)]},
         True,
     ),
-    # omega = kappa = 1e8: stable, but the covariance has condition 4e16,
-    # beyond ROOT_MARGIN, so that point is skipped as not faithful
+    # omega = kappa = 1e8 .. 1e11: stable, but the covariance has condition
+    # 4e16 .. 4e22, beyond ROOT_MARGIN, so those points are skipped as not
+    # faithful
     "ill-conditioned-covariance": (
-        {"mu2": [3.0], "lambda2": [1.0], "omega": [2.0, 1e8], "kappa": [1.0, 1e8]},
+        {"mu2": [3.0], "lambda2": [1.0], "omega": [2.0, 1e8, 1e9, 1e10, 1e11],
+         "kappa": [1.0, 1e8, 1e9, 1e10, 1e11]},
         True,
     ),
 }

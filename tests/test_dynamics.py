@@ -517,14 +517,11 @@ def _long_time_models():
     return models
 
 
-@pytest.mark.parametrize("index", range(7))
-def test_long_time_flow_matches_mpmath(index):
-    # from the vacuum, so that the stationary identity is not trivially
-    # exact; the block-exponential gramian failed here from t = 20 on
-    model = _long_time_models()[index]
+def _assert_flow_matches_mpmath(model, times, seed):
+    """state_evolve from the vacuum over the time list and weyl_evolve at
+    each time agree with :func:`_mp_vacuum_flow` to 1e-12 relative."""
     dd = build_drift_diffusion(model)
-    times = [0.5, 5.0, 20.0, 50.0]
-    rng = np.random.default_rng(72 + index)
+    rng = np.random.default_rng(seed)
     z = 0.4 * rng.standard_normal(model.d) + 0.3j * rng.standard_normal(model.d)
     states = state_evolve(dd, GaussianStateParams.vacuum(model.d), np.array(times), model.zeta)
     for t, state in zip(times, states):
@@ -535,6 +532,34 @@ def test_long_time_flow_matches_mpmath(index):
         assert abs(res.decay_exponent - decay) <= 1e-12 * abs(decay), t
         assert abs(res.phase - phase) <= 1e-12 * abs(phase), t
         assert np.linalg.norm(vec2d(res.z_t) - z_t) <= 1e-12 * np.linalg.norm(z_t), t
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_long_time_flow_matches_mpmath(index):
+    # the block-exponential gramian at the full time failed here from
+    # t = 20 on
+    _assert_flow_matches_mpmath(_long_time_models()[index], [0.5, 5.0, 20.0, 50.0], 72 + index)
+
+
+@pytest.mark.parametrize("omega, kappa", [(0.0, 1.0 - 1e-9), (2.0, np.sqrt(5.0) - 1e-9)])
+@pytest.mark.parametrize("drive", [0.0, 1.0 - 0.5j])
+def test_flow_near_stability_boundary_matches_mpmath(omega, kappa, drive):
+    # decay rate ~1e-9, so |S| ~ 1e9 and |mu| ~ 1e9 |zeta|: a flow taken
+    # relative to the invariant state would lose nine digits at short times
+    # and leave the uncertainty bound at t = 1e-9
+    model = dataclasses.replace(one_dim_family(3.0, 1.0, omega, kappa), zeta=np.array([drive]))
+    _assert_flow_matches_mpmath(model, [0.0, 1e-9, 1e-6, 1e-3, 1.0, 10.0, 100.0], 76)
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_unstable_flow_matches_mpmath(index):
+    # the flow grows like exp(2 t abscissa); the agreement is relative
+    rng = np.random.default_rng(75 + index)
+    d = 1 + index // 2
+    model, _ = random_unstable(rng, d)
+    if index % 2:
+        model = dataclasses.replace(model, zeta=rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    _assert_flow_matches_mpmath(model, [0.5, 2.0, 5.0], 81 + index)
 
 
 class TestTimeArrays:
@@ -559,7 +584,7 @@ class TestTimeArrays:
             propagator(dd, np.array([0.5, np.nan]))
 
     def test_state_evolve_list_matches_single_times(self, model_b):
-        _, dd, st = model_b
+        _, dd, _ = model_b
         sp = GaussianStateParams.vacuum(1)
         times = [0.0, 0.3, 1.7]
         states = state_evolve(dd, sp, np.array(times))
@@ -568,9 +593,6 @@ class TestTimeArrays:
             single = state_evolve(dd, sp, t)
             assert np.array_equal(state.cov2d, single.cov2d)
             assert np.array_equal(state.mean, single.mean)
-        # the caller's stationary data give the same flow
-        given = state_evolve(dd, sp, np.array(times), stationary=st)
-        assert all(np.array_equal(a.cov2d, b.cov2d) for a, b in zip(states, given))
 
     def test_unstable_drift_uses_block_gramian(self):
         rng = np.random.default_rng(74)

@@ -313,6 +313,19 @@ class TestWilliamson:
             assert np.linalg.norm(m[i].T @ j @ m[i] - j) < 1e-10
             assert np.all(np.abs(sigma[i] - williamson(s[i])[1]) < 1e-12 * sigma[i])
 
+    def test_condition_beyond_root_margin_is_not_faithful(self):
+        # eigenvalues 1 and 4e16 (that of omega = kappa = 1e8): no root at
+        # ROOT_MARGIN; a smallest eigenvalue within rounding of eigvalsh
+        # (2 eps lambda_max, about 18 here) below zero is no evidence that
+        # the covariance is not positive semidefinite
+        for small in (1.0, 0.0, -1.0, -17.0):
+            with pytest.raises(NotFaithful):
+                williamson(np.diag([small, 4e16]))
+        with pytest.raises(NotPositiveDefinite):
+            williamson(np.diag([-20.0, 4e16]))
+        m, sigma = williamson_stack(np.array([np.eye(2), np.diag([-1.0, 4e16])]))
+        assert np.all(np.isnan(sigma[1])) and np.all(np.isfinite(sigma[0]))
+
     def test_stack_rejects_non_spd_entry(self):
         with pytest.raises(NotPositiveDefinite) as caught:
             williamson_stack(np.array([np.eye(2), np.diag([1.0, -1.0])]))
@@ -321,6 +334,8 @@ class TestWilliamson:
     def test_rejects_non_spd(self):
         with pytest.raises(NotPositiveDefinite):
             williamson(np.diag([1.0, -1.0]))
+        with pytest.raises(NotPositiveDefinite):
+            williamson(np.zeros((2, 2)))
         with pytest.raises(NotPositiveDefinite):
             williamson(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
