@@ -6,11 +6,25 @@ cutoff, the generator is assembled directly from the Hamiltonian and jump
 operators, and traces are evaluated literally.  The closed-form modules are
 validated against these numbers, never the other way round.
 
+The steady state is one square LU solve.  Trace preservation
+(vec(1)^dagger predual = 0, exact at truncation) makes the |0><0| row of the
+predual minus the sum of the other diagonal-index rows, so that row is
+replaced by the trace row without changing the solution set; the square
+system is nonsingular exactly when the truncated kernel is one-dimensional.
+A singular system (kernel of dimension two or more) is refused, and the full
+residual |predual rho| is checked.
+
 The gap oracle is restricted to the single-mode, number-conserving-
-Hamiltonian family (kappa = 0, jumps mu*a and lambda*adag) whose stationary
-density is exactly diagonal in the number basis, so the weighted inner
-products of both embeddings are diagonal and free of uncontrolled
-approximation.
+Hamiltonian, undriven family (kappa = 0, zeta = 0, jumps mu*a and
+lambda*adag) whose stationary density is exactly diagonal in the number
+basis, so the weighted inner products of both embeddings are diagonal and
+free of uncontrolled approximation.  The populations must be positive normal
+floats (near the pure vacuum the top ones underflow, and such a model is
+refused).  The weighted, symmetrized generator is block diagonal in the
+connected components of its exact nonzero pattern (for this family the U(1)
+sectors l - m); each block is diagonalized on its own, and the union of the
+block spectra is the spectrum.  The blocks are read from the assembled
+matrix, never from the model.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, get_lapack_funcs
 
 from .errors import (
     ConsistencyError,
@@ -48,6 +62,9 @@ __all__ = [
 
 MAX_SPACE_DIM = 4096
 MAX_SUPEROP_DIM = 64  # dense superoperator eigensolves stay below 4096^2 entries
+# backward-error bound of the steady-state solve, relative to the system's
+# infinity norm times |rho|; LU with partial pivoting stays near n eps
+STEADY_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -160,9 +177,14 @@ class Superoperator:
 def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperator:
     """Assemble the GKLS generator and its predual as dense matrices.
 
-    The two pictures are built independently and checked against each other
-    through the duality pairing tr(predual(rho) x) = tr(rho heisenberg(x))
-    on pseudo-random matrices.
+    With G = iH - K/2 and K = sum_l L_l^dag L_l, the Heisenberg generator is
+    x -> G x + x G^dag + sum_l L_l^dag x L_l and the predual
+    rho -> G^dag rho + rho G + sum_l L_l rho L_l^dag.  The commutator and
+    anticommutator parts are written straight into the block-diagonal and
+    the strided entries, without a Kronecker product; the jump terms of each
+    picture are built separately, and the two pictures are checked against
+    each other through the duality pairing
+    tr(predual(rho) x) = tr(rho heisenberg(x)) on pseudo-random matrices.
     """
     validate(model, strict=True)
     if space.dim > MAX_SUPEROP_DIM:
@@ -173,15 +195,26 @@ def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperato
     h = build_hamiltonian(model, space)
     kraus = build_kraus(model, space)
     dim = space.dim
-    eye = np.eye(dim, dtype=complex)
-
-    heis = 1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    pred = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    g = 1j * h
     for ell in kraus:
-        ldl = ell.conj().T @ ell
-        anti = 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
-        heis += np.kron(ell.T, ell.conj().T) - anti
-        pred += np.kron(ell.conj(), ell) - anti
+        g -= 0.5 * (ell.conj().T @ ell)
+
+    heis = np.zeros((dim * dim, dim * dim), dtype=complex)
+    pred = np.zeros_like(heis)
+    # views [i, k, j, l] of row i*dim + k and column j*dim + l: the
+    # vectorization vec(A x B) = (B^T kron A) vec(x) puts B^T[i, j] A[k, l]
+    # there, so a left factor fills the blocks i = j and a right factor the
+    # entries k = l
+    heis4 = heis.reshape((dim,) * 4)
+    pred4 = pred.reshape((dim,) * 4)
+    diag = np.arange(dim)
+    heis4[diag, :, diag, :] = g
+    heis4[:, diag, :, diag] += g.conj()
+    pred4[diag, :, diag, :] = g.conj().T
+    pred4[:, diag, :, diag] += g.T
+    for ell in kraus:
+        heis4 += ell.T[:, None, :, None] * ell.conj().T[None, :, None, :]
+        pred4 += ell.conj()[:, None, :, None] * ell[None, :, None, :]
 
     rng = np.random.default_rng(31)
     for _ in range(2):
@@ -202,17 +235,47 @@ def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperato
 
 
 def steady_state(superop: Superoperator):
-    """Stationary density of the truncated generator: least-squares solve of
-    the predual kernel with unit-trace constraint, then Hermitized."""
+    """Stationary density of the truncated generator, Hermitized.
+
+    One square LU solve: the |0><0| row of the predual (vec index 0), which
+    trace preservation makes minus the sum of the other diagonal-index
+    rows, is replaced by the unit-trace row.  A system singular to working
+    precision (reciprocal condition estimate below n eps, n = dim^2) means a
+    truncated kernel of dimension two or more and raises OutsideEnvelope; a
+    full residual |predual rho| above STEADY_RESIDUAL |system| |rho| raises
+    ConsistencyError.
+    """
     dim = superop.space.dim
-    vec_id = np.eye(dim).reshape(-1, order="F")
-    system = np.vstack([superop.predual, vec_id[None, :]])
-    rhs = np.zeros(dim * dim + 1, dtype=complex)
-    rhs[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    n = dim * dim
+    system = superop.predual.copy()
+    system[0] = np.eye(dim).reshape(-1, order="F")
+    # system.T is Fortran-ordered, so LAPACK factors it in place; solving
+    # with the transpose of that factorization solves system x = e_0
+    getrf, getrs, gecon, lange = get_lapack_funcs(
+        ("getrf", "getrs", "gecon", "lange"), (system,)
+    )
+    anorm = lange("1", system.T)  # infinity norm of system
+    lu, piv, info = getrf(system.T, overwrite_a=True)
+    rcond = gecon(lu, anorm, norm="1")[0] if info == 0 else 0.0
+    if not rcond >= n * np.finfo(float).eps:
+        raise OutsideEnvelope(
+            f"truncated generator at cutoff {superop.space.cutoff} has no unique "
+            f"steady state (kernel of dimension two or more, reciprocal "
+            f"condition {rcond:.1e})"
+        )
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = 1.0
+    sol = getrs(lu, piv, rhs, trans=1)[0]
     rho = sol.reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    rho /= np.trace(rho).real
+    resid = np.linalg.norm(superop.predual @ rho.reshape(-1, order="F"))
+    bound = STEADY_RESIDUAL * anorm * np.linalg.norm(rho)
+    if not resid <= bound:
+        raise ConsistencyError(
+            f"steady-state residual {resid:.3e} exceeds {bound:.3e}"
+        )
+    return rho
 
 
 def thermal_density(space: TruncatedSpace, nbar: float):
@@ -285,14 +348,19 @@ def leakage_norm(space: TruncatedSpace, mat) -> float:
 def _thermal_envelope(model: GklsModel):
     """Check the gap-oracle envelope and return (mu2, lambda2).
 
-    Envelope: d = 1, kappa = 0, every jump operator proportional to a or to
-    adag, net damping (lambda2 < mu2) and a faithful thermal state
+    Envelope: d = 1, kappa = 0, zeta = 0 (a drive displaces the thermal
+    state off the number diagonal), every jump operator proportional to a
+    or to adag, net damping (lambda2 < mu2) and a faithful thermal state
     (lambda2 > 0; at lambda2 = 0 the state is the pure vacuum).
     """
     if model.d != 1:
         raise OutsideEnvelope("gap oracle is single mode only")
     if np.max(np.abs(model.kappa)) > 1e-12:
         raise OutsideEnvelope("gap oracle requires kappa = 0 (thermal-diagonal family)")
+    if np.max(np.abs(model.zeta)) > 1e-12:
+        raise OutsideEnvelope(
+            "gap oracle requires zeta = 0 (a driven state is not number-diagonal)"
+        )
     mu2 = 0.0
     lambda2 = 0.0
     for ell in range(model.m):
@@ -314,6 +382,66 @@ def _thermal_envelope(model: GklsModel):
     return mu2, lambda2
 
 
+def _components(pattern):
+    """Connected components of the graph whose adjacency is the symmetric
+    boolean matrix pattern, as labels 0..k-1, one per vertex."""
+    rows, cols = np.nonzero(pattern)
+    labels = np.arange(pattern.shape[0])
+    while True:
+        # each vertex takes the least label among itself and its neighbours,
+        # then the label of that label (pointer jumping)
+        low = labels.copy()
+        np.minimum.at(low, rows, labels[cols])
+        low = low[low]
+        if np.array_equal(low, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = low
+
+
+def _blocked_eigvalsh(mat):
+    """Ascending eigenvalues of a Hermitian matrix, from one eigvalsh per
+    connected component of its exact nonzero pattern."""
+    labels = _components(mat != 0)
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return np.sort(
+        np.concatenate([np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in blocks])
+    )
+
+
+def _weighted_generator(superop: Superoperator, w_root):
+    """Hermitian part of the Heisenberg generator in the orthonormal basis of
+    the diagonal metric with square-root weights w_root, projected off the
+    invariant direction w_root * vec(1)."""
+    gmat = (w_root[:, None] / w_root[None, :]) * superop.heisenberg
+    u = w_root * np.eye(superop.space.dim).reshape(-1, order="F")
+    u = u / np.linalg.norm(u)
+    # the projector is Hermitian, so projecting before taking the Hermitian
+    # part gives the projected Hermitian part
+    gmat -= np.outer(u, u.conj() @ gmat)
+    gmat -= np.outer(gmat @ u, u.conj())
+    return 0.5 * (gmat + gmat.conj().T)
+
+
+def _metric_roots(pops):
+    """Square roots of the diagonal weights of both embeddings at vec index
+    l + m*dim (column stacking): tr(rho x* y) weights by pops[m],
+    tr(rho^1/2 x* rho^1/2 y) by the geometric mean of row and column
+    populations.  The split root is a product of fourth roots, so it never
+    underflows for populations that are positive normal floats."""
+    if not np.all(pops >= np.finfo(float).tiny):
+        raise OutsideEnvelope(
+            "gap oracle requires thermal populations that are positive normal "
+            f"floats (smallest {pops.min():.1e}: too close to the pure vacuum "
+            "for this cutoff)"
+        )
+    dim = pops.shape[0]
+    l_idx = np.tile(np.arange(dim), dim)
+    m_idx = np.repeat(np.arange(dim), dim)
+    root4 = np.sqrt(np.sqrt(pops))
+    return np.sqrt(pops)[m_idx], root4[m_idx] * root4[l_idx]
+
+
 def oracle_gap(model: GklsModel, space: TruncatedSpace) -> tuple[float, float]:
     """Spectral gaps (g, g_breve) of the truncated generator in the
     one-sided and the split embedding.
@@ -322,30 +450,17 @@ def oracle_gap(model: GklsModel, space: TruncatedSpace) -> tuple[float, float]:
     products diagonal; the generator is conjugated into the corresponding
     orthonormal basis, symmetrized, projected off the invariant direction,
     and its least-negative remaining eigenvalue returned (sign flipped).
+    The eigenvalues come one block at a time from the connected components
+    of the symmetrized matrix's nonzero pattern.
     """
     mu2, lambda2 = _thermal_envelope(model)
     nbar = lambda2 / (mu2 - lambda2)
     pops = np.diag(thermal_density(space, nbar)).real
+    w_roots = _metric_roots(pops)
     superop = build_superoperator(model, space)
-
-    dim = space.dim
-    # diagonal metric weights at vec index l + m*dim (column stacking):
-    # tr(rho x* y) weights by pops[m], tr(rho^1/2 x* rho^1/2 y) by the
-    # geometric mean of row and column populations
-    l_idx = np.tile(np.arange(dim), dim)
-    m_idx = np.repeat(np.arange(dim), dim)
-    eye_vec = np.eye(dim).reshape(-1, order="F")
     gaps = []
-    for w in (pops[m_idx], np.sqrt(pops[m_idx] * pops[l_idx])):
-        w_root = np.sqrt(w)
-        gmat = (w_root[:, None] / w_root[None, :]) * superop.heisenberg
-        gsym = 0.5 * (gmat + gmat.conj().T)
-        u = w_root * eye_vec
-        u = u / np.linalg.norm(u)
-        gsym = gsym - np.outer(u, u.conj() @ gsym)
-        gsym = gsym - np.outer(gsym @ u, u.conj())
-        gsym = 0.5 * (gsym + gsym.conj().T)
-        evals = np.linalg.eigvalsh(gsym)
+    for w_root in w_roots:
+        evals = _blocked_eigvalsh(_weighted_generator(superop, w_root))
         # the projection pins one eigenvalue at zero (the invariant
         # direction); the gap is the distance from zero of the rest
         gaps.append(-float(evals[-2]))

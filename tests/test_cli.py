@@ -5,12 +5,16 @@ import dataclasses
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import random_stable_faithful, rounding_allowances
-from gaussgap import cli, gap
+import gaussgap
+from gaussgap import cli, fock, gap
 from gaussgap.cli import main, parse_model, run_report
 from gaussgap.errors import ParseError, ShapeError
 from gaussgap.model import build_drift_diffusion, one_dim_family
@@ -394,6 +398,65 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error [OutsideEnvelope]: ")
 
+    def test_oracle_gap_on_driven_model(self, capsys):
+        # thermal jumps with a drive: the invariant state is displaced, so
+        # not number-diagonal, and the gap oracle's weights do not apply
+        driven = json.dumps(
+            {
+                "version": 1, "d": 1, "m": 2,
+                "omega": [[[2.0, 0.0]]], "kappa": [[[0.0, 0.0]]],
+                "U": [[[0.0, 0.0]], [[np.sqrt(0.6), 0.0]]],
+                "V": [[[np.sqrt(3.2), 0.0]], [[0.0, 0.0]]],
+                "zeta": [[1.5, 0.5]],
+            }
+        )
+        assert main(["oracle", driven, "--check", "gap", "--cutoff", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [OutsideEnvelope]: gap oracle requires zeta = 0")
+
+    def test_oracle_gap_near_pure_vacuum(self, capsys):
+        # the split weight sqrt(p_l p_m) underflows at the top levels; the
+        # fourth-root weights keep every entry finite and g exact
+        near = json.dumps(
+            {"version": 1, "one_dim": {"mu2": 2, "lambda2": 1e-8, "omega": 0, "kappa": 0}}
+        )
+        assert main(["oracle", near, "--check", "gap", "--cutoff", "25"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"]
+        for block in ("gns", "kms"):
+            assert payload[block]["oracle"] == pytest.approx(1 - 5e-9, rel=1e-13)
+
+    def test_oracle_gap_underflowing_populations(self, capsys):
+        # the top thermal populations (q^n, q ~ 5e-15) underflow to zero
+        cold = json.dumps(
+            {"version": 1, "one_dim": {"mu2": 2, "lambda2": 1e-14, "omega": 0, "kappa": 0}}
+        )
+        assert main(["oracle", cold, "--check", "gap", "--cutoff", "25"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error [OutsideEnvelope]: gap oracle requires thermal populations"
+        )
+
+    @pytest.mark.parametrize("check", ["char", "kms-trace"])
+    def test_oracle_degenerate_steady_state(self, capsys, monkeypatch, check):
+        # a truncated generator whose kernel has dimension two or more (here
+        # the closed system of the model's Hamiltonian) has no unique steady
+        # state: the square solve is singular
+        def closed_system(model, space):
+            h = fock.build_hamiltonian(model, space)
+            eye = np.eye(space.dim)
+            comm = np.kron(eye, h) - np.kron(h.T, eye)
+            return fock.Superoperator(space=space, predual=-1j * comm, heisenberg=1j * comm)
+
+        monkeypatch.setattr(fock, "build_superoperator", closed_system)
+        assert main(["oracle", MODEL_B_PRESET, "--check", check, "--cutoff", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [OutsideEnvelope]: truncated generator at cutoff 8")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -722,3 +785,16 @@ class TestDumpJson:
         cli._dump_json({"v": [1.0, float("nan"), float("inf"), -float("inf")]}, out)
         assert "NaN" in out.getvalue() and "-Infinity" in out.getvalue()
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # scipy.sparse (and its csgraph) would add to every cold CLI start
+    src = os.path.dirname(os.path.dirname(gaussgap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", "import gaussgap.cli, sys; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out == "False\n"

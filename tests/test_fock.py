@@ -6,11 +6,18 @@ from scipy.linalg import expm
 
 from gaussgap.dynamics import GaussianStateParams, char_fn, kms_weyl_trace, weyl_evolve
 from gaussgap.errors import (
+    ConsistencyError,
     DimensionTooLarge,
     NonDiagonalDensityWarning,
     OutsideEnvelope,
 )
 from gaussgap.fock import (
+    Superoperator,
+    _blocked_eigvalsh,
+    _components,
+    _metric_roots,
+    _weighted_generator,
+    build_hamiltonian,
     build_space,
     build_superoperator,
     leakage_norm,
@@ -22,8 +29,32 @@ from gaussgap.fock import (
     weyl_matrix,
 )
 from gaussgap.gap import analyze
-from gaussgap.model import build_drift_diffusion, one_dim_family
+from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
+
+# thermal jumps (mu2 = 3.2, lambda2 = 0.6) with a linear drive: the invariant
+# state is a displaced thermal state, not number-diagonal
+DRIVEN = GklsModel(
+    d=1, m=2,
+    omega=np.array([[2.0]]), kappa=np.zeros((1, 1)),
+    u_mat=np.array([[0.0], [np.sqrt(0.6)]]), v_mat=np.array([[np.sqrt(3.2)], [0.0]]),
+    zeta=np.array([1.5 + 0.5j]),
+)
+
+
+def _two_mode_model(rng):
+    """Two modes with inter-mode couplings in omega, kappa and the noise
+    matrices, plus a linear drive."""
+    d, m = 2, 4
+    return GklsModel(
+        d=d,
+        m=m,
+        omega=np.array([[0.4, 0.15 - 0.1j], [0.15 + 0.1j, -0.2]]),
+        kappa=np.array([[0.05, 0.1 + 0.05j], [0.1 + 0.05j, -0.04]]),
+        u_mat=0.12 * (rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))),
+        v_mat=1.0 * (rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))),
+        zeta=np.array([0.1 - 0.08j, 0.06 + 0.1j]),
+    )
 
 
 class TestSpace:
@@ -232,9 +263,116 @@ class TestGapOracle:
         )
         with pytest.raises(OutsideEnvelope):
             oracle_gap(mixed, build_space(1, 10))
+        # a drive displaces the thermal state off the number diagonal
+        with pytest.raises(OutsideEnvelope):
+            oracle_gap(DRIVEN, build_space(1, 10))
         # lambda2 = 0: the thermal state is the pure vacuum, not faithful
         with pytest.raises(OutsideEnvelope):
             oracle_gap(one_dim_family(2, 0), build_space(1, 10))
+
+
+def _lstsq_steady_state(superop):
+    """Least-squares solve of the predual kernel with the unit-trace row
+    appended, Hermitized and normalized."""
+    dim = superop.space.dim
+    system = np.vstack([superop.predual, np.eye(dim).reshape(1, -1, order="F")])
+    rhs = np.zeros(dim * dim + 1, dtype=complex)
+    rhs[-1] = 1.0
+    sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    rho = sol.reshape((dim, dim), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+class TestSquareSteadyState:
+    @pytest.mark.parametrize(
+        "model, cutoff",
+        [
+            (one_dim_family(3.0, 1.0, 0.0, 0.0), 25),
+            (one_dim_family(3.0, 1.0, 2.0, 1.0), 25),
+            (DRIVEN, 25),
+            (_two_mode_model(np.random.default_rng(11)), 5),
+        ],
+        ids=["thermal", "squeezed", "driven", "two-mode"],
+    )
+    def test_matches_augmented_least_squares(self, model, cutoff):
+        superop = build_superoperator(model, build_space(model.d, cutoff))
+        rho = steady_state(superop)
+        assert np.max(np.abs(rho - _lstsq_steady_state(superop))) < 1e-12
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(superop.apply_predual(rho)) < 1e-13
+
+    def test_degenerate_kernel_refused(self):
+        # a closed system: every function of H is stationary, so the
+        # square system is singular
+        model = one_dim_family(3.0, 1.0, 2.0, 1.0)
+        space = build_space(1, 8)
+        h = build_hamiltonian(model, space)
+        eye = np.eye(space.dim)
+        comm = np.kron(eye, h) - np.kron(h.T, eye)
+        closed = Superoperator(space=space, predual=-1j * comm, heisenberg=1j * comm)
+        with pytest.raises(OutsideEnvelope, match="no unique steady state"):
+            steady_state(closed)
+
+    def test_replaced_row_is_checked(self):
+        # a predual that is not trace preserving: the solve never sees the
+        # |0><0| row, so only the full residual catches it
+        model = one_dim_family(3.0, 1.0, 0.0, 0.0)
+        superop = build_superoperator(model, build_space(1, 10))
+        predual = superop.predual.copy()
+        predual[0] += 0.1 * np.eye(11).reshape(-1, order="F")
+        broken = Superoperator(
+            space=superop.space, predual=predual, heisenberg=superop.heisenberg
+        )
+        with pytest.raises(ConsistencyError, match="steady-state residual"):
+            steady_state(broken)
+
+
+class TestBlockedEigensolve:
+    @pytest.mark.parametrize(
+        "model, blocks",
+        [
+            (one_dim_family(3.0, 1.0, 0.0, 0.0), 51),  # U(1) sectors l - m
+            (one_dim_family(3.0, 1.0, 2.0, 1.0), 2),  # parity halves
+            (DRIVEN, 1),
+        ],
+        ids=["thermal", "squeezed", "driven"],
+    )
+    def test_component_counts(self, model, blocks):
+        heis = build_superoperator(model, build_space(1, 25)).heisenberg
+        labels = _components((heis != 0) | (heis.T != 0))
+        assert labels.max() + 1 == blocks
+        assert set(labels) == set(range(blocks))
+
+    @pytest.mark.parametrize("embedding", [0, 1], ids=["gns", "kms"])
+    def test_union_of_blocks_is_the_spectrum(self, embedding):
+        model = one_dim_family(3.0, 1.0, 2.0, 0.0)
+        space = build_space(1, 25)
+        superop = build_superoperator(model, space)
+        pops = np.diag(thermal_density(space, 0.5)).real
+        gsym = _weighted_generator(superop, _metric_roots(pops)[embedding])
+        assert _components(gsym != 0).max() + 1 == 51
+        dense = np.linalg.eigvalsh(gsym)
+        assert np.max(np.abs(_blocked_eigvalsh(gsym) - dense)) <= 1e-12 * np.linalg.norm(gsym)
+
+    def test_planted_entry_merges_components(self):
+        heis = build_superoperator(
+            one_dim_family(3.0, 1.0, 0.0, 0.0), build_space(1, 6)
+        ).heisenberg
+        pattern = (heis != 0) | (heis.T != 0)
+        labels = _components(pattern)
+        assert labels.max() + 1 == 13
+        i, j = 1, 7  # vec indices of |1><0| and |0><1|: sectors +1 and -1
+        assert labels[i] != labels[j]
+        pattern[i, j] = pattern[j, i] = True
+        merged = _components(pattern)
+        assert merged.max() + 1 == 12
+        assert merged[i] == merged[j]
+        # the blocked solve follows the planted coupling
+        rng = np.random.default_rng(5)
+        mat = np.where(pattern, rng.standard_normal(pattern.shape), 0.0)
+        mat = mat + mat.T
+        assert np.allclose(_blocked_eigvalsh(mat), np.linalg.eigvalsh(mat), atol=1e-12)
 
 
 def test_two_mode_cross_validation():
@@ -246,18 +384,8 @@ def test_two_mode_cross_validation():
     #   mu = sqrt(2) E[p] - i sqrt(2) E[q],
     # and characteristic functions / evolved Weyl expectations must agree
     rng = np.random.default_rng(11)
-    d, m = 2, 4
-    from gaussgap.model import GklsModel
-
-    model = GklsModel(
-        d=d,
-        m=m,
-        omega=np.array([[0.4, 0.15 - 0.1j], [0.15 + 0.1j, -0.2]]),
-        kappa=np.array([[0.05, 0.1 + 0.05j], [0.1 + 0.05j, -0.04]]),
-        u_mat=0.12 * (rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))),
-        v_mat=1.0 * (rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))),
-        zeta=np.array([0.1 - 0.08j, 0.06 + 0.1j]),
-    )
+    d = 2
+    model = _two_mode_model(rng)
     dd = build_drift_diffusion(model)
     st = solve_stationary(dd, model.zeta)
     sp = GaussianStateParams(mean=st.mu, cov2d=st.s2d)
