@@ -24,6 +24,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -32,16 +33,11 @@ from . import classical, dynamics, fock, gap
 from .errors import (
     GaussGapError,
     NoFaithfulState,
+    NonDiagonalDensityWarning,
     ParseError,
     ShapeError,
 )
-from .model import (
-    GklsModel,
-    build_drift_diffusion,
-    one_dim_family,
-    one_dim_family_stack,
-    validate,
-)
+from .model import GklsModel, build_drift_diffusion, one_dim_family, validate
 from .stationary import require_stable, solve_stationary
 
 __all__ = ["parse_model", "run_report", "main"]
@@ -216,7 +212,7 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
             "mu": _pairs(st.mu),
             "s2d": st.s2d.tolist(),
             "det_s_tilde": st.det_s_tilde,
-            "sigma": None if st.sigma is None else st.sigma.tolist(),
+            "sigma": None if np.isnan(st.sigma).any() else st.sigma.tolist(),
             "faithful": st.faithful,
             "unique": dd.is_stable and dd.kraus_rank_full,
         }
@@ -463,6 +459,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_decay(args) -> int:
+    if args.samples < 0:
+        raise ParseError(f"--samples must be non-negative, got {args.samples}")
     model = parse_model(args.model)
     dd = build_drift_diffusion(model)
     require_stable(dd)
@@ -542,7 +540,7 @@ def _stacked_rows(points):
         if not pos.size:
             continue
         try:
-            res = gap.analyze_stack(one_dim_family_stack(*params[pos].T))
+            res = gap.analyze_stack(one_dim_family(*params[pos].T))
         except GaussGapError as exc:
             if exc.index is not None:
                 exc.index = int(pos[exc.index])
@@ -591,8 +589,6 @@ DEFAULT_GRID = {
 
 
 def _cmd_sweep(args) -> int:
-    if args.preset != "one-dim":
-        raise GaussGapError(f"unknown sweep preset {args.preset!r}")
     grid = dict(DEFAULT_GRID)
     if args.grid:
         grid.update(_parse_grid(args.grid))
@@ -661,7 +657,11 @@ def _cmd_oracle(args) -> int:
             zz = np.full(model.d, z)
             ww = np.full(model.d, w)
             closed = dynamics.kms_weyl_trace(st, zz, ww)
-            oracle = fock.oracle_kms_trace(space, rho, zz, ww).real
+            with warnings.catch_warnings():
+                # a kappa != 0 steady state is not number-diagonal; the
+                # README states this check's envelope
+                warnings.simplefilter("ignore", NonDiagonalDensityWarning)
+                oracle = fock.oracle_kms_trace(space, rho, zz, ww).real
             errs.append(abs(closed - oracle) / max(abs(closed), 1e-300))
         out["max_rel_error"] = float(max(errs))
         out["pass"] = bool(max(errs) < 1e-6)
@@ -682,8 +682,16 @@ def _cmd_oracle(args) -> int:
     return 0 if out.get("pass", True) else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError, exit 1 like every other bad
+    input; exit 2 means a valid analysis that found no one-sided gap."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gaussgap",
         description=(
             "Spectral gaps, invariant states and closed-form dynamics of "
@@ -720,7 +728,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_decay)
 
     p = sub.add_parser("sweep", help="CSV sweep over the single-mode family")
-    p.add_argument("--preset", default="one-dim")
+    p.add_argument("--preset", choices=["one-dim"], default="one-dim")
     p.add_argument(
         "--grid",
         default="",
@@ -741,9 +749,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except GaussGapError as exc:
         sys.stderr.write(f"error [{type(exc).code}]: {exc}\n")

@@ -265,7 +265,7 @@ def _kernel_matrix(st: StationaryData, vecs, et, mode):
     w = vecs if et is None else et @ vecs
     if mode == "gns":
         return w.T @ st.s_tilde @ w
-    if st.s_breve is None:
+    if not st.faithful:
         raise NotFaithful("split-embedding kernel needs a faithful state")
     return w.T @ st.s_breve @ w
 
@@ -448,7 +448,7 @@ def sharpness_witness(
 def kms_weyl_trace(st: StationaryData, z, w) -> float:
     """Overlap tr(rho^1/2 W(z) rho^1/2 W(w)) of the faithful invariant state:
     exp(-(Re<z,Sz> + Re<w,Sw> + 2 Re<z, s_breve w>)/2)."""
-    if st.s_breve is None:
+    if not st.faithful:
         raise NotFaithful("split trace formula needs a faithful state")
     vz, vw = vec2d(z), vec2d(w)
     qz = float(vz @ st.s2d @ vz)

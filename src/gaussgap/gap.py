@@ -16,8 +16,8 @@ When the drift is unstable or cz is singular there is no gap in the
 one-sided embedding; no_gap_diagnosis produces a checkable witness for the
 failing condition.
 
-analyze_stack runs the pipeline on a stack of models at once, through the
-*_stack functions of model, stationary and this module.
+gns_gap and kms_gap take one model or a stack of models (leading axes);
+analyze_stack runs the pipeline on a stack through the same functions.
 """
 
 from __future__ import annotations
@@ -29,32 +29,21 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
+    DimensionMismatch,
     GaussGapError,
     NoFaithfulState,
     NotFaithful,
     raise_first,
 )
-from .model import (
-    DriftDiffusion,
-    DriftDiffusionStack,
-    GklsModelStack,
-    build_drift_diffusion_stack,
-)
-from .stationary import (
-    StationaryData,
-    StationaryStack,
-    solve_stationary,
-    solve_stationary_stack,
-)
+from .model import DriftDiffusion, GklsModel, _plain, build_drift_diffusion
+from .stationary import StationaryData, solve_stationary
 
 __all__ = [
     "GapReport",
     "Finding",
     "optimal_growth_rate",
     "gns_gap",
-    "gns_gap_stack",
     "kms_gap",
-    "kms_gap_stack",
     "one_dim_closed_forms",
     "OneDimClosedForms",
     "no_gap_diagnosis",
@@ -115,18 +104,26 @@ def optimal_growth_rate(y) -> float:
 
 @dataclass(frozen=True)
 class GapComputation:
-    """Decay rate of one embedding with the data that certifies it."""
+    """Decay rate of one embedding with the data that certifies it; for a
+    stack every field is an array over its entries."""
 
     omega0: float
     g: float
-    #: top eigenvector of the Hermitian similarity matrix, phase-fixed
-    witness: np.ndarray
+    #: top eigenvector of the Hermitian similarity matrix, real for the
+    #: split embedding
+    top: np.ndarray
     #: smallest eigenvalue of the dissipation form K = -(Z^T T + T Z):
     #: cz for the one-sided embedding, kbreve for the split one
     form_min_eig: float
     #: kernel condition of the gap theorem: K strictly positive (for the
     #: one-sided embedding, full Kraus rank)
     kernel_condition_ok: bool
+
+    @property
+    def witness(self) -> np.ndarray:
+        """The top eigenvector, phase-fixed (see fix_phase)."""
+        w = np.apply_along_axis(fix_phase, -1, self.top)
+        return w if np.iscomplexobj(self.top) else w.real
 
 
 def _top_rate(z2d, drift_norm, roots, k_form):
@@ -166,16 +163,19 @@ def _kbreve(z2d, s_breve):
 def gns_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
     """Decay rate of the one-sided embedding, T = s_tilde and K = cz.
 
-    When cz is singular the gap is reported as exactly zero.
+    When cz is singular the gap is reported as exactly zero.  Every entry
+    of a stack must have a faithful state.
     """
-    if not st.faithful:
-        raise NotFaithful("one-sided gap needs a faithful invariant state")
+    raise_first(
+        np.logical_not(st.faithful),
+        NotFaithful,
+        "one-sided gap needs a faithful invariant state",
+    )
     omega0, top = _top_rate(dd.z2d, dd.drift_norm, st.tilde_roots, dd.cz)
-    omega0 = float(omega0)
     return GapComputation(
-        omega0=omega0,
-        g=-omega0 / 2.0 if dd.kraus_rank_full else 0.0,
-        witness=fix_phase(top),
+        omega0=_plain(omega0),
+        g=_plain(np.where(dd.kraus_rank_full, -omega0 / 2.0, 0.0)),
+        top=top,
         form_min_eig=dd.cz_min_eig,
         kernel_condition_ok=dd.kraus_rank_full,
     )
@@ -188,45 +188,24 @@ def kms_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
     A singular kbreve means the sharpness hypothesis of the split-embedding
     gap theorem fails and the returned rate is only an upper-bound candidate.
     """
-    if not st.faithful:
-        raise NotFaithful("split-embedding gap needs a faithful invariant state")
-    kbreve = _kbreve(dd.z2d, st.s_breve)
-    kb_min = float(np.linalg.eigvalsh(kbreve)[0])
-    omega0, top = _top_rate(dd.z2d, dd.drift_norm, st.breve_roots, kbreve)
-    omega0 = float(omega0)
-    scale = max(1.0, float(np.linalg.norm(kbreve, 2)))
-    return GapComputation(
-        omega0=omega0,
-        g=-omega0 / 2.0,
-        witness=fix_phase(top).real,
-        form_min_eig=kb_min,
-        kernel_condition_ok=bool(kb_min > 1e-10 * scale),
-    )
-
-
-def gns_gap_stack(dds: DriftDiffusionStack, sts: StationaryStack) -> np.ndarray:
-    """The one-sided rate g of each entry of a stack, 0 where cz is
-    singular; every entry must have a faithful state.  Routes that disagree
-    raise for the first such entry, whose position the error carries as
-    ``index``."""
     raise_first(
-        ~sts.faithful, NotFaithful, "one-sided gap needs a faithful invariant state"
-    )
-    omega0, _ = _top_rate(dds.z2d, dds.drift_norm, sts.tilde_roots, dds.cz)
-    return np.where(dds.kraus_rank_full, -omega0 / 2.0, 0.0)
-
-
-def kms_gap_stack(dds: DriftDiffusionStack, sts: StationaryStack) -> np.ndarray:
-    """The split-embedding rate g_breve of each entry of a stack, as
-    :func:`gns_gap_stack` does for g."""
-    raise_first(
-        ~sts.faithful,
+        np.logical_not(st.faithful),
         NotFaithful,
         "split-embedding gap needs a faithful invariant state",
     )
-    kbreve = _kbreve(dds.z2d, sts.s_breve)
-    omega0, _ = _top_rate(dds.z2d, dds.drift_norm, sts.breve_roots, kbreve)
-    return -omega0 / 2.0
+    kbreve = _kbreve(dd.z2d, st.s_breve)
+    kb_spectrum = np.linalg.eigvalsh(kbreve)
+    omega0, top = _top_rate(dd.z2d, dd.drift_norm, st.breve_roots, kbreve)
+    kb_min = kb_spectrum[..., 0]
+    # kbreve is symmetric, so its 2-norm is its largest eigenvalue modulus
+    scale = np.maximum(1.0, np.max(np.abs(kb_spectrum), axis=-1))
+    return GapComputation(
+        omega0=_plain(omega0),
+        g=_plain(-omega0 / 2.0),
+        top=top,
+        form_min_eig=_plain(kb_min),
+        kernel_condition_ok=_plain(kb_min > 1e-10 * scale),
+    )
 
 
 @dataclass(frozen=True)
@@ -451,7 +430,7 @@ class StackAnalysis:
     sigma: np.ndarray
 
 
-def analyze_stack(models: GklsModelStack) -> StackAnalysis:
+def analyze_stack(models: GklsModel) -> StackAnalysis:
     """Both gaps of each model of a stack whose drift is stable and whose
     state is faithful; the other models have no gaps and are left out.
 
@@ -459,16 +438,18 @@ def analyze_stack(models: GklsModelStack) -> StackAnalysis:
     raises for an entry that fails it, and the error carries that entry's
     position in the stack as ``index``.
     """
+    if models.omega.ndim != 3:
+        raise DimensionMismatch("analyze_stack needs models with one leading axis")
     index = np.arange(models.omega.shape[0])
     try:
-        dds = build_drift_diffusion_stack(models)
-        index, dds = index[dds.is_stable], dds[dds.is_stable]
-        sts = solve_stationary_stack(dds)
-        index, dds, sts = index[sts.faithful], dds[sts.faithful], sts[sts.faithful]
-        g = gns_gap_stack(dds, sts)
-        g_breve = kms_gap_stack(dds, sts)
+        dd = build_drift_diffusion(models)
+        index, dd = index[dd.is_stable], dd[dd.is_stable]
+        st = solve_stationary(dd)
+        index, dd, st = index[st.faithful], dd[st.faithful], st[st.faithful]
+        g = gns_gap(dd, st).g
+        g_breve = kms_gap(dd, st).g
     except GaussGapError as exc:
         if exc.index is not None:
             exc.index = int(index[exc.index])
         raise
-    return StackAnalysis(index=index, g=g, g_breve=g_breve, sigma=sts.sigma)
+    return StackAnalysis(index=index, g=g, g_breve=g_breve, sigma=st.sigma)

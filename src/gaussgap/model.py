@@ -20,8 +20,10 @@ formulas for Z and C in terms of (U, V, Omega, kappa), and the equivalent
 block formulas in terms of U +- conj(V), including cz = M* M with
 M = [U + conj(V), -i (U - conj(V))].
 
-The *_stack functions do the same for N models of one shape (d, m) at once,
-on arrays with a leading axis of length N, keeping every per-model check.
+Every stage works on one model or on a stack of models of one shape
+(d, m): the fields of a stack carry a leading axis, and every check is
+applied to each entry, a failed one raising for the first entry that fails
+it with that entry's position as the error's ``index``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import (
     ConsistencyError,
     DependentKraus,
     DimensionMismatch,
+    GaussGapError,
     NotHermitian,
     NotSymmetric,
     raise_first,
@@ -42,15 +45,11 @@ from .realops import jmat, realize_blocks
 
 __all__ = [
     "GklsModel",
-    "GklsModelStack",
     "DriftDiffusion",
-    "DriftDiffusionStack",
     "ValidationReport",
     "one_dim_family",
-    "one_dim_family_stack",
     "validate",
     "build_drift_diffusion",
-    "build_drift_diffusion_stack",
     "appendix_z_realization",
     "appendix_cz",
 ]
@@ -64,7 +63,8 @@ class GklsModel:
     """Raw generator parameters.
 
     Arrays are coerced to complex; shapes are (d, d) for omega and kappa,
-    (m, d) for u_mat and v_mat, and (d,) for zeta.
+    (m, d) for u_mat and v_mat, and (d,) for zeta, each behind the leading
+    shape of omega: () for one model, (N,) for a stack of N.
     """
 
     d: int
@@ -82,93 +82,41 @@ class GklsModel:
         kappa = np.atleast_2d(np.asarray(self.kappa, dtype=complex))
         u = np.atleast_2d(np.asarray(self.u_mat, dtype=complex))
         v = np.atleast_2d(np.asarray(self.v_mat, dtype=complex))
-        zeta = np.asarray(self.zeta, dtype=complex).ravel()
+        zeta = np.asarray(self.zeta, dtype=complex)
         d, m = self.d, self.m
-        if omega.shape != (d, d):
+        lead = omega.shape[:-2]
+        if omega.shape != lead + (d, d):
             raise DimensionMismatch(f"omega must be {d}x{d}, got {omega.shape}")
-        if kappa.shape != (d, d):
+        if kappa.shape != lead + (d, d):
             raise DimensionMismatch(f"kappa must be {d}x{d}, got {kappa.shape}")
-        if u.shape != (m, d):
+        if u.shape != lead + (m, d):
             raise DimensionMismatch(f"u_mat must be {m}x{d}, got {u.shape}")
-        if v.shape != (m, d):
+        if v.shape != lead + (m, d):
             raise DimensionMismatch(f"v_mat must be {m}x{d}, got {v.shape}")
-        if zeta.shape != (d,):
+        if zeta.size != omega.size // d:
             raise DimensionMismatch(f"zeta must have length {d}, got {zeta.shape}")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "u_mat", u)
         object.__setattr__(self, "v_mat", v)
-        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "zeta", zeta.reshape(lead + (d,)))
 
 
-def one_dim_family(mu2, lambda2, omega=0.0, kappa=0.0):
+def one_dim_family(mu2, lambda2, omega=0.0, kappa=0.0) -> GklsModel:
     """Single-mode family with jumps mu*a, lambda*adag and a quadratic
-    Hamiltonian omega*adag*a + kappa*(adag^2 + a^2)/2.
+    Hamiltonian omega*adag*a + kappa*(adag^2 + a^2)/2; array parameters
+    (broadcast together) give a stack of models.
 
     Requires 0 <= lambda2 < mu2.  For lambda2 = 0 the (identically zero)
-    second jump operator is dropped so the remaining one stays independent.
+    second jump operator is dropped so the remaining one stays independent;
+    a stack has one jump count, so lambda2 must then be zero everywhere.
     """
-    stack = one_dim_family_stack([mu2], [lambda2], [omega], [kappa])
-    return GklsModel(
-        d=1,
-        m=stack.m,
-        omega=stack.omega[0],
-        kappa=stack.kappa[0],
-        u_mat=stack.u_mat[0],
-        v_mat=stack.v_mat[0],
-        zeta=np.zeros(1, dtype=complex),
+    mu2, lambda2, omega, kappa = np.broadcast_arrays(
+        np.asarray(mu2, dtype=float),
+        np.asarray(lambda2, dtype=float),
+        np.asarray(omega, dtype=complex),
+        np.asarray(kappa, dtype=complex),
     )
-
-
-@dataclass(frozen=True)
-class GklsModelStack:
-    """N models of one shape (d, m) and without linear drive: omega and
-    kappa of shape (N, d, d), u_mat and v_mat of shape (N, m, d)."""
-
-    omega: np.ndarray
-    kappa: np.ndarray
-    u_mat: np.ndarray
-    v_mat: np.ndarray
-
-    def __post_init__(self):
-        omega, kappa, u, v = (
-            np.asarray(a, dtype=complex)
-            for a in (self.omega, self.kappa, self.u_mat, self.v_mat)
-        )
-        if not (
-            omega.ndim == 3
-            and omega.shape[1] == omega.shape[2]
-            and kappa.shape == omega.shape
-            and u.ndim == 3
-            and v.shape == u.shape
-            and u.shape[::2] == omega.shape[:2]
-        ):
-            raise DimensionMismatch(
-                f"stack shapes omega {omega.shape}, kappa {kappa.shape}, "
-                f"u_mat {u.shape}, v_mat {v.shape} are not (N, d, d) and (N, m, d)"
-            )
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "u_mat", u)
-        object.__setattr__(self, "v_mat", v)
-
-    @property
-    def d(self) -> int:
-        return self.omega.shape[-1]
-
-    @property
-    def m(self) -> int:
-        return self.u_mat.shape[1]
-
-
-def one_dim_family_stack(mu2, lambda2, omega, kappa) -> GklsModelStack:
-    """:func:`one_dim_family` for N parameter points given as four arrays.
-
-    A stack has one jump count, so lambda2 must be positive everywhere
-    (m = 2) or zero everywhere (m = 1).
-    """
-    mu2, lambda2 = (np.asarray(a, dtype=float).ravel() for a in (mu2, lambda2))
-    omega, kappa = (np.asarray(a, dtype=complex).ravel() for a in (omega, kappa))
     if not np.all((0 <= lambda2) & (lambda2 < mu2)):
         raise ValueError("family requires 0 <= lambda2 < mu2")
     mu = np.sqrt(mu2)
@@ -177,15 +125,24 @@ def one_dim_family_stack(mu2, lambda2, omega, kappa) -> GklsModelStack:
         u = np.stack([zero, np.sqrt(lambda2)], axis=-1)
         v = np.stack([mu, zero], axis=-1)
     elif np.all(lambda2 == 0):
-        u, v = zero[:, None], mu[:, None]
+        u, v = zero[..., None], mu[..., None]
     else:
         raise ValueError("a family stack needs lambda2 > 0 everywhere or nowhere")
-    return GklsModelStack(
-        omega=omega[:, None, None],
-        kappa=kappa[:, None, None],
+    return GklsModel(
+        d=1,
+        m=u.shape[-1],
+        omega=omega[..., None, None],
+        kappa=kappa[..., None, None],
         u_mat=u[..., None],
         v_mat=v[..., None],
+        zeta=np.zeros(mu.shape + (1,), dtype=complex),
     )
+
+
+def _plain(a):
+    """A 0-d array as its Python scalar, any other array as it is: the
+    fields of one model are plain floats and bools."""
+    return np.asarray(a).item() if np.ndim(a) == 0 else a
 
 
 def _adjoint(a):
@@ -210,6 +167,7 @@ def _kraus_rank(u, v):
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
+    #: residuals and rank are arrays over the entries of a stack
     hermiticity_residual: float
     symmetry_residual: float
     kraus_rank: int
@@ -220,45 +178,72 @@ class ValidationReport:
 def validate(model: GklsModel, strict: bool = True) -> ValidationReport:
     """Check Hermiticity of omega, symmetry of kappa, m <= 2d and the
     independence of the jump operators (trivial common kernel of the stacked
-    coefficient matrices).
+    coefficient matrices), for one model or each of a stack.
 
     With ``strict`` the first failed check raises; otherwise the report
     carries the collected error instances.
     """
+    omega, kappa, m = model.omega, model.kappa, model.m
+    herm = _fro(omega - _adjoint(omega))
+    symm = _fro(kappa - kappa.swapaxes(-1, -2))
+    rank = _kraus_rank(model.u_mat, model.v_mat)
+    checks = [
+        (
+            herm > 1e-12 * np.maximum(1.0, _fro(omega)),
+            NotHermitian,
+            "omega is not Hermitian (residual {:.3e})",
+            herm,
+        ),
+        (
+            symm > 1e-12 * np.maximum(1.0, _fro(kappa)),
+            NotSymmetric,
+            "kappa is not symmetric (residual {:.3e})",
+            symm,
+        ),
+        (m > 2 * model.d, DimensionMismatch, f"m = {m} exceeds 2d = {2 * model.d}"),
+        (
+            rank < m,
+            DependentKraus,
+            f"jump operators are linearly dependent (rank {{}} < m = {m})",
+            rank,
+        ),
+    ]
     errors = []
-    herm = float(np.linalg.norm(model.omega - model.omega.conj().T))
-    scale_o = max(1.0, float(np.linalg.norm(model.omega)))
-    if herm > 1e-12 * scale_o:
-        errors.append(NotHermitian(f"omega is not Hermitian (residual {herm:.3e})"))
-    symm = float(np.linalg.norm(model.kappa - model.kappa.T))
-    scale_k = max(1.0, float(np.linalg.norm(model.kappa)))
-    if symm > 1e-12 * scale_k:
-        errors.append(NotSymmetric(f"kappa is not symmetric (residual {symm:.3e})"))
-    if model.m > 2 * model.d:
-        errors.append(
-            DimensionMismatch(f"m = {model.m} exceeds 2d = {2 * model.d}")
-        )
-    rank = int(_kraus_rank(model.u_mat, model.v_mat))
-    if rank < model.m:
-        errors.append(
-            DependentKraus(
-                f"jump operators are linearly dependent (rank {rank} < m = {model.m})"
-            )
-        )
-    if strict and errors:
-        raise errors[0]
+    for check in checks:
+        try:
+            raise_first(*check)
+        except GaussGapError as exc:
+            if strict:
+                raise
+            errors.append(exc)
     return ValidationReport(
         ok=not errors,
-        hermiticity_residual=herm,
-        symmetry_residual=symm,
-        kraus_rank=rank,
-        kraus_rank_required=model.m,
+        hermiticity_residual=_plain(herm),
+        symmetry_residual=_plain(symm),
+        kraus_rank=_plain(rank),
+        kraus_rank_required=m,
         errors=tuple(errors),
     )
 
 
+class _EntryIndexing:
+    """Base of the frozen dataclasses whose fields are arrays (or tuples of
+    arrays) with a common leading shape: indexing a stack with a boolean
+    mask or index array selects those entries in every field."""
+
+    def __getitem__(self, sel):
+        def pick(value):
+            if isinstance(value, tuple):
+                return tuple(a[sel] for a in value)
+            return value[sel]
+
+        return replace(
+            self, **{f.name: pick(getattr(self, f.name)) for f in fields(self)}
+        )
+
+
 @dataclass(frozen=True)
-class DriftDiffusion:
+class DriftDiffusion(_EntryIndexing):
     """Drift/diffusion triple of a validated model, with the spectral data
     every later stage reads; :func:`build_drift_diffusion` fills it once.
 
@@ -267,6 +252,8 @@ class DriftDiffusion:
     cz_spectrum (tiny negative values are eigensolver noise).  The drift is
     stable when every eigenvalue has strictly negative real part; the
     threshold is relative to the drift norm, so a zero drift is unstable.
+    For a stack every field has a leading axis, and the scalar fields are
+    arrays over it.
     """
 
     z2d: np.ndarray
@@ -288,48 +275,15 @@ class DriftDiffusion:
 
     @property
     def dim_d(self) -> int:
-        return self.z2d.shape[0] // 2
+        return self.z2d.shape[-1] // 2
 
     @property
     def cz_min_eig(self) -> float:
-        return float(self.cz_spectrum[0])
-
-
-class EntryStack:
-    """Base of the frozen stack dataclasses, whose fields are arrays (or
-    tuples of arrays) with one leading entry axis: indexing a stack with a
-    boolean mask or index array selects those entries in every field."""
-
-    def __getitem__(self, sel):
-        def pick(value):
-            if isinstance(value, tuple):
-                return tuple(a[sel] for a in value)
-            return value[sel]
-
-        return replace(
-            self, **{f.name: pick(getattr(self, f.name)) for f in fields(self)}
-        )
-
-
-@dataclass(frozen=True)
-class DriftDiffusionStack(EntryStack):
-    """The DriftDiffusion fields of N models, each with a leading axis of
-    length N; the drift eigenpairs are not kept."""
-
-    z2d: np.ndarray
-    c2d: np.ndarray
-    cz: np.ndarray
-    cz_spectrum: np.ndarray
-    kraus_rank_full: np.ndarray
-    drift_norm: np.ndarray
-    abscissa: np.ndarray
-    stable_tol: np.ndarray
-    is_stable: np.ndarray
+        return _plain(self.cz_spectrum[..., 0])
 
 
 def appendix_z_realization(model):
-    """Block formula for the drift realization in terms of U +- conj(V), for
-    a GklsModel or a GklsModelStack."""
+    """Block formula for the drift realization in terms of U +- conj(V)."""
     u, v = model.u_mat, model.v_mat
     om, ka = model.omega, model.kappa
     p = u + v.conj()
@@ -350,8 +304,7 @@ def appendix_z_realization(model):
 
 
 def appendix_cz(model):
-    """Block formula for cz in terms of U +- conj(V), for a GklsModel or a
-    GklsModelStack."""
+    """Block formula for cz in terms of U +- conj(V)."""
     p = model.u_mat + model.v_mat.conj()
     q = model.u_mat - model.v_mat.conj()
     return np.block(
@@ -363,9 +316,8 @@ def appendix_cz(model):
 
 
 def _realizations(model):
-    """(z2d, c2d, cz, cz_spectrum) of a GklsModel or a GklsModelStack,
-    cross-checked against the block formulas and the Gram factorization of
-    cz; a stack raises for the first entry that fails a check."""
+    """(z2d, c2d, cz, cz_spectrum) of a model, cross-checked against the
+    block formulas and the Gram factorization of cz."""
     u, v = model.u_mat, model.v_mat
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
     z2d = realize_blocks(
@@ -408,76 +360,30 @@ def _realizations(model):
 
 
 def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
-    """Assemble (Z, C, cz) and their spectral data from a model,
+    """Assemble (Z, C, cz) and their spectral data from a model or a stack,
     cross-checking the defining and the block constructions against each
     other.
     """
     validate(model, strict=True)
     z2d, c2d, cz, cz_spectrum = _realizations(model)
-    cz_min = float(cz_spectrum[0])
-    # cz is Hermitian PSD, so its 2-norm is its top eigenvalue
-    cz_norm = float(cz_spectrum[-1])
     evals, evecs = np.linalg.eig(z2d)
-    abscissa = float(np.max(evals.real))
-    drift_norm = float(np.linalg.norm(z2d, 2))
-    stable_tol = 1e-12 * max(1.0, drift_norm)
+    abscissa = np.max(evals.real, axis=-1)
+    drift_norm = np.linalg.norm(z2d, 2, axis=(-2, -1))
+    stable_tol = 1e-12 * np.maximum(1.0, drift_norm)
+    # cz is Hermitian PSD, so its 2-norm is its top eigenvalue
+    cz_norm = cz_spectrum[..., -1]
     return DriftDiffusion(
         z2d=z2d,
         c2d=c2d,
         cz=cz,
         cz_spectrum=cz_spectrum,
-        kraus_rank_full=bool(cz_min > RANK_TOL * max(cz_norm, 1e-300)),
-        drift_norm=drift_norm,
-        abscissa=abscissa,
-        stable_tol=stable_tol,
+        kraus_rank_full=_plain(
+            cz_spectrum[..., 0] > RANK_TOL * np.maximum(cz_norm, 1e-300)
+        ),
+        drift_norm=_plain(drift_norm),
+        abscissa=_plain(abscissa),
+        stable_tol=_plain(stable_tol),
         drift_eigenvalues=evals,
         drift_eigenvectors=evecs,
-        is_stable=bool(abscissa < -stable_tol),
-    )
-
-
-def build_drift_diffusion_stack(models: GklsModelStack) -> DriftDiffusionStack:
-    """:func:`build_drift_diffusion` for a stack of models, with the checks
-    of :func:`validate` and every cross-check applied to each entry; a
-    failed check raises for the first entry that fails it, whose position
-    the error carries as ``index``."""
-    omega, kappa = models.omega, models.kappa
-    herm = _fro(omega - _adjoint(omega))
-    raise_first(
-        herm > 1e-12 * np.maximum(1.0, _fro(omega)),
-        NotHermitian,
-        "omega is not Hermitian (residual {:.3e})",
-        herm,
-    )
-    symm = _fro(kappa - kappa.swapaxes(-1, -2))
-    raise_first(
-        symm > 1e-12 * np.maximum(1.0, _fro(kappa)),
-        NotSymmetric,
-        "kappa is not symmetric (residual {:.3e})",
-        symm,
-    )
-    if models.m > 2 * models.d:
-        raise DimensionMismatch(f"m = {models.m} exceeds 2d = {2 * models.d}")
-    rank = _kraus_rank(models.u_mat, models.v_mat)
-    raise_first(
-        rank < models.m,
-        DependentKraus,
-        "jump operators are linearly dependent (rank {} < m = " + f"{models.m})",
-        rank,
-    )
-    z2d, c2d, cz, cz_spectrum = _realizations(models)
-    abscissa = np.max(np.linalg.eigvals(z2d).real, axis=-1)
-    drift_norm = np.linalg.norm(z2d, 2, axis=(-2, -1))
-    stable_tol = 1e-12 * np.maximum(1.0, drift_norm)
-    return DriftDiffusionStack(
-        z2d=z2d,
-        c2d=c2d,
-        cz=cz,
-        cz_spectrum=cz_spectrum,
-        kraus_rank_full=cz_spectrum[:, 0]
-        > RANK_TOL * np.maximum(cz_spectrum[:, -1], 1e-300),
-        drift_norm=drift_norm,
-        abscissa=abscissa,
-        stable_tol=stable_tol,
-        is_stable=abscissa < -stable_tol,
+        is_stable=_plain(abscissa < -stable_tol),
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, raise_first
+from .errors import DimensionMismatch
 
 __all__ = [
     "ROOT_MARGIN",
@@ -23,7 +23,6 @@ __all__ = [
     "jmat",
     "vec2d",
     "unvec2d",
-    "hermitian_root_pair",
     "hermitian_root_pairs",
 ]
 
@@ -75,47 +74,23 @@ def jmat(d):
     return j
 
 
-def hermitian_root_pair(mat):
-    """Square root and inverse square root of a Hermitian (or real
-    symmetric) positive definite matrix; real input gives real roots.
-
-    An eigenvalue at or below ROOT_MARGIN * lambda_max raises
-    NotPositiveDefinite instead of being regularized, since regularization
-    would fabricate a gap.  A stack of matrices (leading axes) raises for
-    its first such entry.
-    """
-    evals, evecs, regular = _regular_eigh(mat)
-    raise_first(
-        ~regular,
-        NotPositiveDefinite,
-        "matrix is numerically singular (min eig {:.3e}, max eig {:.3e})",
-        evals[..., 0],
-        evals[..., -1],
-    )
-    return _roots(evals, evecs)
-
-
 def hermitian_root_pairs(mat):
-    """Entrywise :func:`hermitian_root_pair` of a stack (..., n, n) that
-    does not raise: returns (root, inv_root, regular), where regular marks
-    the entries whose smallest eigenvalue exceeds ROOT_MARGIN times the
-    largest and the roots of every other entry are NaN."""
-    evals, evecs, regular = _regular_eigh(mat)
-    root, inv_root = _roots(np.where(regular[..., None], evals, 1.0), evecs)
+    """Square root and inverse square root of a Hermitian (or real
+    symmetric) matrix, or of each of a stack (leading axes); real input
+    gives real roots.
+
+    Returns (root, inv_root, regular): regular marks the matrices whose
+    smallest eigenvalue exceeds ROOT_MARGIN times the largest, and the roots
+    of every other one are NaN rather than regularized, since
+    regularization would fabricate a gap.
+    """
+    mat = np.asarray(mat)
+    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.swapaxes(-1, -2).conj()))
+    regular = evals[..., 0] > ROOT_MARGIN * np.maximum(evals[..., -1], 0.0)
+    sqrt_evals = np.sqrt(np.where(regular[..., None], evals, 1.0))[..., None, :]
+    adjoint = evecs.swapaxes(-1, -2).conj()
+    root = (evecs * sqrt_evals) @ adjoint
+    inv_root = (evecs / sqrt_evals) @ adjoint
     root[~regular] = np.nan
     inv_root[~regular] = np.nan
     return root, inv_root, regular
-
-
-def _regular_eigh(mat):
-    """Eigenpairs of the Hermitian part of mat and whether its smallest
-    eigenvalue clears ROOT_MARGIN times the largest; entrywise for stacks."""
-    mat = np.asarray(mat)
-    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.swapaxes(-1, -2).conj()))
-    return evals, evecs, evals[..., 0] > ROOT_MARGIN * np.maximum(evals[..., -1], 0.0)
-
-
-def _roots(evals, evecs):
-    sqrt_evals = np.sqrt(evals)[..., None, :]
-    adjoint = evecs.swapaxes(-1, -2).conj()
-    return (evecs * sqrt_evals) @ adjoint, (evecs / sqrt_evals) @ adjoint

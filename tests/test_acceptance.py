@@ -44,7 +44,7 @@ from gaussgap.model import (
     build_drift_diffusion,
     one_dim_family,
 )
-from gaussgap.realops import hermitian_root_pair, jmat
+from gaussgap.realops import hermitian_root_pairs, jmat
 from gaussgap.stationary import solve_stationary
 from gaussgap.cli import run_report, parse_model
 import json
@@ -192,7 +192,7 @@ def test_c4_structural_identities_on_fuzzed_models(capsys):
         worst["will_symp"] = max(
             worst["will_symp"], np.linalg.norm(st.sympl_m.T @ j @ st.sympl_m - j)
         )
-        root, inv_root = hermitian_root_pair(st.s_tilde)
+        root, inv_root, _ = hermitian_root_pairs(st.s_tilde)
         zc = dd.z2d.astype(complex)
         resid = (
             root @ zc @ inv_root

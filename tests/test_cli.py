@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from conftest import random_stable_faithful, rounding_allowances
 import gaussgap
 from gaussgap import cli, fock, gap
 from gaussgap.cli import main, parse_model, run_report
-from gaussgap.errors import ParseError, ShapeError
+from gaussgap.errors import NonDiagonalDensityWarning, ParseError, ShapeError
 from gaussgap.model import build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
 
@@ -517,6 +518,58 @@ class TestMain:
         assert payload["cutoff"] == 40
         assert payload["pass"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze"], "the following arguments are required: model"),
+            (["gap", "MODEL_B", "--mode", "neither"], "argument --mode: invalid choice: 'neither'"),
+            (["decay", "MODEL_B", "--samples", "2.5"], "argument --samples: invalid int value: '2.5'"),
+            (["sweep", "--preset", "two-dim"], "argument --preset: invalid choice: 'two-dim'"),
+        ],
+        ids=["missing-model", "bad-mode", "non-integer-samples", "unknown-preset"],
+    )
+    def test_usage_error_is_parse_error(self, capsys, argv, message):
+        # exit 2 is reserved for a valid analysis that found no one-sided gap
+        argv = [MODEL_B_PRESET if a == "MODEL_B" else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error [ParseError]: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["decay", "--help"])
+        assert caught.value.code == 0
+        assert "--samples" in capsys.readouterr().out
+
+    def test_negative_decay_samples(self, capsys):
+        assert main(["decay", MODEL_B_PRESET, "--samples", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error [ParseError]: --samples must be non-negative, got -1\n"
+
+    def test_kms_trace_check_writes_no_warning(self, capsys):
+        # kappa != 0: the steady state is not number-diagonal, which the
+        # oracle flags with a warning that the check keeps off stderr
+        squeezed = json.dumps(
+            {"version": 1, "one_dim": {"mu2": 3.0, "lambda2": 0.5, "omega": 2.0, "kappa": 0.3}}
+        )
+        argv = ["oracle", squeezed, "--cutoff", "12", "--check", "kms-trace"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and caught == []
+        payload = json.loads(captured.out)
+        assert payload["pass"] and payload["max_rel_error"] < 1e-6
+        # the library itself still warns on that density
+        model = parse_model(squeezed)
+        space = fock.build_space(1, 12)
+        rho = fock.steady_state(fock.build_superoperator(model, space))
+        with pytest.warns(NonDiagonalDensityWarning):
+            fock.oracle_kms_trace(space, rho, np.ones(1), np.ones(1))
+
 
 def _sweep_csv_rows(capsys, grid):
     """Data rows of a sweep over the grid spec, as CSV strings."""
@@ -629,7 +682,7 @@ class TestSweepStack:
         """Corrupt the built stack at the points named by (mu2, lambda2):
         'cz' adds 1e-7 I to cz, so the one-sided gap routes disagree; 'c2d'
         zeroes the diffusion, so the covariance has no root."""
-        build = gap.build_drift_diffusion_stack
+        build = gap.build_drift_diffusion
 
         def planted(models):
             dds = build(models)
@@ -644,7 +697,7 @@ class TestSweepStack:
                     c2d[hit] = 0.0
             return dataclasses.replace(dds, cz=cz, c2d=c2d)
 
-        monkeypatch.setattr(gap, "build_drift_diffusion_stack", planted)
+        monkeypatch.setattr(gap, "build_drift_diffusion", planted)
 
     def test_planted_route_failure_names_point(self, capsys, monkeypatch):
         self._plant(monkeypatch, {(3.0, 1.0): "cz"})

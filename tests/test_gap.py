@@ -14,7 +14,7 @@ from conftest import (
     random_unstable,
     rounding_allowances,
 )
-from gaussgap.errors import ConsistencyError, NoFaithfulState
+from gaussgap.errors import ConsistencyError, DimensionMismatch, NoFaithfulState
 from gaussgap.gap import (
     analyze,
     analyze_stack,
@@ -26,11 +26,10 @@ from gaussgap.gap import (
 )
 from gaussgap.model import (
     GklsModel,
-    GklsModelStack,
     build_drift_diffusion,
-    one_dim_family_stack,
+    one_dim_family,
 )
-from gaussgap.realops import hermitian_root_pair
+from gaussgap.realops import hermitian_root_pairs
 
 
 class TestOptimalGrowthRate:
@@ -42,7 +41,7 @@ class TestOptimalGrowthRate:
 
     def test_model_a_similarity(self, model_a):
         _, dd, st = model_a
-        root, inv_root = hermitian_root_pair(st.s_tilde)
+        root, inv_root, _ = hermitian_root_pairs(st.s_tilde)
         y = root @ dd.z2d.astype(complex) @ inv_root
         assert abs(optimal_growth_rate(y) + 2.0) < 1e-12
 
@@ -93,7 +92,7 @@ class TestGnsGap:
     def test_witness_attains_omega0(self, model_b):
         _, dd, st = model_b
         res = gns_gap(dd, st)
-        root, inv_root = hermitian_root_pair(st.s_tilde)
+        root, inv_root, _ = hermitian_root_pairs(st.s_tilde)
         h1 = root @ dd.z2d.astype(complex) @ inv_root
         h1 = h1 + h1.conj().T
         v = res.witness
@@ -121,7 +120,7 @@ class TestGnsGap:
         for _ in range(15):
             d = int(rng.integers(1, 4))
             _, dd, st = random_stable_faithful(rng, d)
-            root, inv_root = hermitian_root_pair(st.s_tilde)
+            root, inv_root, _ = hermitian_root_pairs(st.s_tilde)
             zc = dd.z2d.astype(complex)
             lhs = root @ zc @ inv_root + inv_root @ zc.conj().T @ root
             rhs = -inv_root @ dd.cz @ inv_root
@@ -228,11 +227,14 @@ def test_split_gap_dominates_on_grid():
 
 def _fuzzed_stack(rng, d, count):
     models = [random_model(rng, d, m=2 * d) for _ in range(count)]
-    stack = GklsModelStack(
+    stack = GklsModel(
+        d=d,
+        m=2 * d,
         omega=[m.omega for m in models],
         kappa=[m.kappa for m in models],
         u_mat=[m.u_mat for m in models],
         v_mat=[m.v_mat for m in models],
+        zeta=[m.zeta for m in models],
     )
     return models, stack
 
@@ -257,7 +259,7 @@ def test_split_gap_dominates_stacked_one_mode_grid():
     )
     admitted = 0
     for group in (params[:, 1] == 0.0, params[:, 1] > 0.0):
-        res = analyze_stack(one_dim_family_stack(*params[group].T))
+        res = analyze_stack(one_dim_family(*params[group].T))
         _assert_split_gap_dominates(res)
         kappa = params[group][res.index, 3]
         strict = (kappa != 0.0) & (params[group][res.index, 1] > 0.0)
@@ -274,6 +276,11 @@ def test_split_gap_dominates_fuzzed_multimode(d):
     assert res.index.size > 100  # stable, with a faithful state
     assert np.all(res.g > 0)  # m = 2d independent jumps: cz is full rank
     _assert_split_gap_dominates(res)
+
+
+def test_analyze_stack_needs_a_stack():
+    with pytest.raises(DimensionMismatch):
+        analyze_stack(one_dim_family(3.0, 1.0, 2.0, 1.0))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

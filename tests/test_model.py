@@ -11,13 +11,10 @@ from gaussgap.errors import (
 )
 from gaussgap.model import (
     GklsModel,
-    GklsModelStack,
     appendix_cz,
     appendix_z_realization,
     build_drift_diffusion,
-    build_drift_diffusion_stack,
     one_dim_family,
-    one_dim_family_stack,
     validate,
 )
 from gaussgap.realops import realize_blocks
@@ -209,13 +206,16 @@ class TestStack:
     def test_stack_matches_per_model_build(self):
         rng = np.random.default_rng(60)
         models = [random_model(rng, 2, 3) for _ in range(6)]
-        stack = GklsModelStack(
+        stack = GklsModel(
+            d=2,
+            m=3,
             omega=[m.omega for m in models],
             kappa=[m.kappa for m in models],
             u_mat=[m.u_mat for m in models],
             v_mat=[m.v_mat for m in models],
+            zeta=[m.zeta for m in models],
         )
-        dds = build_drift_diffusion_stack(stack)
+        dds = build_drift_diffusion(stack)
         for i, model in enumerate(models):
             dd = build_drift_diffusion(model)
             for name in ("z2d", "c2d", "cz", "cz_spectrum", "kraus_rank_full", "drift_norm",
@@ -224,7 +224,7 @@ class TestStack:
             assert abs(dds.abscissa[i] - dd.abscissa) <= 1e-14 * dd.drift_norm
 
     def test_family_stack_matches_family(self):
-        stack = one_dim_family_stack([3.0, 2.0], [1.0, 0.5], [2.0, 0.0], [1.0, 0.3])
+        stack = one_dim_family([3.0, 2.0], [1.0, 0.5], [2.0, 0.0], [1.0, 0.3])
         for i, params in enumerate([(3.0, 1.0, 2.0, 1.0), (2.0, 0.5, 0.0, 0.3)]):
             model = one_dim_family(*params)
             for name in ("omega", "kappa", "u_mat", "v_mat"):
@@ -232,20 +232,21 @@ class TestStack:
 
     def test_family_stack_needs_one_jump_count(self):
         with pytest.raises(ValueError, match="lambda2 > 0 everywhere or nowhere"):
-            one_dim_family_stack([3.0, 3.0], [0.0, 1.0], [0.0, 0.0], [0.5, 0.5])
+            one_dim_family([3.0, 3.0], [0.0, 1.0], [0.0, 0.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="0 <= lambda2 < mu2"):
-            one_dim_family_stack([3.0, 1.0], [1.0, 2.0], [0.0, 0.0], [0.5, 0.5])
+            one_dim_family([3.0, 1.0], [1.0, 2.0], [0.0, 0.0], [0.5, 0.5])
 
     def test_failed_check_names_entry(self):
         # lambda / mu below RANK_TOL: the two jumps are numerically dependent
-        stack = one_dim_family_stack([3.0] * 3, [1.0, 1e-25, 1e-25], [0.0] * 3, [0.5] * 3)
+        stack = one_dim_family([3.0] * 3, [1.0, 1e-25, 1e-25], [0.0] * 3, [0.5] * 3)
         with pytest.raises(DependentKraus, match=r"rank 1 < m = 2") as caught:
-            build_drift_diffusion_stack(stack)
+            build_drift_diffusion(stack)
         assert caught.value.index == 1
         with pytest.raises(DependentKraus):
             build_drift_diffusion(one_dim_family(3.0, 1e-25, 0.0, 0.5))
 
     def test_stack_shapes_checked(self):
         with pytest.raises(DimensionMismatch):
-            GklsModelStack(omega=np.zeros((2, 1, 1)), kappa=np.zeros((2, 1, 1)),
-                           u_mat=np.zeros((3, 1, 1)), v_mat=np.zeros((3, 1, 1)))
+            GklsModel(d=1, m=1, omega=np.zeros((2, 1, 1)), kappa=np.zeros((2, 1, 1)),
+                      u_mat=np.zeros((3, 1, 1)), v_mat=np.zeros((3, 1, 1)),
+                      zeta=np.zeros((2, 1)))

@@ -11,11 +11,10 @@ import pytest
 
 from conftest import random_model
 from gaussgap.dynamics import propagator
-from gaussgap.errors import DimensionMismatch, NotPositiveDefinite
+from gaussgap.errors import DimensionMismatch
 from gaussgap.model import build_drift_diffusion, one_dim_family
 from gaussgap.realops import (
     ROOT_MARGIN,
-    hermitian_root_pair,
     hermitian_root_pairs,
     jmat,
     realize_blocks,
@@ -209,20 +208,23 @@ class TestHermitianRootPair:
             d = int(rng.integers(1, 4))
             x = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
             mat = x @ x.conj().T + 0.1 * np.eye(2 * d)
-            root, inv_root = hermitian_root_pair(mat)
+            root, inv_root, regular = hermitian_root_pairs(mat)
+            assert regular
             assert np.allclose(root @ root, mat, atol=1e-10)
             assert np.allclose(root @ inv_root, np.eye(2 * d), atol=1e-10)
             assert np.allclose(root, root.conj().T, atol=1e-12)
 
     def test_real_input_gives_real_roots(self):
-        root, inv_root = hermitian_root_pair(np.diag([4.0, 9.0]))
+        root, inv_root, regular = hermitian_root_pairs(np.diag([4.0, 9.0]))
+        assert regular
         assert not np.iscomplexobj(root) and not np.iscomplexobj(inv_root)
         assert np.allclose(root, np.diag([2.0, 3.0]))
 
     def test_margin_rejects_singular(self):
-        with pytest.raises(NotPositiveDefinite):
-            hermitian_root_pair(np.diag([1.0, 0.5 * ROOT_MARGIN]))
-        hermitian_root_pair(np.diag([1.0, 10.0 * ROOT_MARGIN]))
+        root, inv_root, regular = hermitian_root_pairs(np.diag([1.0, 0.5 * ROOT_MARGIN]))
+        assert not regular
+        assert np.all(np.isnan(root)) and np.all(np.isnan(inv_root))
+        assert hermitian_root_pairs(np.diag([1.0, 10.0 * ROOT_MARGIN]))[2]
 
     def test_stack_entrywise(self):
         mats = np.array([np.diag([4.0, 9.0]), np.diag([1.0, 0.5 * ROOT_MARGIN]), np.eye(2)])
@@ -230,11 +232,8 @@ class TestHermitianRootPair:
         assert regular.tolist() == [True, False, True]
         assert np.all(np.isnan(root[1])) and np.all(np.isnan(inv_root[1]))
         for i in (0, 2):
-            assert np.array_equal(root[i], hermitian_root_pair(mats[i])[0])
-            assert np.array_equal(inv_root[i], hermitian_root_pair(mats[i])[1])
-        with pytest.raises(NotPositiveDefinite) as caught:
-            hermitian_root_pair(mats)
-        assert caught.value.index == 1
+            assert np.array_equal(root[i], hermitian_root_pairs(mats[i])[0])
+            assert np.array_equal(inv_root[i], hermitian_root_pairs(mats[i])[1])
 
 
 def test_realize_blocks_stack_is_entrywise():

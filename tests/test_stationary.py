@@ -10,23 +10,14 @@ from scipy.linalg import expm
 from conftest import random_model, random_stable_faithful
 from gaussgap import stationary
 from gaussgap.errors import NotFaithful, NotPositiveDefinite, SingularLyapunov, Unstable
-from gaussgap.model import (
-    GklsModel,
-    build_drift_diffusion,
-    build_drift_diffusion_stack,
-    one_dim_family,
-    one_dim_family_stack,
-)
+from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
 from gaussgap.realops import jmat
 from gaussgap.stationary import (
     _check_lyapunov_residual,
     _solve_lyapunov,
-    _solve_lyapunov_stack,
     kms_covariance,
     solve_stationary,
-    solve_stationary_stack,
     williamson,
-    williamson_stack,
 )
 
 
@@ -192,8 +183,8 @@ class TestLyapunovSolve:
 class TestStationaryStack:
     def test_matches_per_model(self):
         params = np.array([[3.0, 1.0, 2.0, 1.0], [4.0, 0.5, 1.0, 1.2], [2.0, 1.5, 0.0, 0.1]])
-        dds = build_drift_diffusion_stack(one_dim_family_stack(*params.T))
-        sts = solve_stationary_stack(dds)
+        dds = build_drift_diffusion(one_dim_family(*params.T))
+        sts = solve_stationary(dds)
         for i, p in enumerate(params):
             st = solve_stationary(build_drift_diffusion(one_dim_family(*p)))
             assert sts.faithful[i]
@@ -203,16 +194,16 @@ class TestStationaryStack:
 
     def test_unfaithful_entry_flagged(self):
         # kappa = 1e-6 at lambda = 0: sigma - 1 ~ 1e-13, inside the root margin
-        dds = build_drift_diffusion_stack(one_dim_family_stack([3.0] * 2, [0.0] * 2, [2.0] * 2, [1e-6, 0.5]))
-        sts = solve_stationary_stack(dds)
+        dds = build_drift_diffusion(one_dim_family([3.0] * 2, [0.0] * 2, [2.0] * 2, [1e-6, 0.5]))
+        sts = solve_stationary(dds)
         assert sts.faithful.tolist() == [False, True]
         assert np.all(np.isnan(sts.tilde_roots[0][0])) and np.all(np.isnan(sts.s_breve[0]))
         assert not solve_stationary(build_drift_diffusion(one_dim_family(3.0, 0.0, 2.0, 1e-6))).faithful
 
     def test_unstable_entry_raises(self):
-        dds = build_drift_diffusion_stack(one_dim_family_stack([3.0] * 2, [1.0] * 2, [0.0] * 2, [0.5, 2.0]))
+        dds = build_drift_diffusion(one_dim_family([3.0] * 2, [1.0] * 2, [0.0] * 2, [0.5, 2.0]))
         with pytest.raises(Unstable, match="spectral abscissa") as caught:
-            solve_stationary_stack(dds)
+            solve_stationary(dds)
         assert caught.value.index == 1
 
     def test_singular_system_names_entry(self):
@@ -220,7 +211,7 @@ class TestStationaryStack:
         z = np.array([-np.eye(2), np.diag([1.0, -1.0])])
         c = np.array([np.eye(2)] * 2)
         with pytest.raises(SingularLyapunov, match="singular") as caught:
-            _solve_lyapunov_stack(z, c)
+            _solve_lyapunov(z, c)
         assert caught.value.index == 1
 
     def test_residual_check_names_entry(self, model_b):
@@ -269,7 +260,11 @@ class TestWilliamson:
     def test_model_a_diagonal(self, model_a):
         _, _, st = model_a
         assert np.allclose(st.sigma, [2.0], atol=1e-12)
-        assert np.allclose(st.sympl_m, np.eye(2), atol=1e-10)
+        # S = 2 I: the Williamson matrices are exactly the phase-space
+        # rotations, the orthogonal symplectic 2 x 2 matrices
+        m, j = st.sympl_m, jmat(1)
+        assert np.allclose(m.T @ m, np.eye(2), atol=1e-10)
+        assert np.allclose(m.T @ j @ m, j, atol=1e-10)
 
     def test_model_b_sigma(self, model_b):
         _, _, st = model_b
@@ -304,14 +299,33 @@ class TestWilliamson:
         rng = np.random.default_rng(35 + d)
         a = rng.standard_normal((12, 2 * d, 2 * d))
         s = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(2 * d)
-        m, sigma = williamson_stack(s)
+        m, sigma = williamson(s)
         j = jmat(d)
         for i in range(len(s)):
             d_sigma = np.diag(np.concatenate([sigma[i], sigma[i]]))
             scale = max(1.0, np.linalg.norm(s[i]))
             assert np.linalg.norm(m[i].T @ d_sigma @ m[i] - s[i]) < 1e-10 * scale
             assert np.linalg.norm(m[i].T @ j @ m[i] - j) < 1e-10
-            assert np.all(np.abs(sigma[i] - williamson(s[i])[1]) < 1e-12 * sigma[i])
+            # the eigenvalues of i J S are -sigma_j and +sigma_j
+            reference = np.sort(np.abs(np.linalg.eigvals(1j * j @ s[i])))[::2]
+            assert np.all(np.abs(sigma[i] - reference) < 1e-12 * sigma[i])
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_repeated_symplectic_eigenvalues(self, d):
+        # S = M^T diag(sigma, sigma) M with a random symplectic M = exp(J H)
+        # and sigma holding repeated values, all equal at odd d
+        rng = np.random.default_rng(50 + d)
+        j = jmat(d)
+        h = rng.standard_normal((2 * d, 2 * d))
+        sympl = expm(0.3 * j @ (h + h.T))
+        sigma_true = np.repeat([1.5, 2.5], [d - d // 2, d // 2]) if d % 2 == 0 else np.full(d, 1.5)
+        s = sympl.T @ np.diag(np.concatenate([sigma_true, sigma_true])) @ sympl
+        s = 0.5 * (s + s.T)
+        m, sigma = williamson(s)
+        d_sigma = np.diag(np.concatenate([sigma, sigma]))
+        assert np.linalg.norm(m.T @ j @ m - j) < 1e-12
+        assert np.linalg.norm(m.T @ d_sigma @ m - s) < 1e-12 * np.linalg.norm(s)
+        assert np.all(np.abs(sigma - sigma_true) < 1e-12 * sigma_true)
 
     def test_condition_beyond_root_margin_is_not_faithful(self):
         # eigenvalues 1 and 4e16 (that of omega = kappa = 1e8): no root at
@@ -319,16 +333,16 @@ class TestWilliamson:
         # (2 eps lambda_max, about 18 here) below zero is no evidence that
         # the covariance is not positive semidefinite
         for small in (1.0, 0.0, -1.0, -17.0):
-            with pytest.raises(NotFaithful):
-                williamson(np.diag([small, 4e16]))
+            m, sigma = williamson(np.diag([small, 4e16]))
+            assert np.all(np.isnan(sigma)) and np.all(np.isnan(m))
         with pytest.raises(NotPositiveDefinite):
             williamson(np.diag([-20.0, 4e16]))
-        m, sigma = williamson_stack(np.array([np.eye(2), np.diag([-1.0, 4e16])]))
+        m, sigma = williamson(np.array([np.eye(2), np.diag([-1.0, 4e16])]))
         assert np.all(np.isnan(sigma[1])) and np.all(np.isfinite(sigma[0]))
 
     def test_stack_rejects_non_spd_entry(self):
         with pytest.raises(NotPositiveDefinite) as caught:
-            williamson_stack(np.array([np.eye(2), np.diag([1.0, -1.0])]))
+            williamson(np.array([np.eye(2), np.diag([1.0, -1.0])]))
         assert caught.value.index == 1
 
     def test_rejects_non_spd(self):
@@ -360,7 +374,7 @@ class TestFaithfulness:
         st = solve_stationary(dd)
         assert np.allclose(st.sigma, [1.0], atol=1e-12)
         assert not st.faithful
-        assert st.s_breve is None
+        assert np.all(np.isnan(st.s_breve))
         lam_min = np.linalg.eigvalsh(st.s_tilde)[0]
         assert abs(lam_min) < 1e-12
 
