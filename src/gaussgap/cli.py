@@ -34,6 +34,7 @@ from .errors import (
     GaussGapError,
     NoFaithfulState,
     NonDiagonalDensityWarning,
+    NotFaithful,
     ParseError,
     ShapeError,
 )
@@ -467,11 +468,10 @@ def _cmd_decay(args) -> int:
     times = _parse_times(args.t_grid, "--t-grid")
     grep = gap.analyze(dd, model.zeta)
     if grep.gns is None:
-        sys.stderr.write("decay curves need a faithful invariant state\n")
-        return 1
+        raise NotFaithful("decay curves need a faithful invariant state")
     st = grep.stationary
-    # the grid's propagators, once for every sample
-    props = dynamics.propagator(dd, np.array(times))
+    # the propagators of t = 0 and the grid, once for every sample
+    props = dynamics.propagator(dd, np.array([0.0, *times]))
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\r\n")
     writer.writerow(
@@ -495,17 +495,17 @@ def _cmd_decay(args) -> int:
                 + 1j * rng.standard_normal((n_terms, model.d))
             ),
         )
-        gns0 = dynamics.norm_decay_at(st, combo, None, "gns")
-        kms0 = dynamics.norm_decay_at(st, combo, None, "kms")
-        for t, et in zip(times, props):
+        gns = dynamics.norm_decay_at(st, combo, props, "gns")
+        kms = dynamics.norm_decay_at(st, combo, props, "kms")
+        for t, gns_t, kms_t in zip(times, gns[1:], kms[1:]):
             writer.writerow(
                 [
                     s,
                     _fmt(t),
-                    _fmt(dynamics.norm_decay_at(st, combo, et, "gns")),
-                    _fmt(np.exp(-2.0 * grep.gns.g * t) * gns0),
-                    _fmt(dynamics.norm_decay_at(st, combo, et, "kms")),
-                    _fmt(np.exp(-2.0 * grep.kms.g * t) * kms0),
+                    _fmt(gns_t),
+                    _fmt(np.exp(-2.0 * grep.gns.g * t) * gns[0]),
+                    _fmt(kms_t),
+                    _fmt(np.exp(-2.0 * grep.kms.g * t) * kms[0]),
                 ]
             )
     return 0

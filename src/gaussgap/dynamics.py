@@ -22,6 +22,9 @@ kernels
 
 with vz = [Re z; Im z]; norm_decay sums xi_j* xi_k (exp(s_t) - 1) over the
 combination with centered coefficients xi_j = exp(-Re<z_j, S z_j>/2) eta_j.
+norm_decay takes a time or a 1-D array of times, and norm_decay_at one
+propagator or a stack of them: a whole time grid costs one expm call and
+one set of stacked kernel products per combination and embedding.
 """
 
 from __future__ import annotations
@@ -132,11 +135,12 @@ def _times(t):
     return times
 
 
-def _evolution_times(t):
-    """:func:`_times` for an evolution, which runs forward only."""
+def _forward_times(t, kind="evolution"):
+    """:func:`_times` for an evolution, a decay or a kernel, which run
+    forward only."""
     times = _times(t)
     if np.any(times < 0):
-        raise ValueError("evolution time must be non-negative")
+        raise ValueError(f"{kind} time must be non-negative")
     return times
 
 
@@ -222,7 +226,7 @@ def weyl_evolve(dd: DriftDiffusion, z, t: float, zeta=None) -> WeylEvolution:
     """Damping exponent, drive phase and transported argument of an evolved
     Weyl operator: the image is exp(decay + i phase) W(z_t)."""
     vz = vec2d(z)
-    et, gram, drift = _flow(dd, _evolution_times(t), _nonzero(zeta))
+    et, gram, drift = _flow(dd, _forward_times(t), _nonzero(zeta))
     decay = -0.5 * float(vz @ gram @ vz)
     phase = 0.0 if drift is None else float(drift @ vz)
     return WeylEvolution(decay_exponent=decay, phase=phase, z_t=unvec2d(et @ vz))
@@ -237,7 +241,7 @@ def state_evolve(dd: DriftDiffusion, sp: GaussianStateParams, t, zeta=None):
     for a time t, or as a list of states for a 1-D array of times, with
     every integral from one :func:`_flow` call.
     """
-    times = _evolution_times(t)
+    times = _forward_times(t)
     et, gram, drift = _flow(dd, times, _nonzero(zeta))
     mean = vec2d(sp.mean) @ et
     if drift is not None:
@@ -259,70 +263,68 @@ def char_fn(sp: GaussianStateParams, z) -> complex:
 
 def _kernel_matrix(st: StationaryData, vecs, et, mode):
     """Gram matrix of the decay kernel over the columns of vecs (2d x l) at
-    the time whose propagator exp(t Z2d) is et (None at t = 0)."""
+    the propagator et = exp(t Z2d), or at each of a stack (T, 2d, 2d) of
+    them.  The stacked products equal the single-propagator ones slice by
+    slice, bit for bit."""
     if mode not in ("gns", "kms"):
         raise ValueError(f"unknown mode {mode!r}")
-    w = vecs if et is None else et @ vecs
     if mode == "gns":
-        return w.T @ st.s_tilde @ w
-    if not st.faithful:
+        form = st.s_tilde
+    elif st.faithful:
+        form = st.s_breve
+    else:
         raise NotFaithful("split-embedding kernel needs a faithful state")
-    return w.T @ st.s_breve @ w
-
-
-def _propagator_at(dd, t):
-    """exp(t Z2d) for a kernel time t >= 0, None at t = 0."""
-    if t < 0:
-        raise ValueError("kernel time must be non-negative")
-    return propagator(dd, t) if t != 0 else None
+    w = et @ vecs
+    return w.swapaxes(-1, -2) @ form @ w
 
 
 def kernel_s(st: StationaryData, dd: DriftDiffusion, z, w, t: float, mode="gns"):
     """Decay kernel s_t(z, w) (complex for the one-sided embedding, real for
     the split one)."""
     vecs = np.column_stack([vec2d(z), vec2d(w)])
-    val = _kernel_matrix(st, vecs, _propagator_at(dd, t), mode)[0, 1]
+    et = propagator(dd, _forward_times(t, "kernel"))
+    val = _kernel_matrix(st, vecs, et, mode)[0, 1]
     return complex(val) if mode == "gns" else float(val.real)
 
 
-def _centered_coefficients(st: StationaryData, combo: WeylCombo):
-    vecs = np.column_stack([vec2d(z) for z in combo.vectors])
-    quad = np.einsum("ji,jk,ki->i", vecs, st.s2d, vecs)
-    return np.exp(-0.5 * quad) * combo.coefficients
-
-
-def norm_decay(
-    st: StationaryData, dd: DriftDiffusion, combo: WeylCombo, t: float, mode="gns"
-) -> float:
-    """Squared embedded norm of the evolved, centered combination.
+def norm_decay(st: StationaryData, dd: DriftDiffusion, combo: WeylCombo, t, mode="gns"):
+    """Squared embedded norm of the evolved, centered combination at a time
+    t, or the array of them at a 1-D array of times (one :func:`propagator`
+    call and one :func:`norm_decay_at` call).
 
     Equals sum_{j,k} conj(xi_j) xi_k (exp(s_t(z_j, z_k)) - 1) and is real
     non-negative; a material imaginary residue raises ConsistencyError since
     the closed form guarantees a real value.
     """
-    if t < 0:
-        raise ValueError("decay time must be non-negative")
-    return norm_decay_at(st, combo, _propagator_at(dd, t), mode)
+    return norm_decay_at(st, combo, propagator(dd, _forward_times(t, "decay")), mode)
 
 
-def norm_decay_at(st: StationaryData, combo: WeylCombo, et, mode="gns") -> float:
-    """:func:`norm_decay` at the time whose propagator exp(t Z2d) is et (None
-    at t = 0), for callers that evaluate a fixed time grid: the propagators
-    of a whole grid come from one :func:`propagator` call."""
+def norm_decay_at(st: StationaryData, combo: WeylCombo, et, mode="gns"):
+    """:func:`norm_decay` at the propagator et = exp(t Z2d) (a float), or at
+    each of a stack (T, 2d, 2d) of them (an array of T norms), for callers
+    that evaluate a fixed time grid: the combination's coordinates and
+    centered coefficients are built once, and the propagators of a whole
+    grid come from one :func:`propagator` call, t = 0 included (expm of the
+    zero matrix is exactly the identity)."""
     vecs = np.column_stack([vec2d(z) for z in combo.vectors])
     gram = _kernel_matrix(st, vecs, et, mode)
     if float(np.max(np.abs(gram))) > EXP_GUARD:
         raise RangeExceeded(
             "kernel values exceed the exp() envelope; rescale the Weyl arguments"
         )
-    xi = _centered_coefficients(st, combo)
-    total = complex(np.conj(xi) @ (np.exp(gram) - 1.0) @ xi)
-    scale = max(1.0, abs(total))
-    if abs(total.imag) > 1e-9 * scale:
+    quad = np.einsum("ji,jk,ki->i", vecs, st.s2d, vecs)
+    xi = np.exp(-0.5 * quad) * combo.coefficients
+    # one matrix product per propagator: a vector-stack-vector product would
+    # change the last digit of some norms against a single-propagator call
+    total = ((np.conj(xi) @ (np.exp(gram) - 1.0))[..., None, :] @ xi[:, None])[..., 0, 0]
+    residue = np.abs(total.imag) > 1e-9 * np.maximum(1.0, np.abs(total))
+    if np.any(residue):
+        first = int(np.flatnonzero(residue)[0])
+        where = f" at propagator {first} of the stack" if total.ndim else ""
         raise ConsistencyError(
-            f"decay norm acquired an imaginary part {total.imag:.3e}"
+            f"decay norm acquired an imaginary part {total.flat[first].imag:.3e}{where}"
         )
-    return float(total.real)
+    return total.real if total.ndim else float(total.real)
 
 
 def kernel_psd_check(
@@ -345,10 +347,9 @@ def kernel_psd_check(
     """
     if n < 1:
         raise ValueError("kernel order must be >= 1")
-    et = _propagator_at(dd, t)
+    props = propagator(dd, _forward_times([0.0, t], "kernel"))
     vecs = np.column_stack([vec2d(z) for z in points])
-    g0 = _kernel_matrix(st, vecs, None, mode)
-    gt = _kernel_matrix(st, vecs, et, mode)
+    g0, gt = _kernel_matrix(st, vecs, props, mode)
     if use_root:
         term0 = np.exp(-2.0 * rate * t / n) * g0
         termt = gt

@@ -17,6 +17,7 @@ from conftest import random_stable_faithful, rounding_allowances
 import gaussgap
 from gaussgap import cli, fock, gap
 from gaussgap.cli import main, parse_model, run_report
+from gaussgap.dynamics import WeylCombo, norm_decay
 from gaussgap.errors import NonDiagonalDensityWarning, ParseError, ShapeError
 from gaussgap.model import build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
@@ -224,6 +225,53 @@ class TestMain:
     def test_decay_on_unstable_model(self, capsys):
         assert main(["decay", PUMP_JSON, "--samples", "1"]) == 1
         assert capsys.readouterr().err.startswith("error [Unstable]: drift has spectral abscissa")
+
+    def test_decay_on_model_without_faithful_state(self, capsys):
+        doc = json.dumps(
+            {"version": 1, "one_dim": {"mu2": 3, "lambda2": 0, "omega": 2, "kappa": 1e-6}}
+        )
+        assert main(["decay", doc, "--samples", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error [NotFaithful]: decay curves need a faithful invariant state\n"
+        )
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_decay_bytes_match_single_time_norms(self, capsys, seed):
+        # the command evaluates each combination over its whole grid at once;
+        # the reference takes one norm_decay call per (sample, t, mode), with
+        # the command's draw order
+        grid = "0.05,0.3,1,2.5"
+        assert main(
+            ["decay", MODEL_B_PRESET, "--samples", "6", "--seed", str(seed), "--t-grid", grid]
+        ) == 0
+        out = capsys.readouterr().out
+        model = parse_model(MODEL_B_PRESET)
+        dd = build_drift_diffusion(model)
+        rep = gap.analyze(dd)
+        st = rep.stationary
+        rng = np.random.default_rng(seed)
+        lines = ["sample,t,gns_norm_sq,gns_bound,kms_norm_sq,kms_bound"]
+        for s in range(6):
+            n = int(rng.integers(1, 4))
+            combo = WeylCombo(
+                coefficients=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                vectors=0.5
+                * (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))),
+            )
+            gns0 = norm_decay(st, dd, combo, 0.0, "gns")
+            kms0 = norm_decay(st, dd, combo, 0.0, "kms")
+            for t in (float(x) for x in grid.split(",")):
+                cells = [
+                    t,
+                    norm_decay(st, dd, combo, t, "gns"),
+                    np.exp(-2.0 * rep.g * t) * gns0,
+                    norm_decay(st, dd, combo, t, "kms"),
+                    np.exp(-2.0 * rep.g_breve * t) * kms0,
+                ]
+                lines.append(",".join([str(s)] + [format(float(c), ".17g") for c in cells]))
+        assert out == "\r\n".join(lines) + "\r\n"
 
     def test_gap_command_modes(self, capsys):
         assert main(["gap", MODEL_B_PRESET, "--mode", "gns"]) == 0

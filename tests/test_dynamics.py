@@ -20,12 +20,13 @@ from gaussgap.dynamics import (
     kernel_s,
     kms_weyl_trace,
     norm_decay,
+    norm_decay_at,
     propagator,
     sharpness_witness,
     state_evolve,
     weyl_evolve,
 )
-from gaussgap.errors import NotPositiveDefinite, RangeExceeded
+from gaussgap.errors import ConsistencyError, NotFaithful, NotPositiveDefinite, RangeExceeded
 from gaussgap.gap import analyze
 from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
 from gaussgap.realops import vec2d
@@ -263,34 +264,32 @@ class TestNormDecay:
         _, dd, st = model_b
         rng = np.random.default_rng(55)
         rep = analyze(dd)
+        grid = np.array([0.0, 0.05, 0.2, 0.5, 1.0, 3.0])
+        times = grid[1:]
         for _ in range(25):
             combo = random_weyl_combo(rng, 1)
-            v0g = norm_decay(st, dd, combo, 0.0, "gns")
-            v0k = norm_decay(st, dd, combo, 0.0, "kms")
-            assert v0g >= -1e-10 and v0k >= -1e-10
-            for t in (0.05, 0.2, 0.5, 1.0, 3.0):
-                vg = norm_decay(st, dd, combo, t, "gns")
-                vk = norm_decay(st, dd, combo, t, "kms")
-                assert vg <= np.exp(-2 * rep.g * t) * v0g * (1 + 1e-9)
-                assert vk <= np.exp(-2 * rep.g_breve * t) * v0k * (1 + 1e-9)
+            vg = norm_decay(st, dd, combo, grid, "gns")
+            vk = norm_decay(st, dd, combo, grid, "kms")
+            assert vg[0] >= -1e-10 and vk[0] >= -1e-10
+            assert np.all(vg[1:] <= np.exp(-2 * rep.g * times) * vg[0] * (1 + 1e-9))
+            assert np.all(vk[1:] <= np.exp(-2 * rep.g_breve * times) * vk[0] * (1 + 1e-9))
 
     def test_decay_bounds_on_fuzzed_models(self):
         rng = np.random.default_rng(56)
+        grid = np.array([0.0, 0.05, 0.5, 2.0])
+        times = grid[1:]
         for _ in range(6):
             d = int(rng.integers(1, 4))
             _, dd, st = random_stable_faithful(rng, d)
             rep = analyze(dd)
             for _ in range(10):
                 combo = random_weyl_combo(rng, d, scale=0.4)
-                v0g = norm_decay(st, dd, combo, 0.0, "gns")
-                v0k = norm_decay(st, dd, combo, 0.0, "kms")
-                for t in (0.05, 0.5, 2.0):
-                    assert norm_decay(st, dd, combo, t, "gns") <= np.exp(
-                        -2 * rep.g * t
-                    ) * v0g * (1 + 1e-9)
-                    assert norm_decay(st, dd, combo, t, "kms") <= np.exp(
-                        -2 * rep.g_breve * t
-                    ) * v0k * (1 + 1e-9)
+                vg = norm_decay(st, dd, combo, grid, "gns")
+                vk = norm_decay(st, dd, combo, grid, "kms")
+                assert np.all(vg[1:] <= np.exp(-2 * rep.g * times) * vg[0] * (1 + 1e-9))
+                assert np.all(
+                    vk[1:] <= np.exp(-2 * rep.g_breve * times) * vk[0] * (1 + 1e-9)
+                )
 
     def test_overflow_guard(self, model_a):
         _, dd, st = model_a
@@ -301,6 +300,82 @@ class TestNormDecay:
     def test_empty_combo_rejected(self):
         with pytest.raises(ValueError):
             WeylCombo(coefficients=[], vectors=np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_time_array_matches_scalar_calls(self, d):
+        # one propagator call and one norm_decay_at call for the whole grid;
+        # each entry equals the single-time call bit for bit
+        rng = np.random.default_rng(90 + d)
+        _, dd, st = random_stable_faithful(rng, d)
+        grid = np.array([0.0, 0.05, 0.3, 1.0, 2.5])
+        for n_terms in (1, 2, 3):
+            combo = WeylCombo(
+                coefficients=rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms),
+                vectors=0.5 * (rng.standard_normal((n_terms, d)) + 1j * rng.standard_normal((n_terms, d))),
+            )
+            for mode in ("gns", "kms"):
+                values = norm_decay(st, dd, combo, grid, mode)
+                assert values.shape == grid.shape
+                singles = [norm_decay(st, dd, combo, t, mode) for t in grid]
+                assert all(type(v) is float for v in singles)
+                assert np.array_equal(values, singles)
+
+    def test_time_array_rejects_negative_time(self, model_b):
+        _, dd, st = model_b
+        combo = WeylCombo(coefficients=[1.0], vectors=[[0.5]])
+        with pytest.raises(ValueError):
+            norm_decay(st, dd, combo, np.array([0.0, 0.5, -0.1]), "gns")
+        with pytest.raises(ValueError):
+            norm_decay(st, dd, combo, -0.1, "gns")
+
+
+class TestNormDecayStack:
+    """norm_decay_at on a hand-built stack of propagators applies every
+    guard at every slice."""
+
+    def test_range_guard_on_last_slice_only(self, model_a):
+        _, _, st = model_a
+        combo = WeylCombo(coefficients=[1.0], vectors=[[1.0]])
+        # s_0(1, 1) = 2 on model A, so a factor 30 gives 1800 > EXP_GUARD
+        stack = np.stack([np.eye(2), 0.5 * np.eye(2), 30.0 * np.eye(2)])
+        assert norm_decay_at(st, combo, stack[:2], "gns").shape == (2,)
+        with pytest.raises(RangeExceeded):
+            norm_decay_at(st, combo, stack, "gns")
+
+    def test_imaginary_residue_on_one_slice(self, model_b):
+        _, _, st = model_b
+        # a form with an anti-Hermitian part gives the kernel a complex
+        # diagonal; the zero propagators leave their slices at zero
+        broken = dataclasses.replace(st, s_tilde=st.s2d + 1j * np.eye(2))
+        combo = WeylCombo(coefficients=[1.0], vectors=[[0.5 + 0.5j]])
+        stack = np.stack([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(ConsistencyError, match="propagator 1 of the stack"):
+            norm_decay_at(broken, combo, stack, "gns")
+        assert np.array_equal(norm_decay_at(broken, combo, stack[[0, 2]], "gns"), [0.0, 0.0])
+
+    def test_kms_needs_faithful_state(self):
+        dd = build_drift_diffusion(one_dim_family(1.0, 0.0))
+        st = solve_stationary(dd)
+        combo = WeylCombo(coefficients=[1.0], vectors=[[0.5]])
+        stack = propagator(dd, np.array([0.0, 0.5]))
+        assert norm_decay_at(st, combo, stack, "gns").shape == (2,)
+        with pytest.raises(NotFaithful):
+            norm_decay_at(st, combo, stack, "kms")
+
+    def test_unknown_mode(self, model_b):
+        _, dd, st = model_b
+        combo = WeylCombo(coefficients=[1.0], vectors=[[0.5]])
+        with pytest.raises(ValueError, match="unknown mode"):
+            norm_decay_at(st, combo, propagator(dd, np.array([0.0, 0.5])), "both")
+
+    def test_single_propagator_gives_a_float(self, model_b):
+        _, dd, st = model_b
+        combo = WeylCombo(coefficients=[1.0, 0.5j], vectors=[[0.5], [0.2 - 0.3j]])
+        stack = propagator(dd, np.array([0.0, 0.7]))
+        for mode in ("gns", "kms"):
+            single = norm_decay_at(st, combo, stack[1], mode)
+            assert type(single) is float
+            assert single == norm_decay_at(st, combo, stack, mode)[1]
 
 
 class TestKernelPsd:
