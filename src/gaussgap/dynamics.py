@@ -22,9 +22,10 @@ kernels
 
 with vz = [Re z; Im z]; norm_decay sums xi_j* xi_k (exp(s_t) - 1) over the
 combination with centered coefficients xi_j = exp(-Re<z_j, S z_j>/2) eta_j.
-norm_decay takes a time or a 1-D array of times, and norm_decay_at one
-propagator or a stack of them: a whole time grid costs one expm call and
-one set of stacked kernel products per combination and embedding.
+Every flow function (propagator, gramian_cov, weyl_evolve, state_evolve,
+kernel_s, norm_decay) takes a time or a 1-D array of times and gives an
+array a leading time axis, each entry bit-identical to the single-time
+call; norm_decay_at takes one propagator or a stack of them.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .errors import (
     NotFaithful,
     NotPositiveDefinite,
     RangeExceeded,
+    raise_first,
 )
-from .model import DriftDiffusion
+from .model import DriftDiffusion, _fro, _plain
 from .realops import jmat, unvec2d, vec2d
 from .stationary import StationaryData
 from .gap import fix_phase, gns_gap
@@ -69,35 +71,40 @@ EXP_GUARD = 700.0
 
 @dataclass(frozen=True)
 class GaussianStateParams:
-    """Mean vector and 2d x 2d covariance of a Gaussian state.
+    """Mean vector and 2d x 2d covariance of a Gaussian state, or of each of
+    a stack: the mean has shape (..., d) and the covariance (..., 2d, 2d).
 
-    The covariance must satisfy the uncertainty bound: cov2d + iJ >= 0.
+    Every covariance must satisfy the uncertainty bound cov2d + iJ >= 0; one
+    stacked eigensolve checks them all, and a failing entry of a stack is
+    reported as ``index``.
     """
 
     mean: np.ndarray
     cov2d: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=complex).ravel()
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=complex))
         cov = np.asarray(self.cov2d, dtype=float)
-        d = mean.shape[0]
-        if cov.shape != (2 * d, 2 * d):
+        d = mean.shape[-1]
+        if cov.shape != mean.shape[:-1] + (2 * d, 2 * d):
             raise NotPositiveDefinite(
                 f"covariance must be {2 * d}x{2 * d}, got {cov.shape}"
             )
-        cov = 0.5 * (cov + cov.T)
-        tilde = cov.astype(complex) + 1j * jmat(d)
-        lam = float(np.linalg.eigvalsh(0.5 * (tilde + tilde.conj().T))[0])
-        if lam < -1e-10 * max(1.0, np.linalg.norm(cov)):
-            raise NotPositiveDefinite(
-                f"covariance violates the uncertainty bound (min eig {lam:.3e})"
-            )
+        cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+        # cov + iJ is exactly Hermitian: cov is symmetric and J antisymmetric
+        lam = np.linalg.eigvalsh(cov + 1j * jmat(d))[..., 0]
+        raise_first(
+            lam < -1e-10 * np.maximum(1.0, _fro(cov)),
+            NotPositiveDefinite,
+            "covariance violates the uncertainty bound (min eig {:.3e})",
+            lam,
+        )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov2d", cov)
 
     @property
     def dim_d(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     @classmethod
     def vacuum(cls, d):
@@ -217,19 +224,26 @@ def _nonzero(zeta):
 
 @dataclass(frozen=True)
 class WeylEvolution:
+    """exp(decay_exponent + i phase) W(z_t); a 1-D array of times gives
+    every field a leading time axis."""
+
     decay_exponent: float
     phase: float
     z_t: np.ndarray
 
 
-def weyl_evolve(dd: DriftDiffusion, z, t: float, zeta=None) -> WeylEvolution:
+def weyl_evolve(dd: DriftDiffusion, z, t, zeta=None) -> WeylEvolution:
     """Damping exponent, drive phase and transported argument of an evolved
-    Weyl operator: the image is exp(decay + i phase) W(z_t)."""
+    Weyl operator at a time t (floats and a vector), or at each of a 1-D
+    array of times (arrays), from one :func:`_flow` call."""
     vz = vec2d(z)
+    col = vz[:, None]
     et, gram, drift = _flow(dd, _forward_times(t), _nonzero(zeta))
-    decay = -0.5 * float(vz @ gram @ vz)
-    phase = 0.0 if drift is None else float(drift @ vz)
-    return WeylEvolution(decay_exponent=decay, phase=phase, z_t=unvec2d(et @ vz))
+    # one matrix product per time: a vector-stack-vector product would
+    # change the last digit of some times against a single-time call
+    decay = -0.5 * ((vz @ gram)[..., None, :] @ col)[..., 0, 0]
+    phase = np.zeros_like(decay) if drift is None else (drift[..., None, :] @ col)[..., 0, 0]
+    return WeylEvolution(_plain(decay), _plain(phase), unvec2d((et @ col)[..., 0]))
 
 
 def state_evolve(dd: DriftDiffusion, sp: GaussianStateParams, t, zeta=None):
@@ -238,18 +252,16 @@ def state_evolve(dd: DriftDiffusion, sp: GaussianStateParams, t, zeta=None):
         mu_t = exp(tZ#) mu - int_0^t exp(sZ#) zeta ds,
         S_t = exp(tZ#) S exp(tZ) + int_0^t exp(sZ#) C exp(sZ) ds,
 
-    for a time t, or as a list of states for a 1-D array of times, with
+    as one GaussianStateParams for a time t, or for a 1-D array of times
+    (a leading time axis; one uncertainty check over the whole stack), with
     every integral from one :func:`_flow` call.
     """
-    times = _forward_times(t)
-    et, gram, drift = _flow(dd, times, _nonzero(zeta))
+    et, gram, drift = _flow(dd, _forward_times(t), _nonzero(zeta))
     mean = vec2d(sp.mean) @ et
     if drift is not None:
         mean = mean - drift
     cov = et.swapaxes(-1, -2) @ sp.cov2d @ et + gram
-    if times.ndim == 0:
-        return GaussianStateParams(mean=unvec2d(mean), cov2d=cov)
-    return [GaussianStateParams(mean=unvec2d(m), cov2d=c) for m, c in zip(mean, cov)]
+    return GaussianStateParams(mean=unvec2d(mean), cov2d=cov)
 
 
 def char_fn(sp: GaussianStateParams, z) -> complex:
@@ -278,13 +290,14 @@ def _kernel_matrix(st: StationaryData, vecs, et, mode):
     return w.swapaxes(-1, -2) @ form @ w
 
 
-def kernel_s(st: StationaryData, dd: DriftDiffusion, z, w, t: float, mode="gns"):
+def kernel_s(st: StationaryData, dd: DriftDiffusion, z, w, t, mode="gns"):
     """Decay kernel s_t(z, w) (complex for the one-sided embedding, real for
-    the split one)."""
+    the split one) at a time t, or the array of them at a 1-D array of
+    times."""
     vecs = np.column_stack([vec2d(z), vec2d(w)])
     et = propagator(dd, _forward_times(t, "kernel"))
-    val = _kernel_matrix(st, vecs, et, mode)[0, 1]
-    return complex(val) if mode == "gns" else float(val.real)
+    val = _kernel_matrix(st, vecs, et, mode)[..., 0, 1]
+    return _plain(val if mode == "gns" else val.real)
 
 
 def norm_decay(st: StationaryData, dd: DriftDiffusion, combo: WeylCombo, t, mode="gns"):

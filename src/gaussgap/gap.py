@@ -214,7 +214,6 @@ class OneDimClosedForms:
     g: float
     g_breve: float
     sigma: float
-    exists_faithful: bool
 
 
 def one_dim_closed_forms(mu2, lambda2, omega_h, kappa_h) -> OneDimClosedForms:
@@ -260,7 +259,6 @@ def one_dim_closed_forms(mu2, lambda2, omega_h, kappa_h) -> OneDimClosedForms:
         g=float(g),
         g_breve=float(g_breve),
         sigma=float(sigma),
-        exists_faithful=True,
     )
 
 

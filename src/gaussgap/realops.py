@@ -42,12 +42,13 @@ def vec2d(z):
 
 
 def unvec2d(x):
-    """Inverse of :func:`vec2d`."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size % 2:
+    """Inverse of :func:`vec2d`, over the last axis of x (leading axes
+    stack)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] % 2:
         raise DimensionMismatch("2d coordinate vector has odd length")
-    d = x.size // 2
-    return x[:d] + 1j * x[d:]
+    d = x.shape[-1] // 2
+    return x[..., :d] + 1j * x[..., d:]
 
 
 def realize_blocks(a1, a2):

@@ -18,7 +18,7 @@ import gaussgap
 from gaussgap import cli, fock, gap
 from gaussgap.cli import main, parse_model, run_report
 from gaussgap.dynamics import WeylCombo, norm_decay
-from gaussgap.errors import NonDiagonalDensityWarning, ParseError, ShapeError
+from gaussgap.errors import ParseError, ShapeError
 from gaussgap.model import build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
 
@@ -551,6 +551,16 @@ class TestMain:
             f"error [ParseError]: bad --s0 state file {path}: non-finite entries rejected\n"
         )
 
+    def test_state_file_of_other_dimension(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"mean": [[0.0, 0.0]] * 2, "cov2d": np.eye(4).tolist()}))
+        assert main(["evolve", MODEL_B_PRESET, "--t", "0.1", "--s0", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error [ParseError]: bad --s0 state file {path}: 2 modes, the model has 1\n"
+        )
+
     @pytest.mark.parametrize("cutoff", ["-1", "0"])
     def test_oracle_cutoff_below_one(self, capsys, cutoff):
         assert main(["oracle", MODEL_A_JSON, "--cutoff", cutoff, "--check", "gap"]) == 1
@@ -598,8 +608,7 @@ class TestMain:
         assert captured.err == "error [ParseError]: --samples must be non-negative, got -1\n"
 
     def test_kms_trace_check_writes_no_warning(self, capsys):
-        # kappa != 0: the steady state is not number-diagonal, which the
-        # oracle flags with a warning that the check keeps off stderr
+        # kappa != 0: the steady state is not number-diagonal
         squeezed = json.dumps(
             {"version": 1, "one_dim": {"mu2": 3.0, "lambda2": 0.5, "omega": 2.0, "kappa": 0.3}}
         )
@@ -611,12 +620,6 @@ class TestMain:
         assert captured.err == "" and caught == []
         payload = json.loads(captured.out)
         assert payload["pass"] and payload["max_rel_error"] < 1e-6
-        # the library itself still warns on that density
-        model = parse_model(squeezed)
-        space = fock.build_space(1, 12)
-        rho = fock.steady_state(fock.build_superoperator(model, space))
-        with pytest.warns(NonDiagonalDensityWarning):
-            fock.oracle_kms_trace(space, rho, np.ones(1), np.ones(1))
 
 
 def _sweep_csv_rows(capsys, grid):

@@ -599,14 +599,14 @@ def _assert_flow_matches_mpmath(model, times, seed):
     rng = np.random.default_rng(seed)
     z = 0.4 * rng.standard_normal(model.d) + 0.3j * rng.standard_normal(model.d)
     states = state_evolve(dd, GaussianStateParams.vacuum(model.d), np.array(times), model.zeta)
-    for t, state in zip(times, states):
+    res = weyl_evolve(dd, z, np.array(times), model.zeta)
+    for i, t in enumerate(times):
         cov, mean, decay, phase, z_t = _mp_vacuum_flow(dd, model.zeta, t, z)
-        assert np.linalg.norm(state.cov2d - cov) <= 1e-12 * np.linalg.norm(cov), t
-        assert np.linalg.norm(vec2d(state.mean) - mean) <= 1e-12 * np.linalg.norm(mean), t
-        res = weyl_evolve(dd, z, t, model.zeta)
-        assert abs(res.decay_exponent - decay) <= 1e-12 * abs(decay), t
-        assert abs(res.phase - phase) <= 1e-12 * abs(phase), t
-        assert np.linalg.norm(vec2d(res.z_t) - z_t) <= 1e-12 * np.linalg.norm(z_t), t
+        assert np.linalg.norm(states.cov2d[i] - cov) <= 1e-12 * np.linalg.norm(cov), t
+        assert np.linalg.norm(vec2d(states.mean[i]) - mean) <= 1e-12 * np.linalg.norm(mean), t
+        assert abs(res.decay_exponent[i] - decay) <= 1e-12 * abs(decay), t
+        assert abs(res.phase[i] - phase) <= 1e-12 * abs(phase), t
+        assert np.linalg.norm(vec2d(res.z_t[i]) - z_t) <= 1e-12 * np.linalg.norm(z_t), t
 
 
 @pytest.mark.parametrize("index", range(7))
@@ -663,11 +663,13 @@ class TestTimeArrays:
         sp = GaussianStateParams.vacuum(1)
         times = [0.0, 0.3, 1.7]
         states = state_evolve(dd, sp, np.array(times))
-        assert len(states) == len(times)
-        for t, state in zip(times, states):
+        assert states.mean.shape == (len(times), 1)
+        assert states.cov2d.shape == (len(times), 2, 2)
+        assert states.dim_d == 1
+        for i, t in enumerate(times):
             single = state_evolve(dd, sp, t)
-            assert np.array_equal(state.cov2d, single.cov2d)
-            assert np.array_equal(state.mean, single.mean)
+            assert np.array_equal(states.cov2d[i], single.cov2d)
+            assert np.array_equal(states.mean[i], single.mean)
 
     def test_unstable_drift_uses_block_gramian(self):
         rng = np.random.default_rng(74)
@@ -680,7 +682,49 @@ class TestTimeArrays:
         assert np.linalg.norm(gram[1] - stitched) < 1e-10 * np.linalg.norm(gram[1])
         zeta = np.array([0.3 + 0.1j, -0.2j])
         states = state_evolve(dd, GaussianStateParams.vacuum(2), times, zeta)
-        for t, state in zip(times, states):
+        for i, t in enumerate(times):
             single = state_evolve(dd, GaussianStateParams.vacuum(2), float(t), zeta)
-            assert np.allclose(state.cov2d, single.cov2d, rtol=1e-13, atol=0)
-            assert np.allclose(state.mean, single.mean, rtol=1e-13, atol=0)
+            assert np.array_equal(states.cov2d[i], single.cov2d)
+            assert np.array_equal(states.mean[i], single.mean)
+
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_weyl_evolve_slices_are_bit_identical(self, driven):
+        rng = np.random.default_rng(77)
+        times = np.array([0.0, 1e-9, 0.05, 0.5, 2.0, 7.5, 50.0])
+        for d in (1, 3):
+            model, dd, _ = random_stable_faithful(rng, d)
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d) if driven else None
+            res = weyl_evolve(dd, z, times, zeta)
+            assert res.decay_exponent.shape == res.phase.shape == times.shape
+            assert res.z_t.shape == (len(times), d)
+            for i, t in enumerate(times):
+                single = weyl_evolve(dd, z, t, zeta)
+                assert isinstance(single.decay_exponent, float)
+                assert isinstance(single.phase, float)
+                assert res.decay_exponent[i] == single.decay_exponent
+                assert res.phase[i] == single.phase
+                assert np.array_equal(res.z_t[i], single.z_t)
+
+    @pytest.mark.parametrize("mode, kind", [("gns", complex), ("kms", float)])
+    def test_kernel_s_slices_are_bit_identical(self, mode, kind):
+        rng = np.random.default_rng(78)
+        times = np.array([0.0, 1e-9, 0.05, 0.5, 2.0, 7.5])
+        for d in (1, 3):
+            _, dd, st = random_stable_faithful(rng, d)
+            z, w = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+            vals = kernel_s(st, dd, z, w, times, mode)
+            assert vals.shape == times.shape
+            for t, val in zip(times, vals):
+                single = kernel_s(st, dd, z, w, t, mode)
+                assert isinstance(single, kind)
+                assert val == single
+
+    def test_state_stack_reports_failing_entry(self):
+        covs = np.stack([np.eye(2), 0.5 * np.eye(2), np.eye(2)])
+        with pytest.raises(NotPositiveDefinite, match="uncertainty bound") as caught:
+            GaussianStateParams(mean=np.zeros((3, 1)), cov2d=covs)
+        assert caught.value.index == 1
+        with pytest.raises(NotPositiveDefinite) as caught:
+            GaussianStateParams(mean=np.zeros(1), cov2d=0.5 * np.eye(2))
+        assert caught.value.index is None

@@ -8,7 +8,6 @@ from gaussgap.dynamics import GaussianStateParams, char_fn, kms_weyl_trace, weyl
 from gaussgap.errors import (
     ConsistencyError,
     DimensionTooLarge,
-    NonDiagonalDensityWarning,
     OutsideEnvelope,
 )
 from gaussgap.fock import (
@@ -209,14 +208,20 @@ class TestKmsTraceOracle:
         rho = thermal_density(space, 0.5)
         assert oracle_kms_trace(space, rho, [0.0], [0.0]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_warns_on_nondiagonal(self):
-        space = build_space(1, 8)
-        rho = thermal_density(space, 0.5)
-        rho = rho + 0.01 * np.eye(space.dim, k=1) + 0.01 * np.eye(space.dim, k=-1)
-        rho = rho / np.trace(rho)
-        with pytest.warns(NonDiagonalDensityWarning):
-            oracle_kms_trace(space, rho, [0.3], [0.2])
-
+    @pytest.mark.parametrize("params", [(3.0, 1.0, 2.0, 1.0), (4.0, 0.5, 1.0, 1.2)])
+    def test_off_number_diagonal(self, params):
+        # kappa != 0: the steady state is not number-diagonal, and the full
+        # root keeps the split trace truncation-limited (max relative error
+        # 2.5e-7 and 1.2e-7 at cutoff 30, 1.1e-4 and 6.1e-6 at cutoff 25)
+        model = one_dim_family(*params)
+        st = solve_stationary(build_drift_diffusion(model))
+        space = build_space(1, 30)
+        rho = steady_state(build_superoperator(model, space))
+        assert np.linalg.norm(rho - np.diag(np.diag(rho))) > 1e-3
+        for z, w in [(1.0, 1.0), (0.5, -0.5), (0.8j, 0.3)]:
+            closed = kms_weyl_trace(st, [z], [w])
+            oracle = oracle_kms_trace(space, rho, [z], [w])
+            assert abs(oracle - closed) < 3e-6 * closed
 
 class TestGapOracle:
     @pytest.mark.parametrize("mode", ["gns", "kms"])
