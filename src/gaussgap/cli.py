@@ -31,7 +31,6 @@ import numpy as np
 from . import classical, dynamics, fock, gap
 from .errors import (
     GaussGapError,
-    NoFaithfulState,
     NotFaithful,
     ParseError,
     ShapeError,
@@ -118,7 +117,10 @@ def _read_model(source):
     for key in ("d", "m", "omega", "kappa", "U", "V", "zeta"):
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
-    d, m = int(doc["d"]), int(doc["m"])
+    for key in ("d", "m"):
+        if type(doc[key]) is not int:  # bool is an int subclass
+            raise ParseError(f"{key!r} must be an integer, got {json.dumps(doc[key])}")
+    d, m = doc["d"], doc["m"]
     model = GklsModel(
         d=d,
         m=m,
@@ -184,7 +186,7 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
         "min_eig": dd.cz_min_eig,
         "full_rank": dd.kraus_rank_full,
     }
-    grep = gap.analyze(dd, model.zeta)
+    grep = gap.analyze(dd)
     report["has_gns_gap"] = grep.has_gns_gap
     report["diagnostics"] = [
         {
@@ -259,8 +261,8 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
                 "g_breve": cf.g_breve,
                 "sigma": cf.sigma,
             }
-        except NoFaithfulState:
-            report["closed_form"] = _unavailable("NoFaithfulState")
+        except GaussGapError as exc:
+            report["closed_form"] = _unavailable(type(exc).code)
     return report
 
 
@@ -432,7 +434,7 @@ def _cmd_evolve(args) -> int:
     dd = build_drift_diffusion(model)
     times = _parse_times(args.t, "--t")
     try:
-        st = solve_stationary(dd, model.zeta)
+        st = solve_stationary(dd)
     except GaussGapError:
         # other starts go on without dist_to_stationary
         if args.s0 == "stationary":
@@ -444,7 +446,7 @@ def _cmd_evolve(args) -> int:
         sp = dynamics.GaussianStateParams(mean=st.mu, cov2d=st.s2d)
     else:
         sp = _read_state(args.s0, model.d)
-    states = dynamics.state_evolve(dd, sp, np.array(times), model.zeta)
+    states = dynamics.state_evolve(dd, sp, np.array(times))
     rows = []
     for t, mean, cov in zip(times, states.mean, states.cov2d):
         row = {"t": t, "mean": _pairs(mean), "cov2d": cov.tolist()}
@@ -463,7 +465,7 @@ def _cmd_decay(args) -> int:
     dd = build_drift_diffusion(model)
     require_stable(dd)
     times = _parse_times(args.t_grid, "--t-grid")
-    grep = gap.analyze(dd, model.zeta)
+    grep = gap.analyze(dd)
     if grep.gns is None:
         raise NotFaithful("decay curves need a faithful invariant state")
     st = grep.stationary
@@ -632,7 +634,7 @@ def _cmd_oracle(args) -> int:
     space = fock.build_space(model.d, cutoff)
     out = {"schema": REPORT_SCHEMA, "cutoff": cutoff, "check": args.check}
     if args.check != "gap":
-        st = solve_stationary(dd, model.zeta)
+        st = solve_stationary(dd)
         rho = fock.steady_state(fock.build_superoperator(model, space))
     if args.check == "char":
         sp = dynamics.GaussianStateParams(mean=st.mu, cov2d=st.s2d)
@@ -656,7 +658,7 @@ def _cmd_oracle(args) -> int:
         out["max_rel_error"] = float(max(errs))
         out["pass"] = bool(max(errs) < 1e-6)
     else:  # gap
-        grep = gap.analyze(dd, model.zeta)
+        grep = gap.analyze(dd)
         g, g_breve = fock.oracle_gap(model, space)
         out["gns"] = {"oracle": g, "closed_form": grep.g}
         out["kms"] = {"oracle": g_breve, "closed_form": grep.g_breve}

@@ -74,7 +74,8 @@ class GaussianStateParams:
     """Mean vector and 2d x 2d covariance of a Gaussian state, or of each of
     a stack: the mean has shape (..., d) and the covariance (..., 2d, 2d).
 
-    Every covariance must satisfy the uncertainty bound cov2d + iJ >= 0; one
+    Mean and covariance must be finite (else RangeExceeded), and every
+    covariance must satisfy the uncertainty bound cov2d + iJ >= 0; one
     stacked eigensolve checks them all, and a failing entry of a stack is
     reported as ``index``.
     """
@@ -90,6 +91,11 @@ class GaussianStateParams:
             raise NotPositiveDefinite(
                 f"covariance must be {2 * d}x{2 * d}, got {cov.shape}"
             )
+        raise_first(
+            ~(np.all(np.isfinite(mean), axis=-1) & np.all(np.isfinite(cov), axis=(-2, -1))),
+            RangeExceeded,
+            "mean or covariance is not finite: the state left double precision",
+        )
         cov = 0.5 * (cov + cov.swapaxes(-1, -2))
         # cov + iJ is exactly Hermitian: cov is symmetric and J antisymmetric
         lam = np.linalg.eigvalsh(cov + 1j * jmat(d))[..., 0]
@@ -159,15 +165,16 @@ def propagator(dd: DriftDiffusion, t):
     return expm(_times(t)[..., None, None] * dd.z2d)
 
 
-def _flow(dd: DriftDiffusion, times, zeta=None):
+def _flow(dd: DriftDiffusion, times):
     """(E, G, f) at each time t: the propagator E = exp(t Z2d), the gramian
-    G = int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds and, for a drive zeta, the
-    drift f = int_0^t exp(s Z2d^T) ds vec2d(zeta) (else None).
+    G = int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds and the drift
+    f = int_0^t exp(s Z2d^T) ds vec2d(zeta) of the drive of dd (None when
+    every drive entry is zero).
 
     One expm call exponentiates [[-Z^T, C], [0, Z]] h, and [[Z^T, 1], [0, 0]] h
-    for a drive, at the step h = t / 2^k of each time, with the least k >= 0
-    such that h |Z2d|_1 <= 1; the blocks give E(h), E(h)^-T G(h) and f(h).
-    k doubling steps
+    for a nonzero drive, at the step h = t / 2^k of each time, with the least
+    k >= 0 such that h |Z2d|_1 <= 1; the blocks give E(h), E(h)^-T G(h) and
+    f(h).  k doubling steps
 
         G(2h) = G(h) + E(h)^T G(h) E(h),  f(2h) = f(h) + E(h)^T f(h),
         E(2h) = E(h)^2
@@ -186,7 +193,7 @@ def _flow(dd: DriftDiffusion, times, zeta=None):
     blk[:n, :n] = -z2d.T
     blk[:n, n:] = dd.c2d
     blk[n:, n:] = z2d
-    if zeta is None:
+    if not np.any(dd.zeta):
         eblk = expm(h * blk)
         drift = None
     else:
@@ -194,7 +201,7 @@ def _flow(dd: DriftDiffusion, times, zeta=None):
         dblk[:n, :n] = z2d.T
         dblk[:n, n:] = np.eye(n)
         eblk, edrift = expm(np.stack([h * blk, h * dblk]))
-        drift = edrift[..., :n, n:] @ vec2d(zeta)
+        drift = edrift[..., :n, n:] @ vec2d(dd.zeta)
     et = eblk[..., n:, n:]
     gram = et.swapaxes(-1, -2) @ eblk[..., :n, n:]
     for step in range(int(np.max(k, initial=0.0))):
@@ -214,14 +221,6 @@ def gramian_cov(dd: DriftDiffusion, t):
     return _flow(dd, _times(t))[1]
 
 
-def _nonzero(zeta):
-    """zeta as a complex vector, or None when it is absent or zero."""
-    if zeta is None:
-        return None
-    zeta = np.asarray(zeta, dtype=complex).ravel()
-    return zeta if np.any(zeta != 0) else None
-
-
 @dataclass(frozen=True)
 class WeylEvolution:
     """exp(decay_exponent + i phase) W(z_t); a 1-D array of times gives
@@ -232,13 +231,13 @@ class WeylEvolution:
     z_t: np.ndarray
 
 
-def weyl_evolve(dd: DriftDiffusion, z, t, zeta=None) -> WeylEvolution:
+def weyl_evolve(dd: DriftDiffusion, z, t) -> WeylEvolution:
     """Damping exponent, drive phase and transported argument of an evolved
     Weyl operator at a time t (floats and a vector), or at each of a 1-D
     array of times (arrays), from one :func:`_flow` call."""
     vz = vec2d(z)
     col = vz[:, None]
-    et, gram, drift = _flow(dd, _forward_times(t), _nonzero(zeta))
+    et, gram, drift = _flow(dd, _forward_times(t))
     # one matrix product per time: a vector-stack-vector product would
     # change the last digit of some times against a single-time call
     decay = -0.5 * ((vz @ gram)[..., None, :] @ col)[..., 0, 0]
@@ -246,21 +245,24 @@ def weyl_evolve(dd: DriftDiffusion, z, t, zeta=None) -> WeylEvolution:
     return WeylEvolution(_plain(decay), _plain(phase), unvec2d((et @ col)[..., 0]))
 
 
-def state_evolve(dd: DriftDiffusion, sp: GaussianStateParams, t, zeta=None):
+def state_evolve(dd: DriftDiffusion, sp: GaussianStateParams, t):
     """Flow of Gaussian state parameters,
 
         mu_t = exp(tZ#) mu - int_0^t exp(sZ#) zeta ds,
         S_t = exp(tZ#) S exp(tZ) + int_0^t exp(sZ#) C exp(sZ) ds,
 
-    as one GaussianStateParams for a time t, or for a 1-D array of times
-    (a leading time axis; one uncertainty check over the whole stack), with
-    every integral from one :func:`_flow` call.
+    with the drive zeta of dd, as one GaussianStateParams for a time t, or
+    for a 1-D array of times (a leading time axis; one uncertainty check
+    over the whole stack), with every integral from one :func:`_flow` call.
     """
-    et, gram, drift = _flow(dd, _forward_times(t), _nonzero(zeta))
-    mean = vec2d(sp.mean) @ et
-    if drift is not None:
-        mean = mean - drift
-    cov = et.swapaxes(-1, -2) @ sp.cov2d @ et + gram
+    # a flow that overflows gives a state that is not finite, which
+    # GaussianStateParams rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        et, gram, drift = _flow(dd, _forward_times(t))
+        mean = vec2d(sp.mean) @ et
+        if drift is not None:
+            mean = mean - drift
+        cov = et.swapaxes(-1, -2) @ sp.cov2d @ et + gram
     return GaussianStateParams(mean=unvec2d(mean), cov2d=cov)
 
 
@@ -321,9 +323,11 @@ def norm_decay_at(st: StationaryData, combo: WeylCombo, et, mode="gns"):
     zero matrix is exactly the identity)."""
     vecs = np.column_stack([vec2d(z) for z in combo.vectors])
     gram = _kernel_matrix(st, vecs, et, mode)
-    if float(np.max(np.abs(gram))) > EXP_GUARD:
+    # NaN-safe: a propagator that left double precision fails too
+    if not float(np.max(np.abs(gram))) <= EXP_GUARD:
         raise RangeExceeded(
-            "kernel values exceed the exp() envelope; rescale the Weyl arguments"
+            "kernel values exceed the exp() envelope or are not finite; "
+            "rescale the Weyl arguments or the times"
         )
     quad = np.einsum("ji,jk,ki->i", vecs, st.s2d, vecs)
     xi = np.exp(-0.5 * quad) * combo.coefficients

@@ -33,6 +33,7 @@ from .errors import (
     GaussGapError,
     NoFaithfulState,
     NotFaithful,
+    RangeExceeded,
     raise_first,
 )
 from .model import DriftDiffusion, GklsModel, _plain, build_drift_diffusion
@@ -239,7 +240,10 @@ def one_dim_closed_forms(mu2, lambda2, omega_h, kappa_h) -> OneDimClosedForms:
     if not 0 <= lambda2 < mu2:
         raise ValueError("family requires 0 <= lambda2 < mu2")
     gamma = 0.5 * (mu2 - lambda2)
-    disc = gamma**2 + omega_h**2 - kappa_h**2
+    try:
+        disc = gamma**2 + omega_h**2 - kappa_h**2
+    except OverflowError as exc:
+        raise RangeExceeded("closed forms overflow double precision") from exc
     if disc <= 0:
         raise NoFaithfulState(
             f"gamma^2 + omega^2 - kappa^2 = {disc:.6g} <= 0: "
@@ -375,7 +379,7 @@ class GapReport:
         return None if self.kms is None else self.kms.g
 
 
-def analyze(dd: DriftDiffusion, zeta=None) -> GapReport:
+def analyze(dd: DriftDiffusion) -> GapReport:
     """Run the full gap pipeline on a built model, degrading gracefully.
 
     Unstable or unfaithful models produce a report whose unavailable fields
@@ -389,7 +393,7 @@ def analyze(dd: DriftDiffusion, zeta=None) -> GapReport:
         report.diagnostics.append(finding)
     if not dd.is_stable:
         return report
-    st = solve_stationary(dd, zeta)
+    st = solve_stationary(dd)
     report.stationary = st
     if not st.faithful:
         report.has_gns_gap = False

@@ -12,8 +12,9 @@ and the diffusion C, together with the Hermitian 2d x 2d matrix
 
 whose strict positivity is equivalent to the model carrying the maximal
 number 2d of independent noise channels.  Everything downstream (stationary
-state, spectral gaps, no-gap diagnostics) is a function of this triple and
-of the spectra of Z and cz, which are computed once, on the build.
+state, spectral gaps, no-gap diagnostics, dynamics) is a function of this
+triple, the drive zeta and the spectra of Z and cz, which are computed once,
+on the build.
 
 Two independent constructions are cross-checked on every build: the defining
 formulas for Z and C in terms of (U, V, Omega, kappa), and the equivalent
@@ -39,6 +40,7 @@ from .errors import (
     GaussGapError,
     NotHermitian,
     NotSymmetric,
+    RangeExceeded,
     raise_first,
 )
 from .realops import jmat, realize_blocks
@@ -244,10 +246,12 @@ class _EntryIndexing:
 
 @dataclass(frozen=True)
 class DriftDiffusion(_EntryIndexing):
-    """Drift/diffusion triple of a validated model, with the spectral data
-    every later stage reads; :func:`build_drift_diffusion` fills it once.
+    """Drift/diffusion triple of a validated model and its linear drive, with
+    the spectral data every later stage reads; :func:`build_drift_diffusion`
+    fills it once.
 
-    z2d and c2d are the real 2d x 2d realizations of drift and diffusion.
+    z2d and c2d are the real 2d x 2d realizations of drift and diffusion,
+    zeta the drive, which shifts the invariant mean but no gap.
     cz is Hermitian positive semidefinite with ascending eigenvalues
     cz_spectrum (tiny negative values are eigensolver noise).  The drift is
     stable when every eigenvalue has strictly negative real part; the
@@ -258,6 +262,7 @@ class DriftDiffusion(_EntryIndexing):
 
     z2d: np.ndarray
     c2d: np.ndarray
+    zeta: np.ndarray
     cz: np.ndarray
     cz_spectrum: np.ndarray
     #: cz strictly positive definite: the model carries 2d independent
@@ -320,14 +325,21 @@ def _realizations(model):
     block formulas and the Gram factorization of cz."""
     u, v = model.u_mat, model.v_mat
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    z2d = realize_blocks(
-        0.5 * (ut @ u.conj() - vt @ v.conj()) + 1j * model.omega,
-        0.5 * (ut @ v - vt @ u) + 1j * model.kappa,
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2d = realize_blocks(
+            0.5 * (ut @ u.conj() - vt @ v.conj()) + 1j * model.omega,
+            0.5 * (ut @ v - vt @ u) + 1j * model.kappa,
+        )
+        c2d = realize_blocks(ut @ u.conj() + vt @ v.conj(), ut @ v + vt @ u)
+        j = jmat(z2d.shape[-1] // 2)
+        cz = c2d.astype(complex) - 1j * (z2d.swapaxes(-1, -2) @ j + j @ z2d)
+        cz = 0.5 * (cz + _adjoint(cz))
+    # an overflow in z2d or c2d leaves an infinity or NaN in cz
+    raise_first(
+        ~np.all(np.isfinite(cz), axis=(-2, -1)),
+        RangeExceeded,
+        "drift or diffusion overflows double precision; rescale the model",
     )
-    c2d = realize_blocks(ut @ u.conj() + vt @ v.conj(), ut @ v + vt @ u)
-    j = jmat(z2d.shape[-1] // 2)
-    cz = c2d.astype(complex) - 1j * (z2d.swapaxes(-1, -2) @ j + j @ z2d)
-    cz = 0.5 * (cz + _adjoint(cz))
 
     z_resid = _fro(z2d - appendix_z_realization(model))
     raise_first(
@@ -375,6 +387,7 @@ def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
     return DriftDiffusion(
         z2d=z2d,
         c2d=c2d,
+        zeta=model.zeta,
         cz=cz,
         cz_spectrum=cz_spectrum,
         kraus_rank_full=_plain(

@@ -1,7 +1,9 @@
 """Invariant Gaussian state: Lyapunov solve, Williamson data, faithfulness.
 
-For a stable drift the invariant state has mean mu solving Z# mu = zeta and
-covariance (in 2d coordinates) solving the continuous Lyapunov equation
+For a stable drift the invariant state has mean mu solving Z# mu = zeta,
+with the drive zeta the DriftDiffusion carries (so a zero drive is solved
+too, not special-cased), and covariance (in 2d coordinates) solving the
+continuous Lyapunov equation
 
     Z2d^T S + S Z2d = -C2d.
 
@@ -149,9 +151,10 @@ def require_stable(dd: DriftDiffusion) -> None:
     )
 
 
-def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
+def solve_stationary(dd: DriftDiffusion) -> StationaryData:
     """Invariant mean and covariance plus faithfulness/Williamson data; the
-    mean is zero without a linear drive zeta.
+    mean always comes from solving Z# mu = zeta with the drive of dd, a zero
+    drive included.
 
     Raises Unstable when the drift spectrum meets the closed right half
     plane, SingularLyapunov when the linear solves are defective and
@@ -161,17 +164,12 @@ def solve_stationary(dd: DriftDiffusion, zeta=None) -> StationaryData:
     exists at ROOT_MARGIN, so no gap can fail on a state called faithful.
     """
     require_stable(dd)
-    z2d = dd.z2d
-    lead, d = z2d.shape[:-2], dd.dim_d
+    z2d, d = dd.z2d, dd.dim_d
     s2d = _solve_lyapunov(z2d, dd.c2d)
-    if zeta is None:
-        mu = np.zeros(lead + (d,), dtype=complex)
-    else:
-        # Z# mu = zeta, on realizations a plain linear system with Z2d^T.
-        zeta = np.reshape(zeta, lead + (d,))
-        rhs = np.concatenate([zeta.real, zeta.imag], axis=-1)[..., None]
-        x = np.linalg.solve(z2d.swapaxes(-1, -2), rhs)[..., 0]
-        mu = x[..., :d] + 1j * x[..., d:]
+    # Z# mu = zeta, on realizations a plain linear system with Z2d^T
+    rhs = np.concatenate([dd.zeta.real, dd.zeta.imag], axis=-1)[..., None]
+    x = np.linalg.solve(z2d.swapaxes(-1, -2), rhs)[..., 0]
+    mu = x[..., :d] + 1j * x[..., d:]
 
     s_tilde = s2d + 1j * jmat(d)
     sympl_m, sigma = williamson(s2d)

@@ -16,7 +16,7 @@ MODEL_C_PARAMS = (2.0, 0.0, 2.0, 1.0)
 def make_pipeline(params):
     model = one_dim_family(*params)
     dd = build_drift_diffusion(model)
-    st = solve_stationary(dd, model.zeta)
+    st = solve_stationary(dd)
     return model, dd, st
 
 
@@ -79,7 +79,7 @@ def random_stable_faithful(rng, d, max_tries=300):
             dd = build_drift_diffusion(model)
             if not dd.is_stable or dd.abscissa > -0.05:
                 continue
-            st = solve_stationary(dd, model.zeta)
+            st = solve_stationary(dd)
         except GaussGapError:
             continue
         if not st.faithful or float(np.min(st.sigma)) < 1.05:

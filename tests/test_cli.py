@@ -428,9 +428,9 @@ class TestMain:
     def test_oracle_gap_solves_stationary_once(self, capsys, monkeypatch):
         calls = []
 
-        def counting(dd, zeta=None):
+        def counting(dd):
             calls.append(dd)
-            return solve_stationary(dd, zeta)
+            return solve_stationary(dd)
 
         monkeypatch.setattr(cli, "solve_stationary", counting)
         monkeypatch.setattr(gap, "solve_stationary", counting)
@@ -607,6 +607,67 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "error [ParseError]: --samples must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("d", "x"), ("d", None), ("d", [1]), ("d", 1.7), ("d", True), ("m", "1"), ("m", 2.0)],
+        ids=["d-string", "d-null", "d-list", "d-fraction", "d-bool", "m-string", "m-float"],
+    )
+    def test_dimensions_must_be_integers(self, capsys, key, value):
+        doc = json.loads(MODEL_A_JSON)
+        doc[key] = value
+        assert main(["analyze", json.dumps(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error [ParseError]: {key!r} must be an integer, got {json.dumps(value)}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # kappa = 2 > gamma: the flow overflows after t = 10
+            ["evolve", json.dumps({"version": 1, "one_dim": {"mu2": 1, "lambda2": 0.5,
+                                                              "omega": 0, "kappa": 2}}),
+             "--t", "10,250,1000"],
+            # expm of 1e100 Z2d is NaN
+            ["decay", MODEL_B_PRESET, "--t-grid", "1e20,1e100"],
+        ],
+        ids=["evolve-overflow", "decay-nan-propagator"],
+    )
+    def test_non_finite_results_are_range_errors(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert caught == []
+        assert captured.err.startswith("error [RangeExceeded]: ")
+        assert captured.err.count("\n") == 1
+        assert not any(word in captured.out.lower() for word in ("nan", "inf"))
+
+    def test_overflowing_model_is_range_error(self, capsys):
+        doc = json.loads(MODEL_A_JSON)
+        doc["m"], doc["U"], doc["V"] = 1, [[[0.0, 0.0]]], [[[1e160, 0.0]]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", json.dumps(doc)]) == 1
+        captured = capsys.readouterr()
+        assert caught == [] and captured.out == ""
+        assert captured.err == (
+            "error [RangeExceeded]: drift or diffusion overflows double precision; "
+            "rescale the model\n"
+        )
+
+    def test_overflowing_closed_forms_reported_unavailable(self, capsys):
+        preset = json.dumps({"version": 1, "one_dim": {"mu2": 3, "lambda2": 1,
+                                                       "omega": 1e200, "kappa": 0}})
+        # norms of this model overflow to inf in validation and diagnostics,
+        # which warn; this test pins the report, not those warnings
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            assert main(["analyze", preset, "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["closed_form"] == {"available": False, "reason": "RangeExceeded"}
+
     def test_kms_trace_check_writes_no_warning(self, capsys):
         # kappa != 0: the steady state is not number-diagonal
         squeezed = json.dumps(
@@ -647,7 +708,7 @@ def _per_model_rows(axes):
         dd = build_drift_diffusion(model)
         if not dd.is_stable:
             continue
-        st = solve_stationary(dd, model.zeta)
+        st = solve_stationary(dd)
         if not st.faithful:
             continue
         cf = gap.one_dim_closed_forms(*params)

@@ -94,12 +94,12 @@ class TestWeylEvolve:
             u_mat=base.u_mat, v_mat=base.v_mat, zeta=zeta,
         )
         dd = build_drift_diffusion(model)
-        st = solve_stationary(dd, zeta)
+        st = solve_stationary(dd)
         sp = GaussianStateParams(mean=st.mu, cov2d=st.s2d)
         z = np.array([0.4 - 0.6j])
         base_val = char_fn(sp, z)
         for t in (0.3, 1.2):
-            res = weyl_evolve(dd, z, t, zeta)
+            res = weyl_evolve(dd, z, t)
             val = np.exp(res.decay_exponent + 1j * res.phase) * char_fn(sp, res.z_t)
             assert abs(val - base_val) < 1e-10
 
@@ -147,15 +147,36 @@ class TestStateEvolve:
             u_mat=base.u_mat, v_mat=base.v_mat, zeta=zeta,
         )
         dd = build_drift_diffusion(model)
-        st = solve_stationary(dd, zeta)
+        st = solve_stationary(dd)
         sp = GaussianStateParams(mean=st.mu, cov2d=st.s2d)
-        out = state_evolve(dd, sp, 0.7, zeta)
+        out = state_evolve(dd, sp, 0.7)
         assert np.linalg.norm(out.mean - st.mu) < 1e-12
         assert np.linalg.norm(out.cov2d - st.s2d) < 1e-10
 
     def test_invalid_covariance_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianStateParams(mean=np.zeros(1), cov2d=0.5 * np.eye(2))
+
+    def test_non_finite_state_rejected(self):
+        with pytest.raises(RangeExceeded, match="not finite"):
+            GaussianStateParams(mean=np.array([np.nan]), cov2d=np.eye(2))
+        cov = np.stack([np.eye(2)] * 3)
+        cov[2, 0, 0] = np.inf
+        with pytest.raises(RangeExceeded) as caught:
+            GaussianStateParams(mean=np.zeros((3, 1)), cov2d=cov)
+        assert caught.value.index == 2
+
+    def test_overflowing_flow_names_first_time(self):
+        # kappa = 2 > gamma = 0.25: the flow grows like exp(3.5 t) and leaves
+        # double precision between t = 10 and t = 250, with no warning
+        dd = build_drift_diffusion(one_dim_family(1.0, 0.5, 0.0, 2.0))
+        sp = GaussianStateParams.vacuum(1)
+        with pytest.raises(RangeExceeded) as caught:
+            state_evolve(dd, sp, np.array([10.0, 250.0, 1000.0]))
+        assert caught.value.index == 1
+        with pytest.raises(RangeExceeded) as caught:
+            state_evolve(dd, sp, 1000.0)
+        assert caught.value.index is None
 
 
 class TestCharFn:
@@ -342,6 +363,16 @@ class TestNormDecayStack:
         with pytest.raises(RangeExceeded):
             norm_decay_at(st, combo, stack, "gns")
 
+    def test_range_guard_on_nan_slice(self, model_b):
+        _, dd, st = model_b
+        combo = WeylCombo(coefficients=[1.0], vectors=[[1.0]])
+        # expm of 1e100 Z2d is NaN rather than the zero matrix
+        props = propagator(dd, np.array([0.0, 1e20, 1e100]))
+        assert np.all(np.isnan(props[2]))
+        assert norm_decay_at(st, combo, props[:2], "gns")[1] == 0.0
+        with pytest.raises(RangeExceeded, match="not finite"):
+            norm_decay_at(st, combo, props, "gns")
+
     def test_imaginary_residue_on_one_slice(self, model_b):
         _, _, st = model_b
         # a form with an anti-Hermitian part gives the kernel a complex
@@ -526,7 +557,7 @@ def test_gramian_additivity(model_b):
     assert np.linalg.norm(full - stitched) < 1e-12
 
 
-def _mp_vacuum_flow(dd, zeta, t, z):
+def _mp_vacuum_flow(dd, t, z):
     """60-digit reference for the flow from the vacuum and for the evolved
     Weyl operator W(z), from the eigendecomposition Z2d = V diag(lam) V^-1:
     exp(tZ) = V diag(exp(t lam)) V^-1 and
@@ -551,7 +582,7 @@ def _mp_vacuum_flow(dd, zeta, t, z):
         gram = vinv.T * inner * vinv
         et = v * mp.diag([mp.exp(t * x) for x in lam]) * vinv
         integ = mp.diag([mp.expm1(t * x) / x for x in lam])
-        zeta_v = mp.matrix(vec2d(zeta).tolist())
+        zeta_v = mp.matrix(vec2d(dd.zeta).tolist())
         vz = mp.matrix(vec2d(z).tolist())
         cov = et.T * et + gram
         mean = -(vinv.T * integ * v.T * zeta_v)
@@ -598,10 +629,10 @@ def _assert_flow_matches_mpmath(model, times, seed):
     dd = build_drift_diffusion(model)
     rng = np.random.default_rng(seed)
     z = 0.4 * rng.standard_normal(model.d) + 0.3j * rng.standard_normal(model.d)
-    states = state_evolve(dd, GaussianStateParams.vacuum(model.d), np.array(times), model.zeta)
-    res = weyl_evolve(dd, z, np.array(times), model.zeta)
+    states = state_evolve(dd, GaussianStateParams.vacuum(model.d), np.array(times))
+    res = weyl_evolve(dd, z, np.array(times))
     for i, t in enumerate(times):
-        cov, mean, decay, phase, z_t = _mp_vacuum_flow(dd, model.zeta, t, z)
+        cov, mean, decay, phase, z_t = _mp_vacuum_flow(dd, t, z)
         assert np.linalg.norm(states.cov2d[i] - cov) <= 1e-12 * np.linalg.norm(cov), t
         assert np.linalg.norm(vec2d(states.mean[i]) - mean) <= 1e-12 * np.linalg.norm(mean), t
         assert abs(res.decay_exponent[i] - decay) <= 1e-12 * abs(decay), t
@@ -680,10 +711,10 @@ class TestTimeArrays:
         et = propagator(dd, 0.2)
         stitched = gram[0] + et.T @ gramian_cov(dd, 0.4) @ et
         assert np.linalg.norm(gram[1] - stitched) < 1e-10 * np.linalg.norm(gram[1])
-        zeta = np.array([0.3 + 0.1j, -0.2j])
-        states = state_evolve(dd, GaussianStateParams.vacuum(2), times, zeta)
+        dd = build_drift_diffusion(dataclasses.replace(model, zeta=np.array([0.3 + 0.1j, -0.2j])))
+        states = state_evolve(dd, GaussianStateParams.vacuum(2), times)
         for i, t in enumerate(times):
-            single = state_evolve(dd, GaussianStateParams.vacuum(2), float(t), zeta)
+            single = state_evolve(dd, GaussianStateParams.vacuum(2), float(t))
             assert np.array_equal(states.cov2d[i], single.cov2d)
             assert np.array_equal(states.mean[i], single.mean)
 
@@ -694,12 +725,14 @@ class TestTimeArrays:
         for d in (1, 3):
             model, dd, _ = random_stable_faithful(rng, d)
             z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d) if driven else None
-            res = weyl_evolve(dd, z, times, zeta)
+            if driven:
+                zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                dd = build_drift_diffusion(dataclasses.replace(model, zeta=zeta))
+            res = weyl_evolve(dd, z, times)
             assert res.decay_exponent.shape == res.phase.shape == times.shape
             assert res.z_t.shape == (len(times), d)
             for i, t in enumerate(times):
-                single = weyl_evolve(dd, z, t, zeta)
+                single = weyl_evolve(dd, z, t)
                 assert isinstance(single.decay_exponent, float)
                 assert isinstance(single.phase, float)
                 assert res.decay_exponent[i] == single.decay_exponent

@@ -392,7 +392,7 @@ def test_two_mode_cross_validation():
     d = 2
     model = _two_mode_model(rng)
     dd = build_drift_diffusion(model)
-    st = solve_stationary(dd, model.zeta)
+    st = solve_stationary(dd)
     sp = GaussianStateParams(mean=st.mu, cov2d=st.s2d)
 
     space = build_space(d, 5)
@@ -426,7 +426,7 @@ def test_two_mode_cross_validation():
         assert abs(char_fn(sp, z) - oracle_char_fn(space, rho, z)) < 1e-4
 
     z = np.array([0.25 - 0.15j, 0.1 + 0.2j])
-    res = weyl_evolve(dd, z, 0.4, model.zeta)
+    res = weyl_evolve(dd, z, 0.4)
     closed = np.exp(res.decay_exponent + 1j * res.phase) * char_fn(sp, res.z_t)
     prop = expm(0.4 * superop.heisenberg)
     w_t = (prop @ weyl_matrix(space, z).reshape(-1, order="F")).reshape(

@@ -14,7 +14,7 @@ from conftest import (
     random_unstable,
     rounding_allowances,
 )
-from gaussgap.errors import ConsistencyError, DimensionMismatch, NoFaithfulState
+from gaussgap.errors import ConsistencyError, DimensionMismatch, NoFaithfulState, RangeExceeded
 from gaussgap.gap import (
     analyze,
     analyze_stack,
@@ -201,6 +201,11 @@ class TestClosedForms:
     def test_bad_family_parameters(self):
         with pytest.raises(ValueError):
             one_dim_closed_forms(1, 2, 0, 0)
+
+    def test_overflow_is_range_error(self):
+        # omega^2 = 1e400 leaves double precision
+        with pytest.raises(RangeExceeded, match="closed forms overflow"):
+            one_dim_closed_forms(3, 1, 1e200, 0)
 
 
 def test_split_gap_dominates_on_grid():

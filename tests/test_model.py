@@ -1,5 +1,7 @@
 """Model validation and the drift/diffusion triple."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gaussgap.errors import (
     DependentKraus,
     DimensionMismatch,
     NotHermitian,
+    RangeExceeded,
 )
 from gaussgap.model import (
     GklsModel,
@@ -195,8 +198,8 @@ def test_zeta_stored_but_gap_independent():
     )
     from gaussgap.gap import analyze
 
-    rep0 = analyze(build_drift_diffusion(base), base.zeta)
-    rep1 = analyze(build_drift_diffusion(driven), driven.zeta)
+    rep0 = analyze(build_drift_diffusion(base))
+    rep1 = analyze(build_drift_diffusion(driven))
     assert abs(rep0.g - rep1.g) < 1e-14
     assert abs(rep0.g_breve - rep1.g_breve) < 1e-14
     assert np.linalg.norm(rep1.stationary.mu) > 0
@@ -218,8 +221,8 @@ class TestStack:
         dds = build_drift_diffusion(stack)
         for i, model in enumerate(models):
             dd = build_drift_diffusion(model)
-            for name in ("z2d", "c2d", "cz", "cz_spectrum", "kraus_rank_full", "drift_norm",
-                         "stable_tol", "is_stable"):
+            for name in ("z2d", "c2d", "zeta", "cz", "cz_spectrum", "kraus_rank_full",
+                         "drift_norm", "stable_tol", "is_stable"):
                 assert np.array_equal(getattr(dds, name)[i], getattr(dd, name)), name
             assert abs(dds.abscissa[i] - dd.abscissa) <= 1e-14 * dd.drift_norm
 
@@ -244,6 +247,19 @@ class TestStack:
         assert caught.value.index == 1
         with pytest.raises(DependentKraus):
             build_drift_diffusion(one_dim_family(3.0, 1e-25, 0.0, 0.5))
+
+    def test_overflowing_realization_rejected(self):
+        # |V|^2 = 1e320 leaves double precision: no eigensolver may see it
+        big = dict(d=1, m=1, omega=np.zeros((1, 1)), kappa=np.zeros((1, 1)),
+                   u_mat=np.zeros((1, 1)), zeta=np.zeros(1))
+        with pytest.raises(RangeExceeded, match="overflows double precision"):
+            build_drift_diffusion(GklsModel(v_mat=np.array([[1e160]]), **big))
+        stack = one_dim_family([3.0] * 3, [1.0] * 3, [0.0] * 3, [0.5] * 3)
+        scale = np.array([1.0, 1.0, 1e160])[:, None, None]
+        stack = replace(stack, u_mat=scale * stack.u_mat, v_mat=scale * stack.v_mat)
+        with pytest.raises(RangeExceeded) as caught:
+            build_drift_diffusion(stack)
+        assert caught.value.index == 2
 
     def test_stack_shapes_checked(self):
         with pytest.raises(DimensionMismatch):

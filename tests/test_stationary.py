@@ -1,5 +1,6 @@
 """Stability data, Lyapunov solve, Williamson data and the second covariance."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.linalg import expm
 from conftest import random_model, random_stable_faithful
 from gaussgap import stationary
 from gaussgap.errors import NotFaithful, NotPositiveDefinite, SingularLyapunov, Unstable
+from gaussgap.gap import analyze
 from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
 from gaussgap.realops import jmat
 from gaussgap.stationary import (
@@ -86,7 +88,7 @@ class TestStationarySolve:
             u_mat=base.u_mat, v_mat=base.v_mat, zeta=zeta,
         )
         dd = build_drift_diffusion(model)
-        st = solve_stationary(dd, zeta)
+        st = solve_stationary(dd)
         # Z# mu = zeta through the pair form: Z has the pair (a1, a2) below,
         # and its sharp adjoint the pair (a1*, a2^T)
         u, v = model.u_mat, model.v_mat
@@ -94,6 +96,15 @@ class TestStationarySolve:
         a2 = 0.5 * (u.T @ v - v.T @ u) + 1j * model.kappa
         resid = a1.conj().T @ st.mu + a2.T @ np.conj(st.mu) - zeta
         assert np.linalg.norm(resid) < 1e-12
+
+    def test_drive_travels_with_the_build(self):
+        # the drive is read from the built model: no stage can leave it out
+        model = dataclasses.replace(one_dim_family(3, 1, 2, 1), zeta=np.array([0.5 + 0.2j]))
+        dd = build_drift_diffusion(model)
+        assert np.array_equal(dd.zeta, model.zeta)
+        want = np.array([-0.275 + 0.075j])
+        assert np.abs(solve_stationary(dd).mu - want).max() < 1e-15
+        assert np.abs(analyze(dd).stationary.mu - want).max() < 1e-15
 
 
 def kronecker_lyapunov(z2d, c2d):
@@ -181,6 +192,25 @@ class TestLyapunovSolve:
 
 
 class TestStationaryStack:
+    def test_driven_means_match_single_solves(self):
+        rng = np.random.default_rng(91)
+        models = []
+        for _ in range(4):
+            model, _, _ = random_stable_faithful(rng, 2)
+            zeta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            models.append(dataclasses.replace(model, zeta=zeta))
+        stack = GklsModel(
+            d=2,
+            m=4,
+            **{name: [getattr(m, name) for m in models]
+               for name in ("omega", "kappa", "u_mat", "v_mat", "zeta")},
+        )
+        sts = solve_stationary(build_drift_diffusion(stack))
+        for i, model in enumerate(models):
+            mu = solve_stationary(build_drift_diffusion(model)).mu
+            assert np.all(mu != 0)
+            assert np.array_equal(sts.mu[i], mu)
+
     def test_matches_per_model(self):
         params = np.array([[3.0, 1.0, 2.0, 1.0], [4.0, 0.5, 1.0, 1.2], [2.0, 1.5, 0.0, 0.1]])
         dds = build_drift_diffusion(one_dim_family(*params.T))
