@@ -26,7 +26,7 @@ from .errors import (
     NonCommutingHamiltonian,
     NotRealCoefficients,
 )
-from .model import GklsModel
+from .model import GklsModel, _norm
 
 __all__ = ["OuGenerator", "restrict_to_ou", "lift_from_ou", "ou_gap_1d"]
 
@@ -47,11 +47,9 @@ class OuGenerator:
         d = q.shape[0]
         if q.shape != (d, d) or a.shape != (d, d):
             raise DimensionMismatch("Q and A must be square of equal size")
-        if np.linalg.norm(q - q.T) > 1e-12 * max(1.0, np.linalg.norm(q)):
+        if _norm(q - q.T) > 1e-12 * max(1.0, _norm(q)):
             raise DimensionMismatch("diffusion matrix must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (q + q.T))[0] < -1e-12 * max(
-            1.0, np.linalg.norm(q)
-        ):
+        if np.linalg.eigvalsh(0.5 * (q + q.T))[0] < -1e-12 * max(1.0, _norm(q)):
             raise DegenerateDiffusion("diffusion matrix must be positive semidefinite")
         object.__setattr__(self, "q_mat", 0.5 * (q + q.T))
         object.__setattr__(self, "a_mat", a)
@@ -80,7 +78,7 @@ def restrict_to_ou(model: GklsModel) -> OuGenerator:
     trivial_h = np.max(np.abs(om)) <= REAL_TOL and np.max(np.abs(ka)) <= REAL_TOL
     pattern_h = (
         np.max(np.abs(om.imag), initial=0.0) <= REAL_TOL
-        and np.linalg.norm(ka - 2.0 * om) <= 1e-12 * max(1.0, np.linalg.norm(om))
+        and _norm(ka - 2.0 * om) <= 1e-12 * max(1.0, _norm(om))
     )
     if not (trivial_h or pattern_h):
         raise NonCommutingHamiltonian(

@@ -20,7 +20,6 @@ RFC 4180 with '.' decimals and 17 significant digits so doubles round-trip.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -111,6 +110,10 @@ def _read_model(source):
                 float(preset.get("omega", 0.0)),
                 float(preset.get("kappa", 0.0)),
             )
+            # json reads a number beyond double range, such as 1e400, as inf
+            for key, value in zip(("mu2", "lambda2", "omega", "kappa"), params):
+                if not np.isfinite(value):
+                    raise ParseError(f"bad one_dim preset: {key!r} is not finite")
             return one_dim_family(*params), params
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad one_dim preset: {exc}") from exc
@@ -325,8 +328,10 @@ def _json_pieces(obj, newline, pieces, stream):
         pieces.append(json.dumps(obj))
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+#: one CSV row of each table: every float with 17 significant digits, so
+#: doubles round-trip, and RFC 4180 line ends; no cell needs quoting
+_DECAY_ROW = "%d" + ",%.17g" * 5 + "\r\n"
+_SWEEP_ROW = "%.17g" + ",%.17g" * 8 + "\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +474,15 @@ def _cmd_decay(args) -> int:
     if grep.gns is None:
         raise NotFaithful("decay curves need a faithful invariant state")
     st = grep.stationary
-    # the propagators of t = 0 and the grid, once for every sample
-    props = dynamics.propagator(dd, np.array([0.0, *times]))
+    # the propagators of t = 0 and the grid and the bounds' factors
+    # exp(-2 g t), once for every sample
+    grid = np.array([0.0, *times])
+    props = dynamics.propagator(dd, grid)
+    gns_rate = np.exp(-2.0 * grep.gns.g * grid[1:])
+    kms_rate = np.exp(-2.0 * grep.kms.g * grid[1:])
     rng = np.random.default_rng(args.seed)
-    writer = csv.writer(sys.stdout, lineterminator="\r\n")
-    writer.writerow(
-        [
-            "sample",
-            "t",
-            "gns_norm_sq",
-            "gns_bound",
-            "kms_norm_sq",
-            "kms_bound",
-        ]
-    )
+    out = sys.stdout
+    out.write("sample,t,gns_norm_sq,gns_bound,kms_norm_sq,kms_bound\r\n")
     for s in range(args.samples):
         n_terms = int(rng.integers(1, 4))
         combo = dynamics.WeylCombo(
@@ -496,24 +496,22 @@ def _cmd_decay(args) -> int:
         )
         gns = dynamics.norm_decay_at(st, combo, props, "gns")
         kms = dynamics.norm_decay_at(st, combo, props, "kms")
-        for t, gns_t, kms_t in zip(times, gns[1:], kms[1:]):
-            writer.writerow(
-                [
-                    s,
-                    _fmt(t),
-                    _fmt(gns_t),
-                    _fmt(np.exp(-2.0 * grep.gns.g * t) * gns[0]),
-                    _fmt(kms_t),
-                    _fmt(np.exp(-2.0 * grep.kms.g * t) * kms[0]),
-                ]
-            )
+        table = zip(
+            [s] * len(times),
+            times,
+            gns[1:].tolist(),
+            (gns_rate * gns[0]).tolist(),
+            kms[1:].tolist(),
+            (kms_rate * kms[0]).tolist(),
+        )
+        out.writelines(map(_DECAY_ROW.__mod__, table))
     return 0
 
 
 def _sweep_rows(points):
-    """CSV rows of the admissible points among the (mu2, lambda2, omega,
-    kappa) tuples, in their order.  A failed check raises for the first
-    failing point, with its parameters in the message."""
+    """The (N, 9) table of the admissible points among the (mu2, lambda2,
+    omega, kappa) tuples, in their order.  A failed check raises for the
+    first failing point, with its parameters in the message."""
     try:
         return _stacked_rows(points)
     except GaussGapError as exc:
@@ -530,10 +528,10 @@ def _sweep_rows(points):
 
 def _stacked_rows(points):
     """Evaluate the points as one model stack per jump count (lambda2 = 0
-    drops the lambda jump); errors carry the failing point's position in
-    points as ``index``."""
+    drops the lambda jump), and their closed forms as one more stack; errors
+    carry the failing point's position in points as ``index``."""
     params = np.array(points, dtype=float).reshape(-1, 4)
-    found = []
+    index, gaps = [np.empty(0, dtype=int)], [np.empty((0, 3))]
     for group in (params[:, 1] == 0.0, params[:, 1] > 0.0):
         pos = np.flatnonzero(group)
         if not pos.size:
@@ -544,16 +542,18 @@ def _stacked_rows(points):
             if exc.index is not None:
                 exc.index = int(pos[exc.index])
             raise
-        found += zip(pos[res.index].tolist(), res.g, res.g_breve, res.sigma[:, 0])
-    rows = []
-    for i, g, g_breve, sigma in sorted(found):
-        try:
-            cf = gap.one_dim_closed_forms(*points[i])
-        except GaussGapError as exc:
-            exc.index = i
-            raise
-        rows.append((*points[i], g, cf.g, g_breve, cf.g_breve, sigma))
-    return rows
+        index.append(pos[res.index])
+        gaps.append(np.column_stack([res.g, res.g_breve, res.sigma[:, 0]]))
+    index, gaps = np.concatenate(index), np.concatenate(gaps)
+    order = np.argsort(index)
+    index = index[order]
+    g, g_breve, sigma = gaps[order].T
+    try:
+        cf = gap.one_dim_closed_forms(*params[index].T)
+    except GaussGapError as exc:
+        exc.index = int(index[exc.index])
+        raise
+    return np.column_stack([params[index], g, cf.g, g_breve, cf.g_breve, sigma])
 
 
 def _parse_grid(grid_arg: str) -> dict:
@@ -602,22 +602,9 @@ def _cmd_sweep(args) -> int:
                         continue  # pure vacuum boundary
                     points.append((mu2, lambda2, omega_h, kappa_h))
     rows = _sweep_rows(points)
-    writer = csv.writer(sys.stdout, lineterminator="\r\n")
-    writer.writerow(
-        [
-            "mu2",
-            "lambda2",
-            "omega",
-            "kappa",
-            "g",
-            "g_closed",
-            "g_breve",
-            "g_breve_closed",
-            "sigma",
-        ]
-    )
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    out = sys.stdout
+    out.write("mu2,lambda2,omega,kappa,g,g_closed,g_breve,g_breve_closed,sigma\r\n")
+    out.writelines(map(_SWEEP_ROW.__mod__, map(tuple, rows.tolist())))
     return 0
 
 

@@ -36,7 +36,7 @@ from .errors import (
     RangeExceeded,
     raise_first,
 )
-from .model import DriftDiffusion, GklsModel, _plain, build_drift_diffusion
+from .model import DriftDiffusion, GklsModel, _norm, _plain, build_drift_diffusion
 from .stationary import StationaryData, solve_stationary
 
 __all__ = [
@@ -211,6 +211,8 @@ def kms_gap(dd: DriftDiffusion, st: StationaryData) -> GapComputation:
 
 @dataclass(frozen=True)
 class OneDimClosedForms:
+    """Closed forms of one single-mode model, or arrays over a stack."""
+
     gamma: float
     g: float
     g_breve: float
@@ -232,37 +234,55 @@ def one_dim_closed_forms(mu2, lambda2, omega_h, kappa_h) -> OneDimClosedForms:
     lambda = 0 the noise form is singular and g vanishes identically.
     Faithfulness additionally needs lambda and kappa not both zero (else the
     invariant state is the pure vacuum); that boundary raises too.
+
+    Array parameters (broadcast together) give arrays over their leading
+    axis, each entry bit-identical to a call with its scalars; a failed
+    check raises for the first failing entry and carries its position as
+    ``index``.
     """
-    mu2 = float(mu2)
-    lambda2 = float(lambda2)
-    omega_h = float(omega_h)
-    kappa_h = float(kappa_h)
-    if not 0 <= lambda2 < mu2:
-        raise ValueError("family requires 0 <= lambda2 < mu2")
+    mu2, lambda2, omega_h, kappa_h = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (mu2, lambda2, omega_h, kappa_h))
+    )
+    raise_first(
+        ~((0 <= lambda2) & (lambda2 < mu2)),
+        ValueError,
+        "family requires 0 <= lambda2 < mu2",
+    )
     gamma = 0.5 * (mu2 - lambda2)
-    try:
-        disc = gamma**2 + omega_h**2 - kappa_h**2
-    except OverflowError as exc:
-        raise RangeExceeded("closed forms overflow double precision") from exc
-    if disc <= 0:
-        raise NoFaithfulState(
-            f"gamma^2 + omega^2 - kappa^2 = {disc:.6g} <= 0: "
-            "no faithful invariant state"
+    params = np.stack([gamma, omega_h, kappa_h])
+    # Python float arithmetic, which the scalar formulas were written in,
+    # overflows to inf silently, except in a power
+    with np.errstate(over="ignore", invalid="ignore"):
+        # libm pow, as in Python's x**2: x * x moves the last bit of some
+        # squares, and with it printed digits
+        gamma2, omega2, kappa2 = squares = np.float_power(params, 2.0)
+        raise_first(
+            np.any(np.isinf(squares) & np.isfinite(params), axis=0),
+            RangeExceeded,
+            "closed forms overflow double precision",
         )
-    if lambda2 == 0.0 and kappa_h == 0.0:
+        disc = gamma2 + omega2 - kappa2
+        raise_first(
+            disc <= 0,
+            NoFaithfulState,
+            "gamma^2 + omega^2 - kappa^2 = {:.6g} <= 0: no faithful invariant state",
+            disc,
+        )
         # pure damping relaxes to the vacuum: sigma = 1, pure boundary
-        raise NoFaithfulState(
-            "lambda = kappa = 0 drives the system to the pure vacuum state"
+        raise_first(
+            (lambda2 == 0.0) & (kappa_h == 0.0),
+            NoFaithfulState,
+            "lambda = kappa = 0 drives the system to the pure vacuum state",
         )
-    denom = 2.0 * np.sqrt(mu2 * lambda2 * (gamma**2 + omega_h**2) + gamma**2 * kappa_h**2)
-    g = gamma * (1.0 - abs(kappa_h) * (mu2 + lambda2) / denom)
-    g_breve = gamma * (1.0 - abs(kappa_h) / np.sqrt(omega_h**2 + gamma**2))
-    sigma = (mu2 + lambda2) / (2.0 * gamma) * np.sqrt((gamma**2 + omega_h**2) / disc)
+        denom = 2.0 * np.sqrt(mu2 * lambda2 * (gamma2 + omega2) + gamma2 * kappa2)
+        g = gamma * (1.0 - np.abs(kappa_h) * (mu2 + lambda2) / denom)
+        g_breve = gamma * (1.0 - np.abs(kappa_h) / np.sqrt(omega2 + gamma2))
+        sigma = (mu2 + lambda2) / (2.0 * gamma) * np.sqrt((gamma2 + omega2) / disc)
     return OneDimClosedForms(
-        gamma=gamma,
-        g=float(g),
-        g_breve=float(g_breve),
-        sigma=float(sigma),
+        gamma=_plain(gamma),
+        g=_plain(g),
+        g_breve=_plain(g_breve),
+        sigma=_plain(sigma),
     )
 
 
@@ -329,11 +349,12 @@ def no_gap_diagnosis(dd: DriftDiffusion) -> Finding:
             and np.linalg.norm(c2d @ span, 2) <= 1e-10 * c_scale
         )
         case = 1 if in_kernel else 2
-        resid = float(np.linalg.norm(z2d @ w - lam * w))
+        resid = float(_norm(z2d @ w - lam * w))
         return Finding(
             kind="Unstable",
             message=(
-                f"drift eigenvalue {lam:.6g} has Re >= 0; "
+                f"drift eigenvalue {lam:.6g} has real part not below "
+                f"-{dd.stable_tol:.6g} (1e-12 * max(1, |Z|_2)); "
                 + (
                     "its invariant subspace is diffusion-free (case 1)"
                     if case == 1

@@ -152,9 +152,27 @@ def _adjoint(a):
     return a.swapaxes(-1, -2).conj()
 
 
+def _norm(a, axis=None):
+    """np.linalg.norm(a, axis=axis): the 2-norm of a vector, the Frobenius
+    norm of a matrix or over two axes.  Where squaring the entries overflows
+    it is max|a| times the norm of a / max|a| instead; every norm that
+    np.linalg.norm gets finite keeps its bits."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a, axis=axis)
+    over = np.isinf(norm)
+    if not over.any():
+        return norm
+    big = np.max(np.abs(a), axis=axis, keepdims=True)
+    scale = np.squeeze(big, axis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rescaled = scale * np.linalg.norm(a / big, axis=axis)
+    # an infinite entry leaves the norm infinite
+    return np.where(over & np.isfinite(scale), rescaled, norm)
+
+
 def _fro(a):
-    """Frobenius norm over the last two axes."""
-    return np.linalg.norm(a, axis=(-2, -1))
+    """Frobenius norm over the last two axes (see _norm)."""
+    return _norm(a, axis=(-2, -1))
 
 
 def _kraus_rank(u, v):

@@ -91,6 +91,20 @@ class TestParse:
         with pytest.raises((ParseError, ShapeError)):
             parse_model(text)
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [("mu2", "1e400"), ("lambda2", "-1e400"), ("omega", "1e999"), ("kappa", '"nan"')],
+    )
+    def test_preset_values_must_be_finite(self, capsys, key, text):
+        # json reads 1e400 as inf
+        values = {"mu2": "3", "lambda2": "1", "omega": "2", "kappa": "1", key: text}
+        cells = ", ".join(f'"{name}": {value}' for name, value in values.items())
+        doc = '{"version": 1, "one_dim": {' + cells + "}}"
+        assert main(["analyze", doc]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error [ParseError]: bad one_dim preset: {key!r} is not finite\n"
+
     def test_missing_path_reported(self):
         with pytest.raises(ParseError, match="model file not found: no/such/model.json"):
             parse_model("no/such/model.json")
@@ -252,7 +266,10 @@ class TestMain:
         rep = gap.analyze(dd)
         st = rep.stationary
         rng = np.random.default_rng(seed)
-        lines = ["sample,t,gns_norm_sq,gns_bound,kms_norm_sq,kms_bound"]
+        # each row through csv.writer, each bound from its own exp
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\r\n")
+        writer.writerow(["sample", "t", "gns_norm_sq", "gns_bound", "kms_norm_sq", "kms_bound"])
         for s in range(6):
             n = int(rng.integers(1, 4))
             combo = WeylCombo(
@@ -270,8 +287,8 @@ class TestMain:
                     norm_decay(st, dd, combo, t, "kms"),
                     np.exp(-2.0 * rep.g_breve * t) * kms0,
                 ]
-                lines.append(",".join([str(s)] + [format(float(c), ".17g") for c in cells]))
-        assert out == "\r\n".join(lines) + "\r\n"
+                writer.writerow([s] + [_fmt17(c) for c in cells])
+        assert out == expected.getvalue()
 
     def test_gap_command_modes(self, capsys):
         assert main(["gap", MODEL_B_PRESET, "--mode", "gns"]) == 0
@@ -660,13 +677,30 @@ class TestMain:
     def test_overflowing_closed_forms_reported_unavailable(self, capsys):
         preset = json.dumps({"version": 1, "one_dim": {"mu2": 3, "lambda2": 1,
                                                        "omega": 1e200, "kappa": 0}})
-        # norms of this model overflow to inf in validation and diagnostics,
-        # which warn; this test pins the report, not those warnings
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            assert main(["analyze", preset, "--json"]) == 2
+        assert main(["analyze", preset, "--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["closed_form"] == {"available": False, "reason": "RangeExceeded"}
+        # kappa = 0 is not 2 omega: a norm that overflowed once let it pass
+        assert report["classical"] == {"available": False, "reason": "NonCommutingHamiltonian"}
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze", json.dumps({"version": 1, "one_dim": {"mu2": 3, "lambda2": 1,
+                                                               "omega": 1e200, "kappa": 0}}),
+              "--json"], 2),
+            (["sweep", "--grid", "mu2=3;lambda2=1;omega=1e160;kappa=0"], 0),
+        ],
+        ids=["analyze-omega-1e200", "sweep-omega-1e160"],
+    )
+    def test_norms_of_huge_entries_stay_finite(self, capsys, argv, code):
+        # squares of entries above about 1e154 overflow double precision
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "Infinity" not in captured.out and "inf" not in captured.out
 
     def test_kms_trace_check_writes_no_warning(self, capsys):
         # kappa != 0: the steady state is not number-diagonal
@@ -681,6 +715,11 @@ class TestMain:
         assert captured.err == "" and caught == []
         payload = json.loads(captured.out)
         assert payload["pass"] and payload["max_rel_error"] < 1e-6
+
+
+def _fmt17(x):
+    """A CSV cell: 17 significant digits, so doubles round-trip."""
+    return format(float(x), ".17g")
 
 
 def _sweep_csv_rows(capsys, grid):
@@ -844,11 +883,11 @@ class TestSweepStack:
         axes, ill_conditioned = SWEEP_GRIDS[name]
         rows = _sweep_csv_rows(capsys, "" if axes is cli.DEFAULT_GRID else _grid_spec(axes))
         reference = _per_model_rows(axes)
-        assert [row[:4] for row in rows] == [[cli._fmt(p) for p in params]
+        assert [row[:4] for row in rows] == [[_fmt17(p) for p in params]
                                              for params, *_ in reference]
         for row, (params, values, dd, st) in zip(rows, reference):
             g, g_closed, g_breve, g_breve_closed, sigma = values
-            assert [row[5], row[7]] == [cli._fmt(g_closed), cli._fmt(g_breve_closed)]
+            assert [row[5], row[7]] == [_fmt17(g_closed), _fmt17(g_breve_closed)]
             tol = [1e-12 * abs(g), 1e-12 * abs(g_breve), 1e-12 * sigma]
             if ill_conditioned:
                 # near a boundary both paths are only as exact as the
@@ -858,6 +897,41 @@ class TestSweepStack:
                        max(tol[2], sigma_rel * sigma)]
             for got, want, allowed in zip(row[4::2], (g, g_breve, sigma), tol):
                 assert abs(float(got) - want) <= allowed, (params, got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bytes_match_row_by_row_table(self, capsys, seed):
+        # the command formats whole rows and takes the closed forms of all
+        # points at once; the reference makes one scalar closed-form call
+        # and one csv.writer row per point, the gaps from the same stacks
+        rng = np.random.default_rng(seed)
+        axes = {
+            "mu2": rng.uniform(0.5, 6.0, 5).tolist(),
+            "lambda2": [0.0, -0.0, 1e-9, *rng.uniform(0.01, 1.5, 3)],
+            "omega": [-0.0, *rng.uniform(-3.0, 3.0, 3)],
+            "kappa": [-0.0, *rng.uniform(-1.5, 1.5, 4)],
+        }
+        assert main(["sweep", "--grid", _grid_spec(axes)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        points = [
+            p for p in itertools.product(*(axes[name] for name in cli.DEFAULT_GRID))
+            if 0 <= p[1] < p[0] and not p[1] == p[3] == 0.0
+        ]
+        params = np.array(points)
+        found = []
+        for group in (params[:, 1] == 0.0, params[:, 1] > 0.0):
+            pos = np.flatnonzero(group)
+            res = gap.analyze_stack(one_dim_family(*params[pos].T))
+            found += zip(pos[res.index].tolist(), res.g, res.g_breve, res.sigma[:, 0])
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\r\n")
+        writer.writerow(["mu2", "lambda2", "omega", "kappa", "g", "g_closed", "g_breve",
+                         "g_breve_closed", "sigma"])
+        for i, g, g_breve, sigma in sorted(found):
+            cf = gap.one_dim_closed_forms(*points[i])
+            writer.writerow([_fmt17(x) for x in (*points[i], g, cf.g, g_breve, cf.g_breve, sigma)])
+        assert len(found) > 200
+        assert captured.out == expected.getvalue()
 
 
 def _mixed_d4_model():

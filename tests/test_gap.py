@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ class TestKmsGap:
             kms_gap(dd, bad)
 
 
+def _python_closed_forms(mu2, lambda2, omega, kappa):
+    """(gamma, g, g_breve, sigma) in Python float arithmetic, whose x**2 is
+    libm pow: the bits the closed-form columns of sweep have always had."""
+    gamma = 0.5 * (mu2 - lambda2)
+    disc = gamma**2 + omega**2 - kappa**2
+    denom = 2.0 * math.sqrt(mu2 * lambda2 * (gamma**2 + omega**2) + gamma**2 * kappa**2)
+    g = gamma * (1.0 - abs(kappa) * (mu2 + lambda2) / denom)
+    g_breve = gamma * (1.0 - abs(kappa) / math.sqrt(omega**2 + gamma**2))
+    sigma = (mu2 + lambda2) / (2.0 * gamma) * math.sqrt((gamma**2 + omega**2) / disc)
+    return gamma, g, g_breve, sigma
+
+
 class TestClosedForms:
     def test_kappa_zero_collapse(self):
         cf = one_dim_closed_forms(3, 1, 0, 0)
@@ -206,6 +219,52 @@ class TestClosedForms:
         # omega^2 = 1e400 leaves double precision
         with pytest.raises(RangeExceeded, match="closed forms overflow"):
             one_dim_closed_forms(3, 1, 1e200, 0)
+
+    def test_stack_matches_scalar_calls(self):
+        # each entry bit for bit, signed zeros, negative parameters and a
+        # tiny lambda2 included, and both bit for bit as Python floats
+        rng = np.random.default_rng(23)
+        # values whose square x * x rounds apart from x**2
+        apart = [x for x in rng.uniform(-2.0, 2.0, 20000).tolist() if x * x != x**2]
+        points = []
+        for mu2, lambda2, omega, kappa in itertools.product(
+            rng.uniform(0.5, 6.0, 6),
+            [0.0, -0.0, 1e-300, 1e-9, *rng.uniform(0.01, 2.0, 3)],
+            [-0.0, 0.0, *rng.uniform(-3.0, 3.0, 3), *apart[:2]],
+            [-0.0, *rng.uniform(-2.0, 2.0, 5), *apart[2:4]],
+        ):
+            if 0 <= lambda2 < mu2 and not lambda2 == kappa == 0.0:
+                gamma = 0.5 * (mu2 - lambda2)
+                if gamma**2 + omega**2 - kappa**2 > 0:
+                    points.append((mu2, lambda2, omega, kappa))
+        assert len(points) > 500
+        points = [tuple(map(float, p)) for p in points]
+        reference = np.array([_python_closed_forms(*p) for p in points]).T
+        scalar = [one_dim_closed_forms(*p) for p in points]
+        stacked = one_dim_closed_forms(*np.array(points).T)
+        for name, want in zip(("gamma", "g", "g_breve", "sigma"), reference):
+            assert np.array_equal([getattr(cf, name) for cf in scalar], want), name
+            assert np.array_equal(getattr(stacked, name), want), name
+        assert all(type(cf.g) is float for cf in scalar)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ((1.0, 2.0, 0.0, 0.0), ValueError),
+            ((3.0, 1.0, 1e200, 0.0), RangeExceeded),
+            ((2.0, 0.0, 0.0, 1.5), NoFaithfulState),
+            ((2.0, 0.0, 1.0, 0.0), NoFaithfulState),
+        ],
+        ids=["range", "overflow", "unstable", "pure-vacuum"],
+    )
+    def test_stack_error_names_entry(self, bad, error):
+        points = [(3.0, 1.0, 2.0, 1.0)] * 3 + [bad, bad, (4.0, 0.5, 1.0, 1.2)]
+        with pytest.raises(error) as scalar:
+            one_dim_closed_forms(*bad)
+        with pytest.raises(error) as stacked:
+            one_dim_closed_forms(*np.array(points).T)
+        assert stacked.value.index == 3
+        assert str(stacked.value) == str(scalar.value)
 
 
 def test_split_gap_dominates_on_grid():
@@ -360,6 +419,22 @@ class TestNoGapDiagnosis:
         assert finding.case == 2
         assert abs(finding.eigenvalue - 0.5) < 1e-12
         assert finding.residual <= 1e-10
+
+    @pytest.mark.parametrize(
+        "params, bound",
+        [((3.0, 1.0, 0.0, 0.999999999999), "-2e-12"), ((3.0, 1.0, 1e160, 0.0), "-1e+148")],
+        ids=["near-boundary", "huge-omega"],
+    )
+    def test_unstable_message_states_tested_bound(self, params, bound):
+        # the eigenvalue's real part is negative but not below the relative
+        # threshold -stable_tol that decides stability
+        dd = build_drift_diffusion(one_dim_family(*params))
+        finding = no_gap_diagnosis(dd)
+        assert finding.kind == "Unstable"
+        assert -dd.stable_tol <= finding.eigenvalue.real < 0
+        assert f"has real part not below {bound} (1e-12 * max(1, |Z|_2)); " in finding.message
+        assert "Re >= 0" not in finding.message
+        assert np.isfinite(finding.residual)
 
     def test_noise_free_rotating_mode_is_kernel_case(self):
         # mode 1 rotates without noise: the unstable invariant plane lies in

@@ -59,6 +59,23 @@ def test_non_hermitian_omega_rejected():
         validate(model)
 
 
+def test_non_hermitian_omega_rejected_at_huge_scale():
+    # squares of entries this large overflow; an infinite residual was once
+    # compared with an infinite bound and passed
+    model = GklsModel(
+        d=2,
+        m=2,
+        omega=1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]),
+        kappa=np.zeros((2, 2)),
+        u_mat=np.zeros((2, 2)),
+        v_mat=np.eye(2),
+        zeta=np.zeros(2),
+    )
+    report = validate(model, strict=False)
+    assert [type(e) for e in report.errors] == [NotHermitian]
+    assert report.hermiticity_residual == pytest.approx(np.sqrt(2.0) * 1e200)
+
+
 def test_m_above_2d_rejected():
     model = GklsModel(
         d=1,
