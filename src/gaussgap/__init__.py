@@ -29,7 +29,6 @@ from .gap import (
     kms_gap,
     no_gap_diagnosis,
     one_dim_closed_forms,
-    optimal_growth_rate,
 )
 from .model import (
     DriftDiffusion,

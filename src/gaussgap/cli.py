@@ -34,7 +34,13 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .model import GklsModel, build_drift_diffusion, one_dim_family, validate
+from .model import (
+    GklsModel,
+    _lambda_jump_kept,
+    build_drift_diffusion,
+    one_dim_family,
+    validate,
+)
 from .stationary import require_stable, solve_stationary
 
 __all__ = ["parse_model", "run_report", "main"]
@@ -527,12 +533,14 @@ def _sweep_rows(points):
 
 
 def _stacked_rows(points):
-    """Evaluate the points as one model stack per jump count (lambda2 = 0
-    drops the lambda jump), and their closed forms as one more stack; errors
-    carry the failing point's position in points as ``index``."""
+    """Evaluate the points as one model stack per jump count (the family
+    drops the lambda jump where validation would call it dependent), and
+    their closed forms as one more stack; errors carry the failing point's
+    position in points as ``index``."""
     params = np.array(points, dtype=float).reshape(-1, 4)
     index, gaps = [np.empty(0, dtype=int)], [np.empty((0, 3))]
-    for group in (params[:, 1] == 0.0, params[:, 1] > 0.0):
+    kept = _lambda_jump_kept(params[:, 0], params[:, 1])
+    for group in (~kept, kept):
         pos = np.flatnonzero(group)
         if not pos.size:
             continue

@@ -134,9 +134,6 @@ class WeylCombo:
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "vectors", vecs)
 
-    def __len__(self):
-        return self.coefficients.shape[0]
-
 
 def _times(t):
     """A time or a 1-D array of times as a float array (0-d for a time)."""
@@ -352,27 +349,21 @@ def kernel_psd_check(
     t: float,
     rate: float,
     mode="gns",
-    use_root=False,
 ):
     """Minimum eigenvalue of the Gram matrix of the decay-dominance kernel
 
         K_{n,t}(z, w) = exp(-2 rate t) s_0(z, w)^n - s_t(z, w)^n
 
-    over the given points (with the n-th-root variant
-    exp(-2 rate t / n) s_0 - s_t when use_root is set).  The kernel is
-    positive semidefinite exactly when the rate is a valid decay rate.
+    over the given points.  The kernel is positive semidefinite exactly when
+    the rate is a valid decay rate.
     """
     if n < 1:
         raise ValueError("kernel order must be >= 1")
     props = propagator(dd, _forward_times([0.0, t], "kernel"))
     vecs = np.column_stack([vec2d(z) for z in points])
     g0, gt = _kernel_matrix(st, vecs, props, mode)
-    if use_root:
-        term0 = np.exp(-2.0 * rate * t / n) * g0
-        termt = gt
-    else:
-        term0 = np.exp(-2.0 * rate * t) * g0**n
-        termt = gt**n
+    term0 = np.exp(-2.0 * rate * t) * g0**n
+    termt = gt**n
     kmat = term0 - termt
     kmat = 0.5 * (kmat + kmat.conj().T)
     lam_min = float(np.linalg.eigvalsh(kmat)[0])

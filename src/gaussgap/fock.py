@@ -55,7 +55,6 @@ __all__ = [
     "oracle_char_fn",
     "oracle_kms_trace",
     "oracle_gap",
-    "leakage_norm",
 ]
 
 MAX_SPACE_DIM = 4096
@@ -88,13 +87,6 @@ class TruncatedSpace:
     def p_op(self, j):
         a = self.a_ops[j]
         return 1j * (a.conj().T - a) / np.sqrt(2.0)
-
-    def occupations(self):
-        """Array (dim, d) of occupation numbers per basis state."""
-        grids = np.meshgrid(
-            *[np.arange(self.cutoff + 1)] * self.d, indexing="ij"
-        )
-        return np.column_stack([g.ravel() for g in grids])
 
 
 def build_space(d: int, cutoff: int) -> TruncatedSpace:
@@ -322,17 +314,6 @@ def oracle_kms_trace(space: TruncatedSpace, rho, z, w) -> complex:
     return complex(
         np.trace(root @ weyl_matrix(space, z) @ root @ weyl_matrix(space, w))
     )
-
-
-def leakage_norm(space: TruncatedSpace, mat) -> float:
-    """Norm of the rows/columns of a matrix touching the top occupation
-    level; measures how strongly truncation boundary terms act."""
-    occ = space.occupations()
-    top = np.any(occ == space.cutoff, axis=1)
-    mat = np.asarray(mat)
-    sub_rows = mat[top, :]
-    sub_cols = mat[:, top]
-    return float(np.sqrt(np.linalg.norm(sub_rows) ** 2 + np.linalg.norm(sub_cols) ** 2))
 
 
 def _thermal_envelope(model: GklsModel):

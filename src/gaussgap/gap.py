@@ -42,7 +42,6 @@ from .stationary import StationaryData, solve_stationary
 __all__ = [
     "GapReport",
     "Finding",
-    "optimal_growth_rate",
     "gns_gap",
     "kms_gap",
     "one_dim_closed_forms",
@@ -93,14 +92,6 @@ def fix_phase(v):
     out = v.copy()
     out[idx] = abs(out[idx])
     return out
-
-
-def optimal_growth_rate(y) -> float:
-    """Largest eigenvalue of y + y*; the least omega with
-    ||exp(t y) v||^2 <= exp(t omega) ||v||^2 for all t >= 0 and all v."""
-    y = np.asarray(y)
-    h = y + y.conj().T
-    return float(np.linalg.eigvalsh(h)[-1])
 
 
 @dataclass(frozen=True)
@@ -299,40 +290,13 @@ class Finding:
     residual: Optional[float] = None
 
 
-def _krylov_span(z2d, seeds, tol=1e-10):
-    """Orthonormal basis of the smallest Z-invariant subspace containing the
-    seed vectors."""
-    n = z2d.shape[0]
-    basis = []
-
-    def add(vec):
-        w = vec.astype(float).copy()
-        for b in basis:
-            w -= (b @ w) * b
-        nrm = np.linalg.norm(w)
-        if nrm > tol * max(1.0, np.linalg.norm(vec)):
-            basis.append(w / nrm)
-            return True
-        return False
-
-    frontier = [s for s in seeds if add(s)]
-    while frontier and len(basis) < n:
-        nxt = []
-        for vec in frontier:
-            img = z2d @ vec
-            if add(img):
-                nxt.append(img)
-        frontier = nxt
-    return np.column_stack(basis) if basis else np.zeros((n, 0))
-
-
 def no_gap_diagnosis(dd: DriftDiffusion) -> Finding:
     """Classify why the one-sided embedding has no gap, or report GapExists.
 
-    Unstable drift: returns the offending eigenpair and distinguishes
-    case 1 (the unstable invariant real subspace is annihilated by the
-    diffusion, so observables survive unchanged) from case 2 (the damping
-    integral diverges).  Stable drift with singular cz: returns a unit
+    Unstable drift: returns the offending eigenpair (Z w = lam w) and
+    distinguishes case 1 (C w = 0: the diffusion vanishes on the invariant
+    real plane of w, so observables survive unchanged) from case 2 (the
+    damping integral diverges).  Stable drift with singular cz: returns a unit
     kernel vector of cz.
     """
     z2d = dd.z2d
@@ -341,14 +305,9 @@ def no_gap_diagnosis(dd: DriftDiffusion) -> Finding:
         lam = complex(dd.drift_eigenvalues[idx])
         w = dd.drift_eigenvectors[:, idx]
         w = w / np.linalg.norm(w)
-        c2d = dd.c2d
-        span = _krylov_span(z2d, [w.real, w.imag])
-        c_scale = max(1.0, float(np.linalg.norm(c2d, 2)))
-        in_kernel = bool(
-            span.shape[1] > 0
-            and np.linalg.norm(c2d @ span, 2) <= 1e-10 * c_scale
-        )
-        case = 1 if in_kernel else 2
+        # C is real, so it vanishes on span(Re w, Im w) exactly when C w = 0
+        c_scale = max(1.0, float(np.linalg.norm(dd.c2d, 2)))
+        case = 1 if _norm(dd.c2d @ w) <= 1e-10 * c_scale else 2
         resid = float(_norm(z2d @ w - lam * w))
         return Finding(
             kind="Unstable",

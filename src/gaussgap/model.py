@@ -104,14 +104,23 @@ class GklsModel:
         object.__setattr__(self, "zeta", zeta.reshape(lead + (d,)))
 
 
+def _lambda_jump_kept(mu2, lambda2):
+    """Whether the lambda*adag jump of the single-mode family counts as
+    independent of mu*a: the rank rule of :func:`validate`, whose matrix
+    [V*; U^T] has the singular values mu and lambda, so lambda2 must exceed
+    about 1e-20 mu2.  Entrywise for arrays."""
+    return np.sqrt(lambda2) > RANK_TOL * np.sqrt(mu2)
+
+
 def one_dim_family(mu2, lambda2, omega=0.0, kappa=0.0) -> GklsModel:
     """Single-mode family with jumps mu*a, lambda*adag and a quadratic
     Hamiltonian omega*adag*a + kappa*(adag^2 + a^2)/2; array parameters
     (broadcast together) give a stack of models.
 
-    Requires 0 <= lambda2 < mu2.  For lambda2 = 0 the (identically zero)
-    second jump operator is dropped so the remaining one stays independent;
-    a stack has one jump count, so lambda2 must then be zero everywhere.
+    Requires 0 <= lambda2 < mu2.  A lambda*adag jump that validation would
+    call dependent (lambda2 = 0, or below about 1e-20 mu2; see
+    _lambda_jump_kept) is dropped, so the remaining one stays independent;
+    a stack has one jump count, so every entry must then drop it.
     """
     mu2, lambda2, omega, kappa = np.broadcast_arrays(
         np.asarray(mu2, dtype=float),
@@ -123,13 +132,17 @@ def one_dim_family(mu2, lambda2, omega=0.0, kappa=0.0) -> GklsModel:
         raise ValueError("family requires 0 <= lambda2 < mu2")
     mu = np.sqrt(mu2)
     zero = np.zeros_like(mu)
-    if np.all(lambda2 > 0):
+    kept = _lambda_jump_kept(mu2, lambda2)
+    if np.all(kept):
         u = np.stack([zero, np.sqrt(lambda2)], axis=-1)
         v = np.stack([mu, zero], axis=-1)
-    elif np.all(lambda2 == 0):
+    elif not np.any(kept):
         u, v = zero[..., None], mu[..., None]
     else:
-        raise ValueError("a family stack needs lambda2 > 0 everywhere or nowhere")
+        raise ValueError(
+            "a family stack needs lambda2 > 0 everywhere or nowhere, "
+            "counting lambda2 below about 1e-20 mu2 as zero"
+        )
     return GklsModel(
         d=1,
         m=u.shape[-1],
@@ -191,7 +204,6 @@ class ValidationReport:
     hermiticity_residual: float
     symmetry_residual: float
     kraus_rank: int
-    kraus_rank_required: int
     errors: tuple = ()
 
 
@@ -241,7 +253,6 @@ def validate(model: GklsModel, strict: bool = True) -> ValidationReport:
         hermiticity_residual=_plain(herm),
         symmetry_residual=_plain(symm),
         kraus_rank=_plain(rank),
-        kraus_rank_required=m,
         errors=tuple(errors),
     )
 

@@ -85,10 +85,12 @@ class StationaryData(_EntryIndexing):
 def _check_lyapunov_residual(z2d, c2d, s):
     """Raise SingularLyapunov unless S (or each S of a stack) solves
     Z^T S + S Z = -C to a normwise backward error of 1e-10."""
-    resid = np.linalg.norm(z2d.swapaxes(-1, -2) @ s + s @ z2d + c2d, axis=(-2, -1))
+    # _fro: squaring the entries of a norm overflows from about 1e154, and
+    # an infinite scale would accept any residual
+    resid = _fro(z2d.swapaxes(-1, -2) @ s + s @ z2d + c2d)
     # the residual of any solve in floating point grows like
     # eps * |Z| * |S|, and |S| grows like 1 / (decay rate)
-    fro_z, fro_c, fro_s = (np.linalg.norm(a, axis=(-2, -1)) for a in (z2d, c2d, s))
+    fro_z, fro_c, fro_s = (_fro(a) for a in (z2d, c2d, s))
     scale = np.maximum(np.maximum(1.0, fro_c), 2.0 * fro_z * fro_s)
     raise_first(
         ~(resid <= 1e-10 * scale),

@@ -236,6 +236,18 @@ class TestMain:
                 assert code == 2 and not faithful, params
                 assert report["stationary"]["sigma"] is None, params
 
+    def test_tiny_lambda2_preset_gets_a_report(self, capsys):
+        # lambda2 below about 1e-20 mu2 drops the jump: the report of the
+        # lambda2 = 0 model, with g = 0, as for lambda2 = 1e-19
+        for lambda2 in (1e-21, 1e-19):
+            preset = json.dumps({"version": 1, "one_dim": {"mu2": 3, "lambda2": lambda2,
+                                                           "omega": 2, "kappa": 1}})
+            assert main(["analyze", preset]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert "gap (one-sided embedding):  g = 0\n" in captured.out
+            assert "diagnostic [CZKernel]" in captured.out
+
     def test_decay_on_unstable_model(self, capsys):
         assert main(["decay", PUMP_JSON, "--samples", "1"]) == 1
         assert capsys.readouterr().err.startswith("error [Unstable]: drift has spectral abscissa")
@@ -410,6 +422,42 @@ class TestMain:
         assert captured.err == ""
         rows = list(csv.reader(io.StringIO(captured.out)))
         assert [row[3] for row in rows[1:]] == ["0.5"]
+
+    def test_sweep_walks_lambda_to_zero(self, capsys):
+        # lambda -> 0 at kappa != 0: below about 1e-20 mu2 the family drops
+        # the lambda jump, which validation would call dependent, so those
+        # points are the lambda2 = 0 model
+        lambdas = ",".join(f"1e-{e}" for e in range(1, 320, 3))
+        assert main(["sweep", "--grid", f"mu2=3;lambda2={lambdas};omega=2;kappa=1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))[1:]
+        assert len(rows) == 107
+        for row in rows:
+            g, g_closed, g_breve, g_breve_closed = map(float, row[4:8])
+            assert abs(g - g_closed) <= 1e-9 and abs(g_breve - g_breve_closed) <= 1e-15
+        assert main(["sweep", "--grid", "mu2=3;lambda2=0;omega=2;kappa=1"]) == 0
+        zero = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1]
+        dropped = [row for row in rows if float(row[1]) < 3e-20]
+        assert len(dropped) == 100
+        for row in dropped:
+            # g, g_breve and sigma
+            assert row[4::2] == zero[4::2]
+
+    def test_sweep_walks_gamma_to_zero(self, capsys):
+        # lambda2 -> mu2: gamma = 1.5e-e; past e = 12 the drift is no longer
+        # stable at the relative threshold, and kappa = 1 > gamma needs omega
+        lambdas = ",".join(repr(3 * (1 - 10.0**-e)) for e in range(1, 17))
+        grid = f"mu2=3;lambda2={lambdas};omega=0,2;kappa=0,1"
+        assert main(["sweep", "--grid", grid]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))[1:]
+        assert len(rows) == 34
+        for row in rows:
+            g, g_closed, g_breve, g_breve_closed = map(float, row[4:8])
+            assert 0 < g and abs(g - g_closed) <= 1e-14
+            assert abs(g_breve - g_breve_closed) <= 1e-14
 
     def test_sweep_unknown_axis(self, capsys):
         assert main(["sweep", "--grid", "foo=1"]) == 1
@@ -690,8 +738,11 @@ class TestMain:
                                                                "omega": 1e200, "kappa": 0}}),
               "--json"], 2),
             (["sweep", "--grid", "mu2=3;lambda2=1;omega=1e160;kappa=0"], 0),
+            # the Lyapunov residual's entries square past double range
+            (["analyze", json.dumps({"version": 1, "one_dim": {"mu2": 1e160, "lambda2": 1e159,
+                                                               "omega": 0, "kappa": 0}})], 0),
         ],
-        ids=["analyze-omega-1e200", "sweep-omega-1e160"],
+        ids=["analyze-omega-1e200", "sweep-omega-1e160", "analyze-mu2-1e160"],
     )
     def test_norms_of_huge_entries_stay_finite(self, capsys, argv, code):
         # squares of entries above about 1e154 overflow double precision
@@ -701,6 +752,18 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "Infinity" not in captured.out and "inf" not in captured.out
+
+    def test_sweep_overflowing_closed_forms_name_the_point(self, capsys):
+        # the stack passes every check; omega^2 then overflows in the closed
+        # forms, whose failing entry maps back to its grid point
+        grid = "mu2=1e150;lambda2=1e149;omega=1e155;kappa=0"
+        assert main(["sweep", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error [RangeExceeded]: at mu2=1e+150, lambda2=1e+149, omega=1e+155, "
+            "kappa=0.0: closed forms overflow double precision\n"
+        )
 
     def test_kms_trace_check_writes_no_warning(self, capsys):
         # kappa != 0: the steady state is not number-diagonal

@@ -445,17 +445,6 @@ class TestKernelPsd:
                     lam, ok = kernel_psd_check(st, dd, pts, n, t, rate, mode)
                     assert ok, (n, t, rate, mode, lam)
 
-    def test_root_kernel_psd(self, model_b):
-        _, dd, st = model_b
-        rep = analyze(dd)
-        rng = np.random.default_rng(58)
-        pts = [0.5 * (rng.standard_normal(1) + 1j * rng.standard_normal(1)) for _ in range(4)]
-        for n in range(1, 5):
-            lam, ok = kernel_psd_check(
-                st, dd, pts, n, 0.6, rep.g, "gns", use_root=True
-            )
-            assert ok, (n, lam)
-
 
 class TestSharpness:
     def test_model_a_witness(self, model_a):

@@ -19,7 +19,6 @@ from gaussgap.fock import (
     build_hamiltonian,
     build_space,
     build_superoperator,
-    leakage_norm,
     oracle_char_fn,
     oracle_gap,
     oracle_kms_trace,
@@ -144,9 +143,8 @@ class TestSuperoperator:
         space = build_space(1, 18)
         superop = build_superoperator(model, space)
         rho = thermal_density(space, 0.5)
-        rate = superop.apply_predual(rho)
-        assert leakage_norm(space, rate) < 1e-6
-        assert leakage_norm(space, np.ones((space.dim, space.dim))) > 1
+        # the thermal state is stationary up to the truncation boundary
+        assert np.linalg.norm(superop.apply_predual(rho)) < 1e-6
 
 
 class TestCharFnOracle:

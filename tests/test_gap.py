@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from conftest import (
     random_model,
@@ -23,7 +22,6 @@ from gaussgap.gap import (
     kms_gap,
     no_gap_diagnosis,
     one_dim_closed_forms,
-    optimal_growth_rate,
 )
 from gaussgap.model import (
     GklsModel,
@@ -31,42 +29,6 @@ from gaussgap.model import (
     one_dim_family,
 )
 from gaussgap.realops import hermitian_root_pairs
-
-
-class TestOptimalGrowthRate:
-    def test_normal_case(self):
-        assert abs(optimal_growth_rate(-np.eye(2)) + 2.0) < 1e-14
-
-    def test_nilpotent(self):
-        assert abs(optimal_growth_rate(np.array([[0.0, 1.0], [0.0, 0.0]])) - 1.0) < 1e-14
-
-    def test_model_a_similarity(self, model_a):
-        _, dd, st = model_a
-        root, inv_root, _ = hermitian_root_pairs(st.s_tilde)
-        y = root @ dd.z2d.astype(complex) @ inv_root
-        assert abs(optimal_growth_rate(y) + 2.0) < 1e-12
-
-    def test_growth_bound_and_optimality(self):
-        # ||exp(tY) v||^2 <= exp(t omega0) ||v||^2, and no smaller rate works
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            n = int(rng.integers(1, 41))
-            y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            omega0 = optimal_growth_rate(y)
-            for t in (0.01, 0.1, 1.0):
-                et = expm(t * y)
-                for _ in range(3):
-                    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                    lhs = np.linalg.norm(et @ v) ** 2
-                    rhs = np.exp(t * omega0) * np.linalg.norm(v) ** 2
-                    assert lhs <= rhs * (1 + 1e-9)
-            # maximizing eigenvector beats any slower rate for small t
-            h = y + y.conj().T
-            _, vecs = np.linalg.eigh(h)
-            v = vecs[:, -1]
-            t = 1e-3
-            lhs = np.linalg.norm(expm(t * y) @ v) ** 2
-            assert lhs * np.exp(-t * (omega0 - 0.1)) > np.linalg.norm(v) ** 2
 
 
 class TestGnsGap:
@@ -451,6 +413,23 @@ class TestNoGapDiagnosis:
         assert finding.case == 1
         assert abs(finding.eigenvalue.real) < 1e-12
         assert abs(abs(finding.eigenvalue.imag) - 1.0) < 1e-12
+
+    def test_noise_free_squeezed_mode_is_kernel_case(self):
+        # mode 1 is squeezed without noise: its drift has the real eigenvalue
+        # 1, whose eigenvector the diffusion annihilates
+        model = GklsModel(
+            d=2, m=1,
+            omega=np.zeros((2, 2)), kappa=np.diag([1.0, 0.0]),
+            u_mat=np.array([[0.0, 0.0]]), v_mat=np.array([[0.0, 1.0]]),
+            zeta=np.zeros(2),
+        )
+        dd = build_drift_diffusion(model)
+        finding = no_gap_diagnosis(dd)
+        assert finding.kind == "Unstable"
+        assert finding.case == 1
+        assert finding.eigenvalue == 1.0
+        assert np.linalg.norm(dd.c2d @ finding.eigenvector) <= 1e-12
+        assert "diffusion-free (case 1)" in finding.message
 
     def test_fuzzed_witnesses_verify(self):
         rng = np.random.default_rng(45)

@@ -258,12 +258,27 @@ class TestStack:
 
     def test_failed_check_names_entry(self):
         # lambda / mu below RANK_TOL: the two jumps are numerically dependent
-        stack = one_dim_family([3.0] * 3, [1.0, 1e-25, 1e-25], [0.0] * 3, [0.5] * 3)
+        # (the family drops such a jump, so its coefficient is set here)
+        stack = one_dim_family([3.0] * 3, [1.0] * 3, [0.0] * 3, [0.5] * 3)
+        lam = np.sqrt([1.0, 1e-25, 1e-25])[:, None, None]
         with pytest.raises(DependentKraus, match=r"rank 1 < m = 2") as caught:
-            build_drift_diffusion(stack)
+            build_drift_diffusion(replace(stack, u_mat=lam * stack.u_mat))
         assert caught.value.index == 1
+        model = one_dim_family(3.0, 1.0, 0.0, 0.5)
         with pytest.raises(DependentKraus):
-            build_drift_diffusion(one_dim_family(3.0, 1e-25, 0.0, 0.5))
+            build_drift_diffusion(replace(model, u_mat=np.sqrt(1e-25) * model.u_mat))
+
+    def test_family_drops_a_dependent_jump(self):
+        # validation's rank rule: lambda is dependent once
+        # sqrt(lambda2) <= RANK_TOL sqrt(mu2), i.e. lambda2 <= about 3e-20 here
+        assert one_dim_family(3.0, 1e-19, 2.0, 1.0).m == 2
+        for lambda2 in (1e-21, 1e-319, 0.0):
+            model = one_dim_family(3.0, lambda2, 2.0, 1.0)
+            assert model.m == 1
+            assert validate(model).kraus_rank == 1
+        stack = one_dim_family([3.0, 3.0], [0.0, 1e-25], [2.0, 2.0], [1.0, 1.0])
+        assert stack.m == 1
+        assert np.array_equal(stack.u_mat, np.zeros((2, 1, 1)))
 
     def test_overflowing_realization_rejected(self):
         # |V|^2 = 1e320 leaves double precision: no eigensolver may see it

@@ -162,6 +162,15 @@ class TestLyapunovSolve:
         with pytest.raises(SingularLyapunov, match="numerically defective"):
             solve_stationary(dd)
 
+    def test_residual_check_at_extreme_scale(self):
+        # |Z| ~ 1e160: the squares of the residual's entries overflow, and an
+        # infinite norm would accept any residual, a doubled S included
+        dd = build_drift_diffusion(one_dim_family(1e160, 1e159, 0.0, 0.0))
+        st = solve_stationary(dd)
+        _check_lyapunov_residual(dd.z2d, dd.c2d, st.s2d)
+        with pytest.raises(SingularLyapunov, match="numerically defective"):
+            _check_lyapunov_residual(dd.z2d, dd.c2d, 2.0 * st.s2d)
+
     def test_singular_operator_raises_without_warning(self):
         # eigenvalues 1 and -1 of Z sum to zero: trsyl perturbs them and warns
         with warnings.catch_warnings(record=True) as caught:
