@@ -6,7 +6,12 @@ cutoff, the generator is assembled directly from the Hamiltonian and jump
 operators, and traces are evaluated literally.  The closed-form modules are
 validated against these numbers, never the other way round.
 
-The steady state is one square LU solve.  Trace preservation
+The generator of a quadratic model is sparse (at cutoff 25, 2526 nonzeros
+of 676^2 entries), so both pictures are held as CSR arrays only, built from
+Kronecker products of the dim x dim operators.  scipy.sparse is imported
+inside the oracle functions, so importing the package does not load it.
+
+The steady state is one square sparse LU solve.  Trace preservation
 (vec(1)^dagger predual = 0, exact at truncation) makes the |0><0| row of the
 predual minus the sum of the other diagonal-index rows, so that row is
 replaced by the trace row without changing the solution set; the square
@@ -20,11 +25,12 @@ lambda*adag) whose stationary density is exactly diagonal in the number
 basis, so the weighted inner products of both embeddings are diagonal and
 free of uncontrolled approximation.  The populations must be positive normal
 floats (near the pure vacuum the top ones underflow, and such a model is
-refused).  The weighted, symmetrized generator is block diagonal in the
-connected components of its exact nonzero pattern (for this family the U(1)
-sectors l - m); each block is diagonalized on its own, and the union of the
-block spectra is the spectrum.  The blocks are read from the assembled
-matrix, never from the model.
+refused).  The weights scale only the stored entries.  The weighted,
+symmetrized generator is block diagonal in the connected components of its
+exact nonzero pattern (for this family the U(1) sectors l - m); each block
+is scattered into a small dense matrix and diagonalized on its own, and the
+union of the block spectra is the spectrum.  The blocks are read from the
+assembled matrix, never from the model.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm, get_lapack_funcs
+from scipy.linalg import expm
 
 from .errors import (
     ConsistencyError,
@@ -58,9 +64,13 @@ __all__ = [
 ]
 
 MAX_SPACE_DIM = 4096
-MAX_SUPEROP_DIM = 64  # dense superoperator eigensolves stay below 4096^2 entries
+# the superoperators are sparse, but the steady-state LU fills in (at d = 2,
+# cutoff 7, 132608 nonzeros give 6.4e6 factor entries and a 3 s solve) and a
+# component of the gap pattern becomes one dense eigenvalue block
+MAX_SUPEROP_DIM = 64
 # backward-error bound of the steady-state solve, relative to the system's
-# infinity norm times |rho|; LU with partial pivoting stays near n eps
+# infinity norm times |rho|; LU with threshold pivoting and one refinement
+# step stays near n eps
 STEADY_RESIDUAL = 1e-10
 
 
@@ -143,11 +153,12 @@ def build_kraus(model: GklsModel, space: TruncatedSpace):
 
 @dataclass
 class Superoperator:
-    """Vectorized generator (column stacking) in both pictures."""
+    """Vectorized generator (column stacking) in both pictures, as CSR
+    arrays (a dense array works wherever a sparse one is read)."""
 
     space: TruncatedSpace
-    predual: np.ndarray
-    heisenberg: np.ndarray
+    predual: object
+    heisenberg: object
 
     def trace_preservation_residual(self) -> float:
         """Norm of vec(1)^dagger applied to the predual generator; exact
@@ -165,17 +176,21 @@ class Superoperator:
 
 
 def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperator:
-    """Assemble the GKLS generator and its predual as dense matrices.
+    """Assemble the GKLS generator and its predual as sparse CSR arrays.
 
     With G = iH - K/2 and K = sum_l L_l^dag L_l, the Heisenberg generator is
     x -> G x + x G^dag + sum_l L_l^dag x L_l and the predual
-    rho -> G^dag rho + rho G + sum_l L_l rho L_l^dag.  The commutator and
-    anticommutator parts are written straight into the block-diagonal and
-    the strided entries, without a Kronecker product; the jump terms of each
-    picture are built separately, and the two pictures are checked against
-    each other through the duality pairing
-    tr(predual(rho) x) = tr(rho heisenberg(x)) on pseudo-random matrices.
+    rho -> G^dag rho + rho G + sum_l L_l rho L_l^dag.  The vectorization
+    vec(A x B) = (B^T kron A) vec(x) makes them
+    1 kron G + conj(G) kron 1 + sum_l L_l^T kron L_l^dag and
+    1 kron G^dag + G^T kron 1 + sum_l conj(L_l) kron L_l, Kronecker products
+    of the sparse dim x dim operators.  The jump terms of each picture are
+    built separately, and the two pictures are checked against each other
+    through the duality pairing tr(predual(rho) x) = tr(rho heisenberg(x))
+    on pseudo-random matrices.
     """
+    from scipy import sparse
+
     validate(model, strict=True)
     if space.dim > MAX_SUPEROP_DIM:
         raise DimensionTooLarge(
@@ -189,22 +204,15 @@ def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperato
     for ell in kraus:
         g -= 0.5 * (ell.conj().T @ ell)
 
-    heis = np.zeros((dim * dim, dim * dim), dtype=complex)
-    pred = np.zeros_like(heis)
-    # views [i, k, j, l] of row i*dim + k and column j*dim + l: the
-    # vectorization vec(A x B) = (B^T kron A) vec(x) puts B^T[i, j] A[k, l]
-    # there, so a left factor fills the blocks i = j and a right factor the
-    # entries k = l
-    heis4 = heis.reshape((dim,) * 4)
-    pred4 = pred.reshape((dim,) * 4)
-    diag = np.arange(dim)
-    heis4[diag, :, diag, :] = g
-    heis4[:, diag, :, diag] += g.conj()
-    pred4[diag, :, diag, :] = g.conj().T
-    pred4[:, diag, :, diag] += g.T
+    def kron(left, right):
+        return sparse.kron(left, right, format="csr")
+
+    eye = sparse.eye_array(dim, dtype=complex, format="csr")
+    heis = kron(eye, g) + kron(g.conj(), eye)
+    pred = kron(eye, g.conj().T) + kron(g.T, eye)
     for ell in kraus:
-        heis4 += ell.T[:, None, :, None] * ell.conj().T[None, :, None, :]
-        pred4 += ell.conj()[:, None, :, None] * ell[None, :, None, :]
+        heis += kron(ell.T, ell.conj().T)
+        pred += kron(ell.conj(), ell)
 
     rng = np.random.default_rng(31)
     for _ in range(2):
@@ -227,26 +235,39 @@ def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperato
 def steady_state(superop: Superoperator):
     """Stationary density of the truncated generator, Hermitized.
 
-    One square LU solve: the |0><0| row of the predual (vec index 0), which
-    trace preservation makes minus the sum of the other diagonal-index
-    rows, is replaced by the unit-trace row.  A system singular to working
-    precision (reciprocal condition estimate below n eps, n = dim^2) means a
-    truncated kernel of dimension two or more and raises OutsideEnvelope; a
-    full residual |predual rho| above STEADY_RESIDUAL |system| |rho| raises
-    ConsistencyError.
+    One square sparse LU solve: the |0><0| row of the predual (vec index 0),
+    which trace preservation makes minus the sum of the other
+    diagonal-index rows, is replaced by the unit-trace row.  The predual may
+    be sparse or dense.  A system that is exactly singular, or singular to
+    working precision (reciprocal condition below n eps, n = dim^2, in the
+    infinity norm, from a deterministic one-column norm estimate of the
+    inverse), means a truncated kernel of dimension two or more and raises
+    OutsideEnvelope; a full residual |predual rho| above
+    STEADY_RESIDUAL |system| |rho| raises ConsistencyError.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import LinearOperator, onenormest, splu
+
     dim = superop.space.dim
     n = dim * dim
-    system = superop.predual.copy()
-    system[0] = np.eye(dim).reshape(-1, order="F")
-    # system.T is Fortran-ordered, so LAPACK factors it in place; solving
-    # with the transpose of that factorization solves system x = e_0
-    getrf, getrs, gecon, lange = get_lapack_funcs(
-        ("getrf", "getrs", "gecon", "lange"), (system,)
-    )
-    anorm = lange("1", system.T)  # infinity norm of system
-    lu, piv, info = getrf(system.T, overwrite_a=True)
-    rcond = gecon(lu, anorm, norm="1")[0] if info == 0 else 0.0
+    predual = sparse.csr_array(superop.predual, dtype=complex)
+    trace_row = sparse.csr_array(np.eye(dim, dtype=complex).reshape(1, -1, order="F"))
+    system = sparse.vstack([trace_row, predual[1:]], format="csr")
+    anorm = float(abs(system).sum(axis=1).max())  # infinity norm of system
+    # system.T is the CSC array splu factors; solving with the transpose of
+    # that factorization solves system x = e_0, and the 1-norm of the
+    # inverse of system.T is the infinity norm of the inverse of system
+    try:
+        lu = splu(system.T)
+    except RuntimeError:  # exactly singular factor
+        rcond = 0.0
+    else:
+        # t = 1 starts from the all-ones column and draws no random columns
+        inv_t = LinearOperator(
+            (n, n), dtype=complex, matvec=lu.solve,
+            rmatvec=lambda v: lu.solve(v, trans="H"),
+        )
+        rcond = 1.0 / (anorm * onenormest(inv_t, t=1))
     if not rcond >= n * np.finfo(float).eps:
         raise OutsideEnvelope(
             f"truncated generator at cutoff {superop.space.cutoff} has no unique "
@@ -255,11 +276,15 @@ def steady_state(superop: Superoperator):
         )
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
-    sol = getrs(lu, piv, rhs, trans=1)[0]
+    sol = lu.solve(rhs, trans="T")
+    # one step of refinement with the same factor: the sparse pivot order
+    # alone leaves small populations with large relative errors (4e-4 on
+    # the first excited one at lambda2 = 1e-12, cutoff 25; 2e-16 after)
+    sol += lu.solve(rhs - system @ sol, trans="T")
     rho = sol.reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    resid = np.linalg.norm(superop.predual @ rho.reshape(-1, order="F"))
+    resid = np.linalg.norm(predual @ rho.reshape(-1, order="F"))
     bound = STEADY_RESIDUAL * anorm * np.linalg.norm(rho)
     if not resid <= bound:
         raise ConsistencyError(
@@ -353,10 +378,21 @@ def _thermal_envelope(model: GklsModel):
     return mu2, lambda2
 
 
+def _nonzeros(mat):
+    """Row indices, column indices and values of the nonzero entries of a
+    dense or sparse matrix, in row-major order."""
+    from scipy import sparse
+
+    coo = sparse.coo_array(mat)
+    keep = coo.data != 0
+    return coo.row[keep], coo.col[keep], coo.data[keep]
+
+
 def _components(pattern):
     """Connected components of the graph whose adjacency is the symmetric
-    boolean matrix pattern, as labels 0..k-1, one per vertex."""
-    rows, cols = np.nonzero(pattern)
+    boolean matrix pattern (dense or sparse), as labels 0..k-1, one per
+    vertex."""
+    rows, cols, _ = _nonzeros(pattern)
     labels = np.arange(pattern.shape[0])
     while True:
         # each vertex takes the least label among itself and its neighbours,
@@ -370,27 +406,52 @@ def _components(pattern):
 
 
 def _blocked_eigvalsh(mat):
-    """Ascending eigenvalues of a Hermitian matrix, from one eigvalsh per
-    connected component of its exact nonzero pattern."""
-    labels = _components(mat != 0)
+    """Ascending eigenvalues of a dense or sparse Hermitian matrix, from one
+    eigvalsh per connected component of its exact nonzero pattern.
+
+    Each entry is scattered into a dense block of its component, at the
+    positions of its row and column in ascending index order."""
+    rows, cols, vals = _nonzeros(mat)
+    labels = _components(mat)
     order = np.argsort(labels, kind="stable")
-    blocks = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    return np.sort(
-        np.concatenate([np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in blocks])
-    )
+    sizes = np.bincount(labels)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size) - starts[labels[order]]
+    entry_labels = labels[rows]
+    evals = []
+    for b, size in enumerate(sizes):
+        sel = entry_labels == b
+        block = np.zeros((size, size), dtype=vals.dtype)
+        block[pos[rows[sel]], pos[cols[sel]]] = vals[sel]
+        evals.append(np.linalg.eigvalsh(block))
+    return np.sort(np.concatenate(evals))
 
 
 def _weighted_generator(superop: Superoperator, w_root):
     """Hermitian part of the Heisenberg generator in the orthonormal basis of
     the diagonal metric with square-root weights w_root, projected off the
-    invariant direction w_root * vec(1)."""
-    gmat = (w_root[:, None] / w_root[None, :]) * superop.heisenberg
-    u = w_root * np.eye(superop.space.dim).reshape(-1, order="F")
-    u = u / np.linalg.norm(u)
+    invariant direction w_root * vec(1), as a CSR array.
+
+    Only the stored entries are weighted, by w_root[row] / w_root[col], and
+    the invariant direction lives on the dim diagonal vec indices, so both
+    rank-one projections stay sparse."""
+    from scipy import sparse
+
+    heis = sparse.csr_array(superop.heisenberg)
+    n = heis.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(heis.indptr))
+    ratio = w_root[rows] / w_root[heis.indices]
+    gmat = sparse.csr_array((ratio * heis.data, heis.indices, heis.indptr), shape=heis.shape)
+    support = np.arange(superop.space.dim) * (superop.space.dim + 1)
+    u_vals = w_root[support]
+    u_vals = u_vals / np.linalg.norm(u_vals)
+    u = sparse.csr_array((u_vals, (support, np.zeros_like(support))), shape=(n, 1))
+    u_h = u.conj().T
     # the projector is Hermitian, so projecting before taking the Hermitian
     # part gives the projected Hermitian part
-    gmat -= np.outer(u, u.conj() @ gmat)
-    gmat -= np.outer(gmat @ u, u.conj())
+    gmat = gmat - u @ (u_h @ gmat)
+    gmat = gmat - (gmat @ u) @ u_h
     return 0.5 * (gmat + gmat.conj().T)
 
 

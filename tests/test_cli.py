@@ -1090,7 +1090,9 @@ class TestDumpJson:
 
 
 def test_cli_import_leaves_scipy_sparse_out():
-    # scipy.sparse (and its csgraph) would add to every cold CLI start
+    # scipy.sparse (and its csgraph) would add to every cold CLI start; only
+    # the Fock oracle imports it, so neither the import nor analyze, sweep
+    # and decay run in one process may load it
     src = os.path.dirname(os.path.dirname(gaussgap.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
@@ -1100,3 +1102,17 @@ def test_cli_import_leaves_scipy_sparse_out():
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     assert out == "False\n"
+    script = (
+        "import contextlib, io, sys\n"
+        "from gaussgap.cli import main\n"
+        "model = sys.argv[1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['analyze', model]), main(['sweep']),\n"
+        "             main(['decay', model, '--samples', '2', '--seed', '3'])]\n"
+        "print(codes, 'scipy.sparse' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, MODEL_B_PRESET],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out == "[0, 0, 0] False\n"

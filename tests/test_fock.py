@@ -1,8 +1,10 @@
 """Truncated Fock-space oracle: operators, generator, traces, gaps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from gaussgap.dynamics import GaussianStateParams, char_fn, kms_weyl_trace, weyl_evolve
 from gaussgap.errors import (
@@ -17,6 +19,7 @@ from gaussgap.fock import (
     _metric_roots,
     _weighted_generator,
     build_hamiltonian,
+    build_kraus,
     build_space,
     build_superoperator,
     oracle_char_fn,
@@ -87,7 +90,7 @@ class TestSuperoperator:
         model, _, _ = model_b
         superop = build_superoperator(model, build_space(1, 15))
         assert superop.trace_preservation_residual() <= 1e-10 * np.linalg.norm(
-            superop.predual
+            superop.predual.toarray()
         )
 
     def test_duality_pairing(self, model_a):
@@ -101,6 +104,38 @@ class TestSuperoperator:
             lhs = np.trace(superop.apply_predual(rho) @ x)
             rhs = np.trace(rho @ superop.apply_heisenberg(x))
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize(
+        "model, cutoff",
+        [
+            (one_dim_family(3.0, 1.0, 0.0, 0.0), 8),
+            (one_dim_family(3.0, 1.0, 2.0, 1.0), 8),
+            (DRIVEN, 8),
+            (_two_mode_model(np.random.default_rng(11)), 5),
+        ],
+        ids=["thermal", "squeezed", "driven", "two-mode"],
+    )
+    def test_sparse_assembly_is_the_kronecker_formula(self, model, cutoff):
+        # vec(A x B) = (B^T kron A) vec(x): both pictures entry by entry from
+        # dense Kronecker products, and nothing stored outside their nonzeros
+        space = build_space(model.d, cutoff)
+        superop = build_superoperator(model, space)
+        kraus = build_kraus(model, space)
+        g = 1j * build_hamiltonian(model, space)
+        for ell in kraus:
+            g -= 0.5 * (ell.conj().T @ ell)
+        eye = np.eye(space.dim)
+        heis = np.kron(eye, g) + np.kron(g.conj(), eye)
+        pred = np.kron(eye, g.conj().T) + np.kron(g.T, eye)
+        for ell in kraus:
+            heis += np.kron(ell.T, ell.conj().T)
+            pred += np.kron(ell.conj(), ell)
+        for sparse_op, dense_op in ((superop.heisenberg, heis), (superop.predual, pred)):
+            assert sparse_op.format == "csr"
+            assert np.array_equal(sparse_op.toarray(), dense_op)
+            coo = sparse_op.tocoo()
+            stored = set(zip(coo.row.tolist(), coo.col.tolist()))
+            assert stored == set(zip(*(idx.tolist() for idx in np.nonzero(dense_op))))
 
     def test_model_a_steady_state_is_thermal(self, model_a):
         # sigma = 2 means mean occupation 1/2, i.e. weights (1 - q) q^n with
@@ -278,7 +313,7 @@ def _lstsq_steady_state(superop):
     """Least-squares solve of the predual kernel with the unit-trace row
     appended, Hermitized and normalized."""
     dim = superop.space.dim
-    system = np.vstack([superop.predual, np.eye(dim).reshape(1, -1, order="F")])
+    system = np.vstack([superop.predual.toarray(), np.eye(dim).reshape(1, -1, order="F")])
     rhs = np.zeros(dim * dim + 1, dtype=complex)
     rhs[-1] = 1.0
     sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
@@ -305,6 +340,16 @@ class TestSquareSteadyState:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(superop.apply_predual(rho)) < 1e-13
 
+    @pytest.mark.parametrize("lambda2", [1e-6, 1e-3])
+    def test_small_populations_keep_relative_accuracy(self, lambda2):
+        # the truncated thermal state is exactly stationary; its populations
+        # fall to q^25 (about 1e-158 at lambda2 = 1e-6), and each must come
+        # out with a small relative error, not only a small absolute one
+        space = build_space(1, 25)
+        rho = steady_state(build_superoperator(one_dim_family(2.0, lambda2), space))
+        exact = np.diag(thermal_density(space, lambda2 / (2.0 - lambda2))).real
+        assert np.max(np.abs(np.diag(rho).real - exact) / exact) < 1e-13
+
     def test_degenerate_kernel_refused(self):
         # a closed system: every function of H is stationary, so the
         # square system is singular
@@ -322,7 +367,7 @@ class TestSquareSteadyState:
         # |0><0| row, so only the full residual catches it
         model = one_dim_family(3.0, 1.0, 0.0, 0.0)
         superop = build_superoperator(model, build_space(1, 10))
-        predual = superop.predual.copy()
+        predual = superop.predual.toarray()
         predual[0] += 0.1 * np.eye(11).reshape(-1, order="F")
         broken = Superoperator(
             space=superop.space, predual=predual, heisenberg=superop.heisenberg
@@ -330,6 +375,32 @@ class TestSquareSteadyState:
         with pytest.raises(ConsistencyError, match="steady-state residual"):
             steady_state(broken)
 
+
+    def test_refusal_leaves_global_rng_alone(self):
+        # the condition estimate takes one all-ones column and draws nothing
+        # from numpy's global generator, on a unique steady state, on a
+        # system singular to working precision (a closed system with a
+        # 1e-15 dissipator) and on an exactly singular one
+        model = one_dim_family(3.0, 1.0, 2.0, 1.0)
+        space = build_space(1, 8)
+        h = build_hamiltonian(model, space)
+        eye = np.eye(space.dim)
+        comm = np.kron(eye, h) - np.kron(h.T, eye)
+        damped = build_superoperator(one_dim_family(3.0, 1.0, 0.0, 0.0), space)
+        weak = Superoperator(
+            space=space, predual=-1j * comm + 1e-15 * damped.predual.toarray(),
+            heisenberg=None,
+        )
+        closed = Superoperator(space=space, predual=-1j * comm, heisenberg=1j * comm)
+        before = np.random.get_state()
+        steady_state(damped)
+        for superop in (weak, closed):
+            with pytest.raises(OutsideEnvelope, match="no unique steady state"):
+                steady_state(superop)
+        after = np.random.get_state()
+        assert before[0] == after[0]
+        assert np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
 
 class TestBlockedEigensolve:
     @pytest.mark.parametrize(
@@ -342,7 +413,7 @@ class TestBlockedEigensolve:
         ids=["thermal", "squeezed", "driven"],
     )
     def test_component_counts(self, model, blocks):
-        heis = build_superoperator(model, build_space(1, 25)).heisenberg
+        heis = build_superoperator(model, build_space(1, 25)).heisenberg.toarray()
         labels = _components((heis != 0) | (heis.T != 0))
         assert labels.max() + 1 == blocks
         assert set(labels) == set(range(blocks))
@@ -355,13 +426,31 @@ class TestBlockedEigensolve:
         pops = np.diag(thermal_density(space, 0.5)).real
         gsym = _weighted_generator(superop, _metric_roots(pops)[embedding])
         assert _components(gsym != 0).max() + 1 == 51
-        dense = np.linalg.eigvalsh(gsym)
-        assert np.max(np.abs(_blocked_eigvalsh(gsym) - dense)) <= 1e-12 * np.linalg.norm(gsym)
+        dense = np.linalg.eigvalsh(gsym.toarray())
+        assert np.max(np.abs(_blocked_eigvalsh(gsym) - dense)) <= 1e-12 * np.linalg.norm(
+            gsym.toarray()
+        )
+
+    @pytest.mark.parametrize("embedding", [0, 1], ids=["gns", "kms"])
+    def test_sparse_weighting_matches_dense_formula(self, embedding):
+        # reference: weight every entry of the dense generator, project with
+        # dense outer products, take the dense Hermitian part
+        space = build_space(1, 25)
+        superop = build_superoperator(one_dim_family(3.0, 1.0, 2.0, 0.0), space)
+        w_root = _metric_roots(np.diag(thermal_density(space, 0.5)).real)[embedding]
+        gmat = (w_root[:, None] / w_root[None, :]) * superop.heisenberg.toarray()
+        u = w_root * np.eye(space.dim).reshape(-1, order="F")
+        u = u / np.linalg.norm(u)
+        gmat -= np.outer(u, u.conj() @ gmat)
+        gmat -= np.outer(gmat @ u, u.conj())
+        dense = 0.5 * (gmat + gmat.conj().T)
+        gsym = _weighted_generator(superop, w_root)
+        assert np.max(np.abs(gsym.toarray() - dense)) <= 1e-15 * np.linalg.norm(dense)
 
     def test_planted_entry_merges_components(self):
         heis = build_superoperator(
             one_dim_family(3.0, 1.0, 0.0, 0.0), build_space(1, 6)
-        ).heisenberg
+        ).heisenberg.toarray()
         pattern = (heis != 0) | (heis.T != 0)
         labels = _components(pattern)
         assert labels.max() + 1 == 13
@@ -426,10 +515,9 @@ def test_two_mode_cross_validation():
     z = np.array([0.25 - 0.15j, 0.1 + 0.2j])
     res = weyl_evolve(dd, z, 0.4)
     closed = np.exp(res.decay_exponent + 1j * res.phase) * char_fn(sp, res.z_t)
-    prop = expm(0.4 * superop.heisenberg)
-    w_t = (prop @ weyl_matrix(space, z).reshape(-1, order="F")).reshape(
-        (space.dim, space.dim), order="F"
-    )
+    w_t = expm_multiply(
+        0.4 * superop.heisenberg, weyl_matrix(space, z).reshape(-1, order="F")
+    ).reshape((space.dim, space.dim), order="F")
     assert abs(np.trace(rho @ w_t) - closed) < 1e-4
 
 
@@ -456,7 +544,7 @@ def test_general_state_gap_study(model_b):
             quarter = (evecs * evals**0.25) @ evecs.conj().T
             w_root = np.kron(quarter.T, quarter)
             w_root_inv = np.kron(np.linalg.inv(quarter).T, np.linalg.inv(quarter))
-        gmat = w_root @ superop.heisenberg @ w_root_inv
+        gmat = w_root @ superop.heisenberg.toarray() @ w_root_inv
         gsym = 0.5 * (gmat + gmat.conj().T)
         u = w_root @ eye_vec
         u = u / np.linalg.norm(u)
@@ -481,8 +569,9 @@ def test_weyl_evolution_cross_check(model_b):
     sp = GaussianStateParams(mean=st.mu, cov2d=st.s2d)
     base = char_fn(sp, z)
     for t in (0.1, 0.5):
-        prop = expm(t * superop.heisenberg)
-        w_t = (prop @ w_mat.reshape(-1, order="F")).reshape(w_mat.shape, order="F")
+        w_t = expm_multiply(t * superop.heisenberg, w_mat.reshape(-1, order="F")).reshape(
+            w_mat.shape, order="F"
+        )
         oracle_val = np.trace(rho @ w_t)
         res = weyl_evolve(dd, z, t)
         closed_val = np.exp(res.decay_exponent + 1j * res.phase) * char_fn(sp, res.z_t)
@@ -493,3 +582,26 @@ def test_weyl_evolution_cross_check(model_b):
             rho @ weyl_matrix(space, res.z_t)
         )
         assert abs(oracle_val - direct) < 1e-4
+
+
+def test_oracle_never_densifies():
+    # at cutoff 25 one dense superoperator is 676^2 complex entries (7.3 MB);
+    # neither the steady state nor the gap may allocate one
+    space = build_space(1, 25)
+    dense_bytes = (space.dim**2) ** 2 * 16
+    squeezed = one_dim_family(3.0, 1.0, 2.0, 1.0)
+    thermal = one_dim_family(3.0, 1.0, 2.0, 0.0)
+    # warm up, so that lazy imports do not count
+    steady_state(build_superoperator(squeezed, space))
+    oracle_gap(thermal, space)
+    for run in (
+        lambda: steady_state(build_superoperator(squeezed, space)),
+        lambda: oracle_gap(thermal, space),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
