@@ -20,7 +20,10 @@ RFC 4180 with '.' decimals and 17 significant digits so doubles round-trip.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
+import operator
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -283,38 +286,37 @@ def _report_exit_code(report: dict) -> int:
 
 def _dump_json(obj, stream):
     """Write obj followed by a newline, byte for byte as
-    json.dump(obj, stream, sort_keys=True, indent=2) would write it, handed
-    to the stream in pieces rather than as one string."""
+    json.dump(obj, stream, sort_keys=True, indent=2, default=np.ndarray.tolist)
+    would write it, handed to the stream in pieces rather than as one
+    string."""
     pieces = []
-    _json_pieces(obj, "\n", pieces, stream)
+    _json_pieces(obj, "\n", pieces, stream, {})
     pieces.append("\n")
     stream.writelines(pieces)
 
 
-def _json_pieces(obj, newline, pieces, stream):
+def _json_pieces(obj, newline, pieces, stream, layouts):
     """Append the indented JSON text of obj, which starts a line whose break
     and indentation are newline, to pieces; every few thousand pieces go to
-    the stream.  A list of floats without NaN or infinities is one piece
-    (json writes every float with float.__repr__); a dict whose keys are not
-    all strings goes to json itself."""
+    the stream.  An array of floats is one piece (see :func:`_float_text`);
+    a dict whose keys are not all strings goes to json itself.  layouts
+    holds the array templates of one dump."""
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        text = _float_text(obj, newline, layouts)
+        if text is not None:
+            pieces.append(text)
+            return
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             pieces.append("[]")
             return
         inner = newline + "  "
-        try:
-            text = ("," + inner).join(map(float.__repr__, obj))
-        except TypeError:  # not a list of floats
-            text = None
-        # float.__repr__ spells NaN and the infinities nan and inf, which
-        # json writes as NaN and Infinity: such lists take the general path
-        if text is not None and "n" not in text:
-            pieces += ("[", inner, text, newline, "]")
-            return
         sep = "[" + inner
         for item in obj:
             pieces.append(sep)
-            _json_pieces(item, inner, pieces, stream)
+            _json_pieces(item, inner, pieces, stream, layouts)
             sep = "," + inner
         pieces.append(newline + "]")
         if len(pieces) > 4096:
@@ -325,13 +327,104 @@ def _json_pieces(obj, newline, pieces, stream):
         sep = "{" + inner
         for key in sorted(obj):
             pieces += (sep, encode_basestring_ascii(key), ": ")
-            _json_pieces(obj[key], inner, pieces, stream)
+            _json_pieces(obj[key], inner, pieces, stream, layouts)
             sep = "," + inner
         pieces.append(newline + "}")
     elif isinstance(obj, dict):
-        pieces.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+        text = json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist)
+        pieces.append(text.replace("\n", newline))
     else:
         pieces.append(json.dumps(obj))
+
+
+def _float_text(obj, newline, layouts):
+    """The indented JSON text of obj, an array, list or tuple, when it is a
+    float64 array of at least one dimension, or a non-empty list of floats
+    or of equal-length lists of floats, with no NaN or infinity
+    (float.__repr__ spells them nan and inf, json NaN and Infinity); else
+    None.
+
+    Every float is written with float.__repr__, as json does, into a
+    template of the layout of obj, built once per dump.  Square matrices, or
+    a stack of them, each equal to its transpose bit for bit (so that -0.0
+    never stands in for 0.0) have only their upper triangles formatted, and
+    each repr fills the fields of (i, j) and (j, i)."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or not obj.ndim:
+            return None
+        shape, flat = obj.shape, obj.ravel().tolist()
+    elif not obj:
+        return None
+    elif isinstance(obj[0], (list, tuple)):
+        shape = (len(obj), len(obj[0]))
+        if not set(map(type, obj)) <= {list, tuple} or set(map(len, obj)) != {shape[1]}:
+            return None
+        flat = list(itertools.chain.from_iterable(obj))
+    else:
+        shape, flat = (len(obj),), obj
+    if flat and not isinstance(flat[0], float):
+        return None
+    symmetric = (
+        len(shape) >= 2
+        and shape[-1] == shape[-2] > 1
+        and len(flat) > 0
+        and _symmetric_bits(obj, shape)
+    )
+    key = (shape, newline, symmetric)
+    if key not in layouts:
+        layouts[key] = _layout(shape, newline, symmetric)
+    template, take, spread = layouts[key]
+    try:
+        reprs = list(map(float.__repr__, take(flat) if take else flat))
+    except TypeError:  # not all floats: bool and int are written as such
+        return None
+    text = template.format(*(spread(reprs) if spread else reprs))
+    return None if "n" in text else text
+
+
+def _symmetric_bits(obj, shape):
+    """Whether obj, a float64 array of the shape, equals its transpose in
+    the last two axes bit for bit."""
+    values = np.asarray(obj)
+    if values.dtype != np.float64 or values.shape != shape:
+        return False
+    bits = values.view(np.int64)
+    return bool((bits == bits.swapaxes(-1, -2)).all())
+
+
+def _layout(shape, newline, symmetric):
+    """The template of the JSON text of a float array of the shape at the
+    indentation newline, with one empty str.format field per entry, and for
+    a symmetric stack two getters: take picks the upper triangles, row by
+    row, from the flat list of the values, and spread maps their reprs
+    onto every entry, (i, j) and (j, i) alike."""
+    template = _nest_template(shape, newline)
+    if not symmetric:
+        return template, None, None
+    n = shape[-1]
+    row = np.arange(n)
+    upper = row[:, None] <= row
+    # the place of each entry (i <= j) in the row-by-row triangle, mirrored
+    tri = (np.cumsum(upper) - 1).reshape(n, n)
+    tri = np.where(upper, tri, tri.T)
+    stack = np.arange(math.prod(shape[:-2]))[:, None]
+    take = stack * (n * n) + np.flatnonzero(upper)
+    spread = stack * (n * (n + 1) // 2) + tri.ravel()
+    return (
+        template,
+        operator.itemgetter(*take.ravel().tolist()),
+        operator.itemgetter(*spread.ravel().tolist()),
+    )
+
+
+def _nest_template(shape, newline):
+    """The indented JSON text of an array of the shape whose every entry is
+    the empty str.format field {}."""
+    if not shape[0]:
+        return "[]"
+    inner = newline + "  "
+    item = _nest_template(shape[1:], inner) if len(shape) > 1 else "{}"
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
 
 
 #: one CSV row of each table: every float with 17 significant digits, so
@@ -458,9 +551,11 @@ def _cmd_evolve(args) -> int:
     else:
         sp = _read_state(args.s0, model.d)
     states = dynamics.state_evolve(dd, sp, np.array(times))
+    # the rows hold slices of the stacks, which _dump_json writes as arrays
+    means = np.stack([states.mean.real, states.mean.imag], axis=-1)
     rows = []
-    for t, mean, cov in zip(times, states.mean, states.cov2d):
-        row = {"t": t, "mean": _pairs(mean), "cov2d": cov.tolist()}
+    for t, mean, cov in zip(times, means, states.cov2d):
+        row = {"t": t, "mean": mean, "cov2d": cov}
         if st is not None:
             # a 2-D norm per row: a norm over a stack sums in another order
             row["dist_to_stationary"] = float(np.linalg.norm(cov - st.s2d))
@@ -741,6 +836,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except GaussGapError as exc:
         sys.stderr.write(f"error [{type(exc).code}]: {exc}\n")
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to devnull,
+        # so that the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write("error [BrokenPipe]: standard output was closed\n")
         return 1
 
 

@@ -77,7 +77,9 @@ class GaussianStateParams:
     Mean and covariance must be finite (else RangeExceeded), and every
     covariance must satisfy the uncertainty bound cov2d + iJ >= 0; one
     stacked eigensolve checks them all, and a failing entry of a stack is
-    reported as ``index``.
+    reported as ``index``.  The stored covariance is 0.5 (cov + cov^T), and
+    floating-point addition commutes, so every cov2d entry of a stack equals
+    its transpose bit for bit, signs of zero included.
     """
 
     mean: np.ndarray

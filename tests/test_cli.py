@@ -57,6 +57,23 @@ PUMP_JSON = json.dumps(
 )
 
 
+#: two coupled, squeezed, thermally damped modes with a linear drive
+DRIVEN_D2_JSON = json.dumps(
+    {
+        "version": 1,
+        "d": 2,
+        "m": 4,
+        "omega": [[[1.0, 0.0], [0.3, 0.1]], [[0.3, -0.1], [2.0, 0.0]]],
+        "kappa": [[[0.2, 0.0], [0.1, 0.05]], [[0.1, 0.05], [0.0, 0.0]]],
+        "U": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+              [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.8, 0.0]]],
+        "V": [[[np.sqrt(3.0), 0.0], [0.0, 0.0]], [[0.0, 0.0], [np.sqrt(2.5), 0.0]],
+              [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "zeta": [[1.5, 0.5], [-0.25, 1.0]],
+    }
+)
+
+
 class TestParse:
     def test_explicit_model(self):
         model = parse_model(MODEL_A_JSON)
@@ -1014,14 +1031,28 @@ def _mixed_d4_model():
     )
 
 
+#: equal to its transpose as floats, not bit for bit: a writer that tests
+#: symmetry with np.array_equal prints 0.0 where json prints -0.0
+ZERO_MIRROR = np.array([[1.0, -0.0], [0.0, 2.0]])
+SYMMETRIC = np.array([[2.0, -0.0, 0.1], [-0.0, 3.0, 1e-300], [0.1, 1e-300, -4.0]])
+NEARLY_SYMMETRIC = np.array([[1.0, 0.5, -0.0], [0.5, 2.0, 1e16], [0.0, 1e16, 0.3]])
+
+
+def _dumps(obj):
+    """What json.dump(obj, sort_keys=True, indent=2) writes, arrays as their
+    tolist()."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+
+
 class TestDumpJson:
-    """_dump_json writes what json.dump(obj, sort_keys=True, indent=2) would."""
+    """_dump_json writes what json.dump(obj, sort_keys=True, indent=2) would,
+    with arrays written as their tolist()."""
 
     @staticmethod
     def _assert_identical(obj):
         out = io.StringIO()
         cli._dump_json(obj, out)
-        assert out.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert out.getvalue() == _dumps(obj)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1031,11 +1062,15 @@ class TestDumpJson:
             ["gap", MODEL_B_PRESET, "--mode", "both"],
             ["evolve", "MIXED_D4", "--t", "0,0.5,3", "--s0", "stationary"],
             ["evolve", MODEL_B_PRESET, "--t", "0.25,1"],
+            ["evolve", "MIXED_D4", "--t", ",".join(str(0.1 * k) for k in range(50)),
+             "--s0", "stationary"],
+            ["evolve", DRIVEN_D2_JSON, "--t", "0,0.3,1.5,7"],
             ["oracle", MODEL_B_PRESET, "--cutoff", "8", "--check", "char"],
             ["oracle", MODEL_A_JSON, "--cutoff", "8", "--check", "kms-trace"],
             ["oracle", MODEL_A_JSON, "--cutoff", "8", "--check", "gap"],
         ],
         ids=["analyze-preset", "analyze-d4", "gap-both", "evolve-d4", "evolve-preset",
+             "evolve-d4-50-times", "evolve-driven-vacuum",
              "oracle-char", "oracle-kms-trace", "oracle-gap"],
     )
     def test_every_json_command(self, capsys, monkeypatch, argv):
@@ -1048,7 +1083,7 @@ class TestDumpJson:
         main(argv)
         captured = capsys.readouterr()
         assert len(written) == 1 and captured.err == ""
-        assert captured.out == json.dumps(written[0], sort_keys=True, indent=2) + "\n"
+        assert captured.out == _dumps(written[0])
 
     @pytest.mark.parametrize(
         "obj",
@@ -1075,6 +1110,36 @@ class TestDumpJson:
             {"b": 1, "a": {"d": [1.0], "c": None}, "B": "upper"},
             {1: [1.0, 2.0], 2: "non-string keys"},
             {"outer": {3: {"x": [1.0]}}},
+            pytest.param(SYMMETRIC, id="array-symmetric"),
+            pytest.param(NEARLY_SYMMETRIC, id="array-not-symmetric-bitwise"),
+            pytest.param(np.array([[1.0, 2.0], [3.0, -0.0]]), id="array-not-symmetric"),
+            pytest.param(np.array([[-0.0]]), id="array-1x1"),
+            pytest.param(np.array([0.1]), id="array-1"),
+            pytest.param(np.empty(0), id="array-0"),
+            pytest.param(np.empty((0, 0)), id="array-0x0"),
+            pytest.param(np.empty((2, 0)), id="array-2x0"),
+            pytest.param(np.empty((0, 2, 2)), id="array-0x2x2"),
+            pytest.param(np.stack([SYMMETRIC, 2.0 * SYMMETRIC]), id="stack-symmetric"),
+            pytest.param(np.stack([SYMMETRIC, NEARLY_SYMMETRIC]), id="stack-mixed"),
+            pytest.param(np.array([[0.5, -1.5], [-0.0, 0.0], [3.0, 0.5]]), id="pairs-3"),
+            pytest.param(ZERO_MIRROR, id="pairs-2-zero-mirror"),
+            pytest.param(np.array([[5e-324, 1e300, -0.0], [1e300, -5e-324, 0.0],
+                                   [0.0, -0.0, 1.0]]), id="array-extremes"),
+            pytest.param(np.array([[1.0, -0.0], [0.0, float("nan")]]), id="array-nan"),
+            pytest.param(np.array([[float("inf"), -0.0], [0.0, -float("inf")]]),
+                         id="array-inf"),
+            pytest.param(np.stack([[[float("inf"), 0.5], [0.5, -float("inf")]], ZERO_MIRROR]),
+                         id="stack-inf"),
+            pytest.param(np.stack([ZERO_MIRROR, np.full((2, 2), float("nan"))]),
+                         id="stack-nan"),
+            pytest.param(np.array([1.0, -float("inf"), float("nan")]), id="array-1d-nan"),
+            pytest.param({"m": ZERO_MIRROR, "rows": [ZERO_MIRROR.T, {"s": SYMMETRIC}],
+                          "list": ZERO_MIRROR.tolist()}, id="arrays-nested"),
+            pytest.param([[1.0, 0.5], [0.5, 2.0]], id="list-symmetric"),
+            pytest.param(np.arange(12.0).reshape(3, 4).T[::2], id="array-strided"),
+            pytest.param({"i": np.arange(3), "b": np.array([True]),
+                          "f32": np.array([0.1], dtype=np.float32), "x": np.array(2.5)},
+                         id="arrays-not-float64"),
         ],
     )
     def test_edge_cases(self, obj):
@@ -1087,6 +1152,35 @@ class TestDumpJson:
         cli._dump_json({"v": [1.0, float("nan"), float("inf"), -float("inf")]}, out)
         assert "NaN" in out.getvalue() and "-Infinity" in out.getvalue()
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", MODEL_B_PRESET, "--t", ",".join(str(0.01 * k) for k in range(2000))],
+        ["decay", MODEL_B_PRESET, "--samples", "500"],
+        ["sweep", "--grid", "mu2=" + ",".join(str(2 + 0.1 * k) for k in range(40))],
+    ],
+    ids=["evolve", "decay", "sweep"],
+)
+def test_closed_stdout_is_one_error_line(argv):
+    # a reader such as `head` that leaves after the first line: the rest of
+    # the output is dropped, with exit 1 and no traceback
+    src = os.path.dirname(os.path.dirname(gaussgap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gaussgap.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
+    assert err == "error [BrokenPipe]: standard output was closed\n"
 
 
 def test_cli_import_leaves_scipy_sparse_out():

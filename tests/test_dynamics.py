@@ -153,6 +153,22 @@ class TestStateEvolve:
         assert np.linalg.norm(out.mean - st.mu) < 1e-12
         assert np.linalg.norm(out.cov2d - st.s2d) < 1e-10
 
+    @pytest.mark.parametrize("start", ["vacuum", "stationary", "driven"])
+    def test_covariance_stack_symmetric_bit_for_bit(self, start):
+        # evolve writes only the upper triangle of such a covariance
+        rng = np.random.default_rng(23)
+        model, dd, st = random_stable_faithful(rng, 3)
+        sp = GaussianStateParams.vacuum(3)
+        if start == "stationary":
+            sp = GaussianStateParams(mean=st.mu, cov2d=st.s2d)
+        elif start == "driven":
+            zeta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            dd = build_drift_diffusion(dataclasses.replace(model, zeta=zeta))
+        out = state_evolve(dd, sp, np.linspace(0.0, 4.0, 41))
+        assert out.cov2d.shape == (41, 6, 6)
+        bits = out.cov2d.view(np.int64)
+        assert np.array_equal(bits, bits.swapaxes(-1, -2))
+
     def test_invalid_covariance_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianStateParams(mean=np.zeros(1), cov2d=0.5 * np.eye(2))
