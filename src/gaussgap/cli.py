@@ -20,7 +20,6 @@ RFC 4180 with '.' decimals and 17 significant digits so doubles round-trip.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import operator
@@ -151,9 +150,10 @@ def _read_model(source):
 
 
 def _pairs(a):
-    """A complex scalar or array as (nested lists of) [re, im] pairs."""
+    """A complex scalar or array as a float64 array of [re, im] pairs, of
+    shape a.shape + (2,)."""
     a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+    return np.stack([a.real, a.imag], axis=-1)
 
 
 def _unavailable(reason):
@@ -161,7 +161,10 @@ def _unavailable(reason):
 
 
 def run_report(model: GklsModel, closed_form=None) -> dict:
-    """Full analysis of one model as a JSON-serializable dict.
+    """Full analysis of one model as a dict of JSON values and float64
+    arrays (complex data as arrays of [re, im] pairs), which _dump_json
+    writes as the arrays' tolist(); json.dumps needs
+    default=np.ndarray.tolist to write it.
 
     closed_form, when given, is the (mu2, lambda2, omega, kappa) tuple of the
     single-mode preset; the report then carries the closed-form comparison.
@@ -194,7 +197,7 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
         "eigenvalues": _pairs(dd.drift_eigenvalues),
     }
     report["cz"] = {
-        "spectrum": dd.cz_spectrum.tolist(),
+        "spectrum": dd.cz_spectrum,
         "min_eig": dd.cz_min_eig,
         "full_rank": dd.kraus_rank_full,
     }
@@ -207,9 +210,7 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
             "case": f.case,
             "eigenvalue": None if f.eigenvalue is None else _pairs(f.eigenvalue),
             "eigenvector": None if f.eigenvector is None else _pairs(f.eigenvector),
-            "kernel_vector": None
-            if f.kernel_vector is None
-            else _pairs(f.kernel_vector),
+            "kernel_vector": None if f.kernel_vector is None else _pairs(f.kernel_vector),
             "residual": f.residual,
         }
         for f in grep.diagnostics
@@ -223,9 +224,9 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
         report["stationary"] = {
             "available": True,
             "mu": _pairs(st.mu),
-            "s2d": st.s2d.tolist(),
+            "s2d": st.s2d,
             "det_s_tilde": st.det_s_tilde,
-            "sigma": None if np.isnan(st.sigma).any() else st.sigma.tolist(),
+            "sigma": None if np.isnan(st.sigma).any() else st.sigma,
             "faithful": st.faithful,
             "unique": dd.is_stable and dd.kraus_rank_full,
         }
@@ -245,7 +246,7 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
                 "available": True,
                 "omega0": kms.omega0,
                 "g": kms.g,
-                "witness": kms.witness.tolist(),
+                "witness": kms.witness,
                 "kbreve_min_eig": kms.form_min_eig,
                 "kernel_condition_ok": kms.kernel_condition_ok,
             }
@@ -253,8 +254,8 @@ def run_report(model: GklsModel, closed_form=None) -> dict:
         ou = classical.restrict_to_ou(model)
         block = {
             "available": True,
-            "Q": ou.q_mat.tolist(),
-            "A": ou.a_mat.tolist(),
+            "Q": ou.q_mat,
+            "A": ou.a_mat,
         }
         if model.d == 1 and float(ou.a_mat[0, 0]) < 0:
             block["gap_1d"] = classical.ou_gap_1d(ou)
@@ -288,7 +289,9 @@ def _dump_json(obj, stream):
     """Write obj followed by a newline, byte for byte as
     json.dump(obj, stream, sort_keys=True, indent=2, default=np.ndarray.tolist)
     would write it, handed to the stream in pieces rather than as one
-    string."""
+    string.  A float64 array is written as one piece (see
+    :func:`_float_text`); lists, tuples and every other value take the
+    general path."""
     pieces = []
     _json_pieces(obj, "\n", pieces, stream, {})
     pieces.append("\n")
@@ -298,15 +301,15 @@ def _dump_json(obj, stream):
 def _json_pieces(obj, newline, pieces, stream, layouts):
     """Append the indented JSON text of obj, which starts a line whose break
     and indentation are newline, to pieces; every few thousand pieces go to
-    the stream.  An array of floats is one piece (see :func:`_float_text`);
-    a dict whose keys are not all strings goes to json itself.  layouts
-    holds the array templates of one dump."""
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    the stream.  A float64 array is one piece where :func:`_float_text`
+    takes it, any other array is written as its tolist(); a dict whose keys
+    are not all strings goes to json itself.  layouts holds the array
+    templates of one dump."""
+    if isinstance(obj, np.ndarray):
         text = _float_text(obj, newline, layouts)
         if text is not None:
             pieces.append(text)
             return
-    if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -337,59 +340,33 @@ def _json_pieces(obj, newline, pieces, stream, layouts):
         pieces.append(json.dumps(obj))
 
 
-def _float_text(obj, newline, layouts):
-    """The indented JSON text of obj, an array, list or tuple, when it is a
-    float64 array of at least one dimension, or a non-empty list of floats
-    or of equal-length lists of floats, with no NaN or infinity
-    (float.__repr__ spells them nan and inf, json NaN and Infinity); else
-    None.
+def _float_text(array, newline, layouts):
+    """The indented JSON text of array when it is a float64 array of at
+    least one dimension with no NaN or infinity (float.__repr__ spells them
+    nan and inf, json NaN and Infinity); else None.
 
     Every float is written with float.__repr__, as json does, into a
-    template of the layout of obj, built once per dump.  Square matrices, or
-    a stack of them, each equal to its transpose bit for bit (so that -0.0
-    never stands in for 0.0) have only their upper triangles formatted, and
-    each repr fills the fields of (i, j) and (j, i)."""
-    if isinstance(obj, np.ndarray):
-        if obj.dtype != np.float64 or not obj.ndim:
-            return None
-        shape, flat = obj.shape, obj.ravel().tolist()
-    elif not obj:
+    template of the layout of the array, built once per dump.  Square
+    matrices, or a stack of them, each equal to its transpose bit for bit
+    (so that -0.0 never stands in for 0.0) have only their upper triangles
+    formatted, and each repr fills the fields of (i, j) and (j, i)."""
+    if array.dtype != np.float64 or not array.ndim:
         return None
-    elif isinstance(obj[0], (list, tuple)):
-        shape = (len(obj), len(obj[0]))
-        if not set(map(type, obj)) <= {list, tuple} or set(map(len, obj)) != {shape[1]}:
-            return None
-        flat = list(itertools.chain.from_iterable(obj))
-    else:
-        shape, flat = (len(obj),), obj
-    if flat and not isinstance(flat[0], float):
-        return None
+    shape, bits = array.shape, array.view(np.int64)
     symmetric = (
-        len(shape) >= 2
+        array.ndim >= 2
         and shape[-1] == shape[-2] > 1
-        and len(flat) > 0
-        and _symmetric_bits(obj, shape)
+        and array.size > 0
+        and bool((bits == bits.swapaxes(-1, -2)).all())
     )
     key = (shape, newline, symmetric)
     if key not in layouts:
         layouts[key] = _layout(shape, newline, symmetric)
     template, take, spread = layouts[key]
-    try:
-        reprs = list(map(float.__repr__, take(flat) if take else flat))
-    except TypeError:  # not all floats: bool and int are written as such
-        return None
+    flat = array.ravel().tolist()
+    reprs = list(map(float.__repr__, take(flat) if take else flat))
     text = template.format(*(spread(reprs) if spread else reprs))
     return None if "n" in text else text
-
-
-def _symmetric_bits(obj, shape):
-    """Whether obj, a float64 array of the shape, equals its transpose in
-    the last two axes bit for bit."""
-    values = np.asarray(obj)
-    if values.dtype != np.float64 or values.shape != shape:
-        return False
-    bits = values.view(np.int64)
-    return bool((bits == bits.swapaxes(-1, -2)).all())
 
 
 def _layout(shape, newline, symmetric):
@@ -465,8 +442,9 @@ def _print_human(report: dict):
     )
     st = report["stationary"]
     if st.get("available"):
+        sigma = st["sigma"]
         out.write(
-            f"invariant state: sigma = {st['sigma']}, "
+            f"invariant state: sigma = {sigma if sigma is None else sigma.tolist()}, "
             f"faithful = {st['faithful']}, det(S+iJ) = {st['det_s_tilde']:.6g}\n"
         )
     gns = report["gns"]
@@ -552,7 +530,7 @@ def _cmd_evolve(args) -> int:
         sp = _read_state(args.s0, model.d)
     states = dynamics.state_evolve(dd, sp, np.array(times))
     # the rows hold slices of the stacks, which _dump_json writes as arrays
-    means = np.stack([states.mean.real, states.mean.imag], axis=-1)
+    means = _pairs(states.mean)
     rows = []
     for t, mean, cov in zip(times, means, states.cov2d):
         row = {"t": t, "mean": mean, "cov2d": cov}

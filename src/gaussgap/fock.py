@@ -27,10 +27,12 @@ free of uncontrolled approximation.  The populations must be positive normal
 floats (near the pure vacuum the top ones underflow, and such a model is
 refused).  The weights scale only the stored entries.  The weighted,
 symmetrized generator is block diagonal in the connected components of its
-exact nonzero pattern (for this family the U(1) sectors l - m); each block
-is scattered into a small dense matrix and diagonalized on its own, and the
-union of the block spectra is the spectrum.  The blocks are read from the
-assembled matrix, never from the model.
+exact nonzero pattern (for this family the U(1) sectors l - m), which
+scipy.sparse.csgraph labels from the entries that are not zero (it would
+take a stored zero as an edge).  Each block is scattered into a small dense
+matrix and diagonalized on its own, and the union of the block spectra is
+the spectrum.  The blocks are read from the assembled matrix, never from
+the model.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperato
     validate(model, strict=True)
     if space.dim > MAX_SUPEROP_DIM:
         raise DimensionTooLarge(
-            f"superoperator for dim {space.dim} exceeds the dense cap "
+            f"truncated dimension {space.dim} exceeds the superoperator cap "
             f"{MAX_SUPEROP_DIM}"
         )
     h = build_hamiltonian(model, space)
@@ -379,30 +381,27 @@ def _thermal_envelope(model: GklsModel):
 
 
 def _nonzeros(mat):
-    """Row indices, column indices and values of the nonzero entries of a
-    dense or sparse matrix, in row-major order."""
+    """The nonzero entries of a dense or sparse matrix as a COO array that
+    stores no zeros."""
     from scipy import sparse
 
     coo = sparse.coo_array(mat)
-    keep = coo.data != 0
-    return coo.row[keep], coo.col[keep], coo.data[keep]
+    coo.eliminate_zeros()
+    return coo
 
 
 def _components(pattern):
-    """Connected components of the graph whose adjacency is the symmetric
-    boolean matrix pattern (dense or sparse), as labels 0..k-1, one per
-    vertex."""
-    rows, cols, _ = _nonzeros(pattern)
-    labels = np.arange(pattern.shape[0])
-    while True:
-        # each vertex takes the least label among itself and its neighbours,
-        # then the label of that label (pointer jumping)
-        low = labels.copy()
-        np.minimum.at(low, rows, labels[cols])
-        low = low[low]
-        if np.array_equal(low, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = low
+    """Connected components of the graph whose adjacency is the nonzero
+    pattern of the symmetric matrix pattern (dense or sparse), as labels
+    0..k-1, one per vertex, numbered in the order of their least vertices.
+    csgraph takes every stored entry as an edge, so it is handed a unit
+    weight at each entry _nonzeros keeps."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    nz = _nonzeros(pattern)
+    graph = sparse.coo_array((np.ones(nz.nnz), nz.coords), shape=nz.shape)
+    return connected_components(graph, directed=False)[1]
 
 
 def _blocked_eigvalsh(mat):
@@ -411,8 +410,9 @@ def _blocked_eigvalsh(mat):
 
     Each entry is scattered into a dense block of its component, at the
     positions of its row and column in ascending index order."""
-    rows, cols, vals = _nonzeros(mat)
-    labels = _components(mat)
+    nz = _nonzeros(mat)
+    rows, cols, vals = nz.row, nz.col, nz.data
+    labels = _components(nz)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))

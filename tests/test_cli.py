@@ -43,6 +43,12 @@ MODEL_C_PRESET = json.dumps(
     {"version": 1, "one_dim": {"mu2": 2.0, "lambda2": 0.0, "omega": 2.0, "kappa": 1.0}}
 )
 
+#: stable, with a covariance too ill-conditioned for the Williamson
+#: decomposition: the report's sigma is None and the state is not faithful
+ILL_CONDITIONED_PRESET = json.dumps(
+    {"version": 1, "one_dim": {"mu2": 3.0, "lambda2": 1.0, "omega": 1e9, "kappa": 1e9}}
+)
+
 PUMP_JSON = json.dumps(
     {
         "version": 1,
@@ -150,7 +156,7 @@ class TestParse:
             "V": echo["V"],
             "zeta": echo["zeta"],
         }
-        again = parse_model(json.dumps(doc))
+        again = parse_model(json.dumps(doc, default=np.ndarray.tolist))
         assert np.array_equal(again.u_mat, model.u_mat)
         assert np.array_equal(again.v_mat, model.v_mat)
         assert np.array_equal(again.omega, model.omega)
@@ -197,6 +203,38 @@ class TestMain:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["schema"] == "gaussgap.report/1"
+
+    @pytest.mark.parametrize(
+        "model, code, expected",
+        [
+            (
+                MODEL_B_PRESET,
+                0,
+                "stability: stable (abscissa -1)\n"
+                "noise form: min eig 2 (full rank)\n"
+                "invariant state: sigma = [2.2360679774997902], faithful = True, "
+                "det(S+iJ) = 4\n"
+                "gap (one-sided embedding):  g = 0.5\n"
+                "gap (split embedding):      g = 0.5527864045\n"
+                "closed forms: g = 0.5, g_breve = 0.5527864045, sigma = 2.2360679775\n",
+            ),
+            (
+                ILL_CONDITIONED_PRESET,
+                2,
+                "stability: stable (abscissa -1)\n"
+                "noise form: min eig 2 (full rank)\n"
+                "invariant state: sigma = None, faithful = False, det(S+iJ) = 4e+18\n"
+                "gap (one-sided embedding):  unavailable (NotFaithful)\n"
+                "gap (split embedding):      unavailable (NotFaithful)\n"
+                "diagnostic [NotFaithful]: invariant state is not faithful; "
+                "embeddings undefined\n",
+            ),
+        ],
+        ids=["model-b", "ill-conditioned"],
+    )
+    def test_human_report_bytes(self, capsys, model, code, expected):
+        assert main(["analyze", model]) == code
+        assert capsys.readouterr().out == expected
 
     def test_exit_code_two_on_no_gap(self, capsys):
         assert main(["analyze", MODEL_C_PRESET]) == 2
@@ -1059,7 +1097,11 @@ class TestDumpJson:
         [
             ["analyze", MODEL_B_PRESET, "--json"],
             ["analyze", "MIXED_D4", "--json"],
+            ["analyze", PUMP_JSON, "--json"],
+            ["analyze", MODEL_C_PRESET, "--json"],
+            ["analyze", ILL_CONDITIONED_PRESET, "--json"],
             ["gap", MODEL_B_PRESET, "--mode", "both"],
+            ["gap", MODEL_B_PRESET, "--mode", "gns"],
             ["evolve", "MIXED_D4", "--t", "0,0.5,3", "--s0", "stationary"],
             ["evolve", MODEL_B_PRESET, "--t", "0.25,1"],
             ["evolve", "MIXED_D4", "--t", ",".join(str(0.1 * k) for k in range(50)),
@@ -1069,7 +1111,8 @@ class TestDumpJson:
             ["oracle", MODEL_A_JSON, "--cutoff", "8", "--check", "kms-trace"],
             ["oracle", MODEL_A_JSON, "--cutoff", "8", "--check", "gap"],
         ],
-        ids=["analyze-preset", "analyze-d4", "gap-both", "evolve-d4", "evolve-preset",
+        ids=["analyze-preset", "analyze-d4", "analyze-pump", "analyze-model-c",
+             "analyze-not-faithful", "gap-both", "gap-gns", "evolve-d4", "evolve-preset",
              "evolve-d4-50-times", "evolve-driven-vacuum",
              "oracle-char", "oracle-kms-trace", "oracle-gap"],
     )
@@ -1111,6 +1154,9 @@ class TestDumpJson:
             {1: [1.0, 2.0], 2: "non-string keys"},
             {"outer": {3: {"x": [1.0]}}},
             pytest.param(SYMMETRIC, id="array-symmetric"),
+            pytest.param(SYMMETRIC.T, id="array-symmetric-transposed-view"),
+            pytest.param(np.stack([SYMMETRIC, SYMMETRIC])[:, ::-1, ::-1],
+                         id="stack-symmetric-reversed-view"),
             pytest.param(NEARLY_SYMMETRIC, id="array-not-symmetric-bitwise"),
             pytest.param(np.array([[1.0, 2.0], [3.0, -0.0]]), id="array-not-symmetric"),
             pytest.param(np.array([[-0.0]]), id="array-1x1"),

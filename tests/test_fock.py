@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 from gaussgap.dynamics import GaussianStateParams, char_fn, kms_weyl_trace, weyl_evolve
@@ -86,6 +87,14 @@ class TestSpace:
 
 
 class TestSuperoperator:
+    def test_superoperator_cap(self, model_b):
+        model, _, _ = model_b
+        with pytest.raises(
+            DimensionTooLarge,
+            match="^truncated dimension 65 exceeds the superoperator cap 64$",
+        ):
+            build_superoperator(model, build_space(1, 64))
+
     def test_trace_preservation(self, model_b):
         model, _, _ = model_b
         superop = build_superoperator(model, build_space(1, 15))
@@ -465,6 +474,15 @@ class TestBlockedEigensolve:
         mat = np.where(pattern, rng.standard_normal(pattern.shape), 0.0)
         mat = mat + mat.T
         assert np.allclose(_blocked_eigvalsh(mat), np.linalg.eigvalsh(mat), atol=1e-12)
+
+
+def test_components_skip_stored_zeros():
+    # a sparse matrix may store zeros; they are not edges of the pattern
+    rows, cols = np.array([0, 1, 2, 3]), np.array([1, 0, 3, 2])
+    mat = sparse.csr_array((np.array([0.0, 0.0, 1.0, 1.0]), (rows, cols)), shape=(4, 4))
+    assert mat.nnz == 4
+    assert _components(mat).tolist() == [0, 1, 2, 2]
+    assert _components(mat.toarray()).tolist() == [0, 1, 2, 2]
 
 
 def test_two_mode_cross_validation():
