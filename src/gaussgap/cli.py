@@ -407,6 +407,9 @@ def _nest_template(shape, newline):
 #: one CSV row of each table: every float with 17 significant digits, so
 #: doubles round-trip, and RFC 4180 line ends; no cell needs quoting
 _DECAY_ROW = "%d" + ",%.17g" * 5 + "\r\n"
+#: samples that decay evaluates as one stack per term count; at d = 8 the
+#: kernel products of a block take about 1 MB
+_DECAY_BLOCK = 128
 _SWEEP_ROW = "%.17g" + ",%.17g" * 8 + "\r\n"
 
 
@@ -562,29 +565,73 @@ def _cmd_decay(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = sys.stdout
     out.write("sample,t,gns_norm_sq,gns_bound,kms_norm_sq,kms_bound\r\n")
-    for s in range(args.samples):
-        n_terms = int(rng.integers(1, 4))
-        combo = dynamics.WeylCombo(
-            coefficients=rng.standard_normal(n_terms)
-            + 1j * rng.standard_normal(n_terms),
-            vectors=0.5
-            * (
-                rng.standard_normal((n_terms, model.d))
-                + 1j * rng.standard_normal((n_terms, model.d))
-            ),
-        )
-        gns = dynamics.norm_decay_at(st, combo, props, "gns")
-        kms = dynamics.norm_decay_at(st, combo, props, "kms")
-        table = zip(
-            [s] * len(times),
-            times,
-            gns[1:].tolist(),
-            (gns_rate * gns[0]).tolist(),
-            kms[1:].tolist(),
-            (kms_rate * kms[0]).tolist(),
-        )
-        out.writelines(map(_DECAY_ROW.__mod__, table))
+    # fixed blocks keep memory flat in --samples
+    for first in range(0, args.samples, _DECAY_BLOCK):
+        draws = [
+            _draw_combo(rng, model.d)
+            for _ in range(min(_DECAY_BLOCK, args.samples - first))
+        ]
+        _write_decay_rows(out, st, props, (gns_rate, kms_rate), times, first, draws)
     return 0
+
+
+def _draw_combo(rng, d):
+    """The coefficients and vectors of one random Weyl combination of 1 to 3
+    terms, in decay's draw order."""
+    n_terms = int(rng.integers(1, 4))
+    coefficients = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
+    vectors = 0.5 * (
+        rng.standard_normal((n_terms, d)) + 1j * rng.standard_normal((n_terms, d))
+    )
+    return coefficients, vectors
+
+
+def _decay_norms(st, props, draws):
+    """The (2, len(draws), len(props)) norms of the drawn combinations in
+    the one-sided and the split embedding, from one norm_decay_at call per
+    term count and embedding; errors carry the failing draw's position as
+    ``index``."""
+    norms = np.empty((2, len(draws), len(props)))
+    terms = np.array([len(coefficients) for coefficients, _ in draws])
+    for n_terms in np.unique(terms):
+        pos = np.flatnonzero(terms == n_terms)
+        combo = dynamics.WeylCombo(
+            coefficients=np.stack([draws[i][0] for i in pos]),
+            vectors=np.stack([draws[i][1] for i in pos]),
+        )
+        for k, mode in enumerate(("gns", "kms")):
+            try:
+                norms[k, pos] = dynamics.norm_decay_at(st, combo, props, mode)
+            except GaussGapError as exc:
+                if exc.index is not None:
+                    exc.index = int(pos[exc.index])
+                raise
+    return norms
+
+
+def _write_decay_rows(out, st, props, rates, times, first, draws):
+    """Write the decay rows of the drawn combinations, numbered from first.
+    A failing combination raises the error of a call on it alone, after the
+    rows of every combination before it."""
+    try:
+        gns, kms = _decay_norms(st, props, draws)
+    except GaussGapError as exc:
+        if exc.index is None:
+            raise
+        # the stacks report a failing draw, not necessarily the first
+        _write_decay_rows(out, st, props, rates, times, first, draws[: exc.index])
+        _decay_norms(st, props, draws[exc.index : exc.index + 1])
+        raise
+    gns_rate, kms_rate = rates
+    table = zip(
+        np.arange(first, first + len(draws)).repeat(len(times)).tolist(),
+        times * len(draws),
+        gns[:, 1:].ravel().tolist(),
+        (gns_rate * gns[:, :1]).ravel().tolist(),
+        kms[:, 1:].ravel().tolist(),
+        (kms_rate * kms[:, :1]).ravel().tolist(),
+    )
+    out.writelines(map(_DECAY_ROW.__mod__, table))
 
 
 def _sweep_rows(points):

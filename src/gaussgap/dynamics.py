@@ -25,7 +25,9 @@ combination with centered coefficients xi_j = exp(-Re<z_j, S z_j>/2) eta_j.
 Every flow function (propagator, gramian_cov, weyl_evolve, state_evolve,
 kernel_s, norm_decay) takes a time or a 1-D array of times and gives an
 array a leading time axis, each entry bit-identical to the single-time
-call; norm_decay_at takes one propagator or a stack of them.
+call; norm_decay_at takes one propagator or a stack of them.  A WeylCombo
+may also hold a stack of combinations, which norm_decay and norm_decay_at
+evaluate at once, the combination axes before the time axis.
 """
 
 from __future__ import annotations
@@ -121,17 +123,19 @@ class GaussianStateParams:
 
 @dataclass(frozen=True)
 class WeylCombo:
-    """Finite combination sum_j eta_j W(z_j)."""
+    """Finite combination sum_j eta_j W(z_j), or a stack of them with a
+    common term count l: the coefficients have shape (..., l) and the
+    vectors (..., l, d).  One combination has no leading axis."""
 
     coefficients: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=complex).ravel()
+        coeff = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
         vecs = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
-        if coeff.shape[0] == 0:
+        if coeff.shape[-1] == 0:
             raise ValueError("combination must have at least one term")
-        if vecs.shape[0] != coeff.shape[0]:
+        if vecs.shape[:-1] != coeff.shape:
             raise ValueError("one vector per coefficient required")
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "vectors", vecs)
@@ -304,7 +308,8 @@ def kernel_s(st: StationaryData, dd: DriftDiffusion, z, w, t, mode="gns"):
 def norm_decay(st: StationaryData, dd: DriftDiffusion, combo: WeylCombo, t, mode="gns"):
     """Squared embedded norm of the evolved, centered combination at a time
     t, or the array of them at a 1-D array of times (one :func:`propagator`
-    call and one :func:`norm_decay_at` call).
+    call and one :func:`norm_decay_at` call); a stack of combinations puts
+    its leading axes first.
 
     Equals sum_{j,k} conj(xi_j) xi_k (exp(s_t(z_j, z_k)) - 1) and is real
     non-negative; a material imaginary residue raises ConsistencyError since
@@ -314,31 +319,60 @@ def norm_decay(st: StationaryData, dd: DriftDiffusion, combo: WeylCombo, t, mode
 
 
 def norm_decay_at(st: StationaryData, combo: WeylCombo, et, mode="gns"):
-    """:func:`norm_decay` at the propagator et = exp(t Z2d) (a float), or at
-    each of a stack (T, 2d, 2d) of them (an array of T norms), for callers
-    that evaluate a fixed time grid: the combination's coordinates and
-    centered coefficients are built once, and the propagators of a whole
-    grid come from one :func:`propagator` call, t = 0 included (expm of the
-    zero matrix is exactly the identity)."""
-    vecs = np.column_stack([vec2d(z) for z in combo.vectors])
-    gram = _kernel_matrix(st, vecs, et, mode)
+    """:func:`norm_decay` at the propagator et = exp(t Z2d), or at each of a
+    stack (T, 2d, 2d) of them, for callers that evaluate a fixed time grid:
+    the coordinates and centered coefficients are built once, and the
+    propagators of a whole grid come from one :func:`propagator` call, t = 0
+    included (expm of the zero matrix is exactly the identity).
+
+    One combination gives a float, or an array of T norms; a stack of
+    combinations (leading shape C) gives an array of shape C or C + (T,).
+    Every entry equals the call on its own combination and propagator bit
+    for bit.  Both guards name the first failing combination of a stack as
+    ``index``.
+    """
+    coeff = combo.coefficients
+    cshape, terms = coeff.shape[:-1], coeff.shape[-1]
+    # [Re z; Im z] of each term as the columns of a C-contiguous (2d, l)
+    # block per combination: a transposed view changes the Gram products'
+    # last digits for l >= 2
+    vecs = np.ascontiguousarray(
+        np.concatenate([combo.vectors.real, combo.vectors.imag], axis=-1).swapaxes(-1, -2)
+    )
+    over_t = np.ndim(et) > 2
+    gram = _kernel_matrix(st, vecs[..., None, :, :] if cshape and over_t else vecs, et, mode)
     # NaN-safe: a propagator that left double precision fails too
-    if not float(np.max(np.abs(gram))) <= EXP_GUARD:
-        raise RangeExceeded(
-            "kernel values exceed the exp() envelope or are not finite; "
-            "rescale the Weyl arguments or the times"
-        )
-    quad = np.einsum("ji,jk,ki->i", vecs, st.s2d, vecs)
-    xi = np.exp(-0.5 * quad) * combo.coefficients
-    # one matrix product per propagator: a vector-stack-vector product would
-    # change the last digit of some norms against a single-propagator call
-    total = ((np.conj(xi) @ (np.exp(gram) - 1.0))[..., None, :] @ xi[:, None])[..., 0, 0]
+    peak = np.max(np.abs(gram), axis=tuple(range(len(cshape), gram.ndim)))
+    raise_first(
+        ~(peak <= EXP_GUARD),
+        RangeExceeded,
+        "kernel values exceed the exp() envelope or are not finite; "
+        "rescale the Weyl arguments or the times",
+    )
+    # one einsum per combination: a stacked einsum changes the last digit
+    # of some forms (d = 1, l = 1)
+    flat = vecs.reshape(-1, *vecs.shape[-2:])
+    quad = np.stack([np.einsum("ji,jk,ki->i", v, st.s2d, v) for v in flat])
+    xi = np.exp(-0.5 * quad.reshape(coeff.shape)) * coeff
+    # xi as a row per combination and propagator, for one matrix product per
+    # propagator: a vector-stack-vector product would change the last digit
+    # of some norms against a single-propagator call
+    row = xi.reshape(cshape + (1,) * over_t + (1, terms))
+    total = ((np.conj(row) @ (np.exp(gram) - 1.0)) @ row.swapaxes(-1, -2))[..., 0, 0]
     residue = np.abs(total.imag) > 1e-9 * np.maximum(1.0, np.abs(total))
-    if np.any(residue):
-        first = int(np.flatnonzero(residue)[0])
-        where = f" at propagator {first} of the stack" if total.ndim else ""
-        raise ConsistencyError(
-            f"decay norm acquired an imaginary part {total.flat[first].imag:.3e}{where}"
+    if over_t:
+        first = np.argmax(residue, axis=-1)
+        imag = np.take_along_axis(total.imag, first[..., None], -1)[..., 0]
+        raise_first(
+            residue.any(axis=-1),
+            ConsistencyError,
+            "decay norm acquired an imaginary part {:.3e} at propagator {} of the stack",
+            imag,
+            first,
+        )
+    else:
+        raise_first(
+            residue, ConsistencyError, "decay norm acquired an imaginary part {:.3e}", total.imag
         )
     return total.real if total.ndim else float(total.real)
 

@@ -18,7 +18,7 @@ import gaussgap
 from gaussgap import cli, fock, gap
 from gaussgap.cli import main, parse_model, run_report
 from gaussgap.dynamics import WeylCombo, norm_decay
-from gaussgap.errors import ParseError, ShapeError
+from gaussgap.errors import GaussGapError, ParseError, RangeExceeded, ShapeError
 from gaussgap.model import build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
 
@@ -320,42 +320,29 @@ class TestMain:
 
     @pytest.mark.parametrize("seed", [4, 11])
     def test_decay_bytes_match_single_time_norms(self, capsys, seed):
-        # the command evaluates each combination over its whole grid at once;
-        # the reference takes one norm_decay call per (sample, t, mode), with
-        # the command's draw order
+        # the command evaluates each block of samples over its whole grid at
+        # once; the reference takes one norm_decay call per (sample, t, mode)
         grid = "0.05,0.3,1,2.5"
         assert main(
             ["decay", MODEL_B_PRESET, "--samples", "6", "--seed", str(seed), "--t-grid", grid]
         ) == 0
         out = capsys.readouterr().out
-        model = parse_model(MODEL_B_PRESET)
-        dd = build_drift_diffusion(model)
-        rep = gap.analyze(dd)
-        st = rep.stationary
-        rng = np.random.default_rng(seed)
-        # each row through csv.writer, each bound from its own exp
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\r\n")
-        writer.writerow(["sample", "t", "gns_norm_sq", "gns_bound", "kms_norm_sq", "kms_bound"])
-        for s in range(6):
-            n = int(rng.integers(1, 4))
-            combo = WeylCombo(
-                coefficients=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                vectors=0.5
-                * (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))),
-            )
-            gns0 = norm_decay(st, dd, combo, 0.0, "gns")
-            kms0 = norm_decay(st, dd, combo, 0.0, "kms")
-            for t in (float(x) for x in grid.split(",")):
-                cells = [
-                    t,
-                    norm_decay(st, dd, combo, t, "gns"),
-                    np.exp(-2.0 * rep.g * t) * gns0,
-                    norm_decay(st, dd, combo, t, "kms"),
-                    np.exp(-2.0 * rep.g_breve * t) * kms0,
-                ]
-                writer.writerow([s] + [_fmt17(c) for c in cells])
-        assert out == expected.getvalue()
+        assert (out, None) == _decay_reference(MODEL_B_PRESET, 6, seed, grid)
+
+    def test_decay_failure_partway_keeps_earlier_rows(self, capsys):
+        # sample 2 leaves the exp() envelope: the rows of samples 0 and 1
+        # come out, then the error of the per-sample reference
+        preset = json.dumps(
+            {"version": 1, "one_dim": {"mu2": 3, "lambda2": 2.99, "omega": 1, "kappa": 0}}
+        )
+        argv = ["decay", preset, "--samples", "20", "--seed", "1", "--t-grid", "0.1,1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        expected, error = _decay_reference(preset, 20, 1, "0.1,1")
+        assert type(error) is RangeExceeded
+        assert captured.out == expected
+        assert captured.out.count("\r\n") == 1 + 2 * 2
+        assert captured.err == f"error [RangeExceeded]: {error}\n"
 
     def test_gap_command_modes(self, capsys):
         assert main(["gap", MODEL_B_PRESET, "--mode", "gns"]) == 0
@@ -838,6 +825,49 @@ class TestMain:
 def _fmt17(x):
     """A CSV cell: 17 significant digits, so doubles round-trip."""
     return format(float(x), ".17g")
+
+
+def _decay_reference(preset, samples, seed, grid):
+    """decay's stdout from one norm_decay call per (sample, t, mode), with
+    the command's draw order, each row through csv.writer and each bound
+    from its own exp.  Stops at the first sample a call refuses; returns
+    the text and that error (None when every sample passes)."""
+    model = parse_model(preset)
+    dd = build_drift_diffusion(model)
+    rep = gap.analyze(dd)
+    st = rep.stationary
+    rng = np.random.default_rng(seed)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\r\n")
+    writer.writerow(["sample", "t", "gns_norm_sq", "gns_bound", "kms_norm_sq", "kms_bound"])
+    for s in range(samples):
+        n = int(rng.integers(1, 4))
+        combo = WeylCombo(
+            coefficients=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            vectors=0.5
+            * (rng.standard_normal((n, model.d)) + 1j * rng.standard_normal((n, model.d))),
+        )
+        try:
+            gns0 = norm_decay(st, dd, combo, 0.0, "gns")
+            kms0 = norm_decay(st, dd, combo, 0.0, "kms")
+            rows = [
+                [s]
+                + [
+                    _fmt17(c)
+                    for c in (
+                        t,
+                        norm_decay(st, dd, combo, t, "gns"),
+                        np.exp(-2.0 * rep.g * t) * gns0,
+                        norm_decay(st, dd, combo, t, "kms"),
+                        np.exp(-2.0 * rep.g_breve * t) * kms0,
+                    )
+                ]
+                for t in (float(x) for x in grid.split(","))
+            ]
+        except GaussGapError as exc:
+            return expected.getvalue(), exc
+        writer.writerows(rows)
+    return expected.getvalue(), None
 
 
 def _sweep_csv_rows(capsys, grid):

@@ -271,6 +271,19 @@ class TestKernel:
             assert abs(fd - exact) < 1e-6 * max(1.0, abs(exact))
 
 
+def _norm_decay_reference(st, combo, et, mode):
+    """norm_decay_at of one combination at one propagator, with the
+    coordinates column-stacked term by term (a transposed view of them
+    would change the last digit of some norms for l >= 2)."""
+    form = st.s_tilde if mode == "gns" else st.s_breve
+    vecs = np.column_stack([vec2d(z) for z in combo.vectors])
+    w = et @ vecs
+    gram = w.T @ form @ w
+    quad = np.einsum("ji,jk,ki->i", vecs, st.s2d, vecs)
+    xi = np.exp(-0.5 * quad) * combo.coefficients
+    return float(((np.conj(xi) @ (np.exp(gram) - 1.0))[None, :] @ xi[:, None])[0, 0].real)
+
+
 class TestNormDecay:
     def test_single_weyl_at_zero(self, model_a):
         # ||(W(1) - rho_hat(1)) rho^(1/2)||^2 = 1 - |rho_hat(1)|^2, i.e. the
@@ -338,24 +351,47 @@ class TestNormDecay:
         with pytest.raises(ValueError):
             WeylCombo(coefficients=[], vectors=np.zeros((0, 1)))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
     def test_time_array_matches_scalar_calls(self, d):
-        # one propagator call and one norm_decay_at call for the whole grid;
-        # each entry equals the single-time call bit for bit
+        # one propagator call and one norm_decay_at call for the whole grid
+        # and a whole stack of combinations; each entry equals the call on
+        # its own combination and time bit for bit, and that call equals the
+        # per-term reference bit for bit.  A stacked einsum would move bits
+        # at d = 1, l = 1, and transposed coordinates at d = 1 and 8.
         rng = np.random.default_rng(90 + d)
         _, dd, st = random_stable_faithful(rng, d)
         grid = np.array([0.0, 0.05, 0.3, 1.0, 2.5])
         for n_terms in (1, 2, 3):
-            combo = WeylCombo(
-                coefficients=rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms),
-                vectors=0.5 * (rng.standard_normal((n_terms, d)) + 1j * rng.standard_normal((n_terms, d))),
+            coefficients = rng.standard_normal((8, n_terms)) + 1j * rng.standard_normal((8, n_terms))
+            vectors = 0.5 * (
+                rng.standard_normal((8, n_terms, d)) + 1j * rng.standard_normal((8, n_terms, d))
             )
+            stack = WeylCombo(coefficients=coefficients, vectors=vectors)
             for mode in ("gns", "kms"):
-                values = norm_decay(st, dd, combo, grid, mode)
-                assert values.shape == grid.shape
-                singles = [norm_decay(st, dd, combo, t, mode) for t in grid]
-                assert all(type(v) is float for v in singles)
-                assert np.array_equal(values, singles)
+                stacked = norm_decay(st, dd, stack, grid, mode)
+                assert stacked.shape == (8, grid.size)
+                for k, t in enumerate(grid):
+                    at_t = norm_decay(st, dd, stack, t, mode)
+                    assert at_t.shape == (8,)
+                    assert np.array_equal(at_t, stacked[:, k])
+                for s in range(8):
+                    combo = WeylCombo(coefficients=coefficients[s], vectors=vectors[s])
+                    values = norm_decay(st, dd, combo, grid, mode)
+                    assert values.shape == grid.shape
+                    singles = [norm_decay(st, dd, combo, t, mode) for t in grid]
+                    assert all(type(v) is float for v in singles)
+                    assert np.array_equal(values, singles)
+                    assert np.array_equal(stacked[s], singles)
+                    reference = [
+                        _norm_decay_reference(st, combo, propagator(dd, t), mode) for t in grid
+                    ]
+                    assert singles == reference
+
+    def test_combination_shapes_checked(self):
+        with pytest.raises(ValueError, match="one vector per coefficient"):
+            WeylCombo(coefficients=np.ones((2, 3)), vectors=np.ones((2, 2, 1)))
+        with pytest.raises(ValueError, match="at least one term"):
+            WeylCombo(coefficients=np.ones((2, 0)), vectors=np.ones((2, 0, 1)))
 
     def test_time_array_rejects_negative_time(self, model_b):
         _, dd, st = model_b
@@ -423,6 +459,34 @@ class TestNormDecayStack:
             single = norm_decay_at(st, combo, stack[1], mode)
             assert type(single) is float
             assert single == norm_decay_at(st, combo, stack, mode)[1]
+
+    @pytest.mark.parametrize("over_t", [False, True])
+    def test_range_guard_names_the_combination(self, model_a, over_t):
+        _, dd, st = model_a
+        # s_0(40, 40) = 3200 > EXP_GUARD on model A: combinations 1 and 3
+        # fail, and the guard names the first (without an overflow warning,
+        # which the suite turns into an error)
+        stack = WeylCombo(coefficients=np.ones((4, 1)), vectors=[[[0.5]], [[40.0]], [[1.0]], [[40.0]]])
+        et = propagator(dd, np.array([0.0, 0.5]) if over_t else 0.0)
+        with pytest.raises(RangeExceeded, match="exp\\(\\) envelope") as info:
+            norm_decay_at(st, stack, et, "gns")
+        assert info.value.index == 1
+        ok = WeylCombo(coefficients=np.ones((2, 1)), vectors=[[[0.5]], [[1.0]]])
+        assert norm_decay_at(st, ok, et, "gns").shape == ((2, 2) if over_t else (2,))
+
+    def test_imaginary_residue_names_the_combination(self, model_b):
+        _, _, st = model_b
+        broken = dataclasses.replace(st, s_tilde=st.s2d + 1j * np.eye(2))
+        # the zero vector leaves its kernel at zero; the middle one does not
+        stack = WeylCombo(coefficients=np.ones((3, 1)), vectors=[[[0.0]], [[0.5 + 0.5j]], [[0.0]]])
+        props = np.stack([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(ConsistencyError, match="propagator 1 of the stack") as info:
+            norm_decay_at(broken, stack, props, "gns")
+        assert info.value.index == 1
+        with pytest.raises(ConsistencyError, match="imaginary part [^ ]+$") as info:
+            norm_decay_at(broken, stack, props[1], "gns")
+        assert info.value.index == 1
+        assert np.array_equal(norm_decay_at(broken, stack, props[[0, 2]], "gns"), np.zeros((3, 2)))
 
 
 class TestKernelPsd:
