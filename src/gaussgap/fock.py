@@ -7,9 +7,12 @@ operators, and traces are evaluated literally.  The closed-form modules are
 validated against these numbers, never the other way round.
 
 The generator of a quadratic model is sparse (at cutoff 25, 2526 nonzeros
-of 676^2 entries), so both pictures are held as CSR arrays only, built from
-Kronecker products of the dim x dim operators.  scipy.sparse is imported
-inside the oracle functions, so importing the package does not load it.
+of 676^2 entries), so both pictures are held as CSR arrays only.  Each is
+summed from the Kronecker terms of the dim x dim operators with index
+arithmetic on their nonzeros and stored with one CSR constructor call, its
+entries bit for bit those of the chain of scipy.sparse Kronecker products and
+sums that the formula spells out.  scipy.sparse is imported inside the oracle
+functions, so importing the package does not load it.
 
 The steady state is one square sparse LU solve.  Trace preservation
 (vec(1)^dagger predual = 0, exact at truncation) makes the |0><0| row of the
@@ -25,14 +28,16 @@ lambda*adag) whose stationary density is exactly diagonal in the number
 basis, so the weighted inner products of both embeddings are diagonal and
 free of uncontrolled approximation.  The populations must be positive normal
 floats (near the pure vacuum the top ones underflow, and such a model is
-refused).  The weights scale only the stored entries.  The weighted,
-symmetrized generator is block diagonal in the connected components of its
-exact nonzero pattern (for this family the U(1) sectors l - m), which
-scipy.sparse.csgraph labels from the entries that are not zero (it would
-take a stored zero as an edge).  Each block is scattered into a small dense
-matrix and diagonalized on its own, and the union of the block spectra is
-the spectrum.  The blocks are read from the assembled matrix, never from
-the model.
+refused).  The weights scale only the stored entries, and the weighting,
+the projection off the invariant direction and the Hermitian part are
+formed with numpy on the CSR arrays.  The weighted, symmetrized generator is
+block diagonal in the connected components of its exact nonzero pattern
+(for this family the U(1) sectors l - m), labelled by a min-label pass with
+pointer jumping over the entries that are not zero (a stored zero is not an
+edge).  The entries are sorted once by component, each block is scattered
+into a small dense matrix and diagonalized on its own, and the union of the
+block spectra is the spectrum.  The blocks are read from the assembled
+matrix, never from the model.
 """
 
 from __future__ import annotations
@@ -155,8 +160,11 @@ def build_kraus(model: GklsModel, space: TruncatedSpace):
 
 @dataclass
 class Superoperator:
-    """Vectorized generator (column stacking) in both pictures, as CSR
-    arrays (a dense array works wherever a sparse one is read)."""
+    """Vectorized generator (column stacking) in both pictures.
+
+    build_superoperator stores CSR arrays in canonical order (sorted column
+    indices, no duplicates, no stored zeros); a dense array works wherever
+    a sparse one is read."""
 
     space: TruncatedSpace
     predual: object
@@ -177,6 +185,53 @@ class Superoperator:
         return out.reshape((self.space.dim, self.space.dim), order="F")
 
 
+def _kron_sum(terms, dim):
+    """CSR array of kron(left_1, right_1) + kron(left_2, right_2) + ... for
+    dense dim x dim factors, with the entries scipy.sparse gives when it adds
+    the terms' CSR Kronecker products in order.
+
+    Each term's (row, col, value) comes from the nonzeros of its factors by
+    index arithmetic, each value one product of a left and a right entry, as
+    sparse.kron multiplies them.  A CSR sum adds entry by entry (a missing
+    entry counts as +0) and drops the exact zeros of every partial sum; the
+    fold below does the same on one dense row per term over the union of
+    the entries, so each stored value is bit for bit that of the chain, and
+    the zeros of cancelling terms are not stored.
+    """
+    n = dim * dim
+    keys, vals = [], []
+    for left, right in terms:
+        lrow, lcol = np.nonzero(left)
+        rrow, rcol = np.nonzero(right)
+        rvals = right[rrow, rcol]
+        rows = (lrow * dim)[:, None] + rrow
+        cols = (lcol * dim)[:, None] + rcol
+        keys.append((rows * n + cols).ravel())
+        vals.append(
+            (left[lrow, lcol].repeat(rvals.size).reshape(lrow.size, -1) * rvals).ravel()
+        )
+    sizes = [k.size for k in keys]
+    union, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    table = np.zeros((len(terms), union.size), dtype=complex)
+    table[np.repeat(np.arange(len(terms)), sizes), slot] = np.concatenate(vals)
+    total = table[0]
+    for row in table[1:]:
+        total = total + row
+        total[total == 0] = 0
+    keep = total != 0
+    return _csr_from_sorted(*np.divmod(union[keep], n), total[keep], n)
+
+
+def _csr_from_sorted(rows, cols, vals, n):
+    """n x n CSR array of entries given in row-major order without
+    duplicates."""
+    from scipy import sparse
+
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_array((vals, cols.astype(np.int32), indptr), shape=(n, n))
+
+
 def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperator:
     """Assemble the GKLS generator and its predual as sparse CSR arrays.
 
@@ -185,14 +240,13 @@ def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperato
     rho -> G^dag rho + rho G + sum_l L_l rho L_l^dag.  The vectorization
     vec(A x B) = (B^T kron A) vec(x) makes them
     1 kron G + conj(G) kron 1 + sum_l L_l^T kron L_l^dag and
-    1 kron G^dag + G^T kron 1 + sum_l conj(L_l) kron L_l, Kronecker products
-    of the sparse dim x dim operators.  The jump terms of each picture are
-    built separately, and the two pictures are checked against each other
-    through the duality pairing tr(predual(rho) x) = tr(rho heisenberg(x))
-    on pseudo-random matrices.
+    1 kron G^dag + G^T kron 1 + sum_l conj(L_l) kron L_l.  Each picture is
+    summed in that order from the nonzeros of the dim x dim factors and
+    stored once as a CSR array (see _kron_sum).  The jump terms of each
+    picture are built separately, and the two pictures are checked against
+    each other through the duality pairing
+    tr(predual(rho) x) = tr(rho heisenberg(x)) on pseudo-random matrices.
     """
-    from scipy import sparse
-
     validate(model, strict=True)
     if space.dim > MAX_SUPEROP_DIM:
         raise DimensionTooLarge(
@@ -206,15 +260,13 @@ def build_superoperator(model: GklsModel, space: TruncatedSpace) -> Superoperato
     for ell in kraus:
         g -= 0.5 * (ell.conj().T @ ell)
 
-    def kron(left, right):
-        return sparse.kron(left, right, format="csr")
-
-    eye = sparse.eye_array(dim, dtype=complex, format="csr")
-    heis = kron(eye, g) + kron(g.conj(), eye)
-    pred = kron(eye, g.conj().T) + kron(g.T, eye)
-    for ell in kraus:
-        heis += kron(ell.T, ell.conj().T)
-        pred += kron(ell.conj(), ell)
+    eye = np.eye(dim, dtype=complex)
+    heis = _kron_sum(
+        [(eye, g), (g.conj(), eye)] + [(ell.T, ell.conj().T) for ell in kraus], dim
+    )
+    pred = _kron_sum(
+        [(eye, g.conj().T), (g.T, eye)] + [(ell.conj(), ell) for ell in kraus], dim
+    )
 
     rng = np.random.default_rng(31)
     for _ in range(2):
@@ -381,78 +433,175 @@ def _thermal_envelope(model: GklsModel):
 
 
 def _nonzeros(mat):
-    """The nonzero entries of a dense or sparse matrix as a COO array that
-    stores no zeros."""
-    from scipy import sparse
+    """Row indices, column indices and values of the nonzero entries of a
+    dense or sparse matrix; a stored zero is skipped."""
+    if not hasattr(mat, "tocsr"):
+        mat = np.asarray(mat)
+        rows, cols = np.nonzero(mat)
+        return rows, cols, mat[rows, cols]
+    csr = mat.tocsr()
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    keep = csr.data != 0
+    return rows[keep], csr.indices[keep], csr.data[keep]
 
-    coo = sparse.coo_array(mat)
-    coo.eliminate_zeros()
-    return coo
+
+def _labels(rows, cols, n):
+    """Connected components of the n-vertex graph with the symmetric edge
+    list (rows, cols), as labels 0..k-1 numbered in the order of their least
+    vertices."""
+    labels = np.arange(n)
+    while True:
+        # each vertex takes the least label among itself and its neighbours,
+        # then the label of that label (pointer jumping); a component ends up
+        # labelled by its least vertex, the one vertex that is its own label
+        low = labels.copy()
+        np.minimum.at(low, rows, labels[cols])
+        low = low[low]
+        if np.array_equal(low, labels):
+            return (np.cumsum(labels == np.arange(n)) - 1)[labels]
+        labels = low
 
 
 def _components(pattern):
     """Connected components of the graph whose adjacency is the nonzero
     pattern of the symmetric matrix pattern (dense or sparse), as labels
     0..k-1, one per vertex, numbered in the order of their least vertices.
-    csgraph takes every stored entry as an edge, so it is handed a unit
-    weight at each entry _nonzeros keeps."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
-    nz = _nonzeros(pattern)
-    graph = sparse.coo_array((np.ones(nz.nnz), nz.coords), shape=nz.shape)
-    return connected_components(graph, directed=False)[1]
+    A stored zero is not an edge."""
+    rows, cols, _ = _nonzeros(pattern)
+    return _labels(rows, cols, pattern.shape[0])
 
 
 def _blocked_eigvalsh(mat):
     """Ascending eigenvalues of a dense or sparse Hermitian matrix, from one
     eigvalsh per connected component of its exact nonzero pattern.
 
-    Each entry is scattered into a dense block of its component, at the
-    positions of its row and column in ascending index order."""
-    nz = _nonzeros(mat)
-    rows, cols, vals = nz.row, nz.col, nz.data
-    labels = _components(nz)
-    order = np.argsort(labels, kind="stable")
+    The entries are sorted once by component; each block takes its run of
+    them, at the positions of their rows and columns in ascending index
+    order within the component."""
+    rows, cols, vals = _nonzeros(mat)
+    n = mat.shape[0]
+    labels = _labels(rows, cols, n)
     sizes = np.bincount(labels)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size) - starts[labels[order]]
-    entry_labels = labels[rows]
+    order = np.argsort(labels, kind="stable")
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    by_block = np.argsort(labels[rows])
+    ends = np.cumsum(np.bincount(labels[rows], minlength=sizes.size))
+    rows, cols, vals = pos[rows[by_block]], pos[cols[by_block]], vals[by_block]
     evals = []
-    for b, size in enumerate(sizes):
-        sel = entry_labels == b
+    start = 0
+    for size, end in zip(sizes, ends):
         block = np.zeros((size, size), dtype=vals.dtype)
-        block[pos[rows[sel]], pos[cols[sel]]] = vals[sel]
+        block[rows[start:end], cols[start:end]] = vals[start:end]
         evals.append(np.linalg.eigvalsh(block))
+        start = end
     return np.sort(np.concatenate(evals))
+
+
+def _sparse_sum(a, b, sign, general):
+    """a + sign * b over stored entries held as dense rows (+0 where not
+    stored), as a CSR addition or subtraction forms it: when an operand is
+    not in canonical order the kernel first adds each operand to +0, and an
+    exact zero is dropped, so it reads as +0 afterwards."""
+    if general:
+        a, b = 0.0 + a, 0.0 + b
+    out = a + b if sign > 0 else a - b
+    out[out == 0] = 0
+    return out
+
+
+def _two_in_a_row(stored, rows):
+    """Whether some row holds two of the stored entries: a rank-one CSR
+    product stores a row's entries in descending column order, so only then
+    is it out of canonical order."""
+    return stored.any() and np.bincount(rows[stored]).max() >= 2
 
 
 def _weighted_generator(superop: Superoperator, w_root):
     """Hermitian part of the Heisenberg generator in the orthonormal basis of
     the diagonal metric with square-root weights w_root, projected off the
-    invariant direction w_root * vec(1), as a CSR array.
+    invariant direction u = w_root * vec(1) / |w_root * vec(1)|, as a CSR
+    array.
 
     Only the stored entries are weighted, by w_root[row] / w_root[col], and
-    the invariant direction lives on the dim diagonal vec indices, so both
-    rank-one projections stay sparse."""
+    u lives on the dim diagonal vec indices S.  With G the weighted matrix,
+    the result is (G2 + G2^dag) / 2 with G1 = G - u (u^dag G) and
+    G2 = G1 - (G1 u) u^dag, formed with numpy on one sorted pattern that
+    holds every operand: the entries of G, the rows S times the columns they
+    reach, the rows reaching S times S, and the transposes of all of these.
+    The entries are those the scipy.sparse expression gives, bit for bit:
+    u^dag G and G1 u are summed from +0 in the order the CSR product kernel
+    visits their terms (rows ascending for u^dag G; for G1 u the order G1 is
+    stored in, which is the reverse of insertion when G - u (u^dag G) took
+    the kernel for operands out of canonical order), and every sum or
+    difference follows _sparse_sum.  The heisenberg array must be dense or a
+    CSR array in canonical order, as build_superoperator stores it.
+    """
     from scipy import sparse
 
-    heis = sparse.csr_array(superop.heisenberg)
+    heis = superop.heisenberg
+    if getattr(heis, "format", None) != "csr":
+        heis = sparse.csr_array(heis)
     n = heis.shape[0]
     rows = np.repeat(np.arange(n), np.diff(heis.indptr))
-    ratio = w_root[rows] / w_root[heis.indices]
-    gmat = sparse.csr_array((ratio * heis.data, heis.indices, heis.indptr), shape=heis.shape)
-    support = np.arange(superop.space.dim) * (superop.space.dim + 1)
-    u_vals = w_root[support]
-    u_vals = u_vals / np.linalg.norm(u_vals)
-    u = sparse.csr_array((u_vals, (support, np.zeros_like(support))), shape=(n, 1))
-    u_h = u.conj().T
-    # the projector is Hermitian, so projecting before taking the Hermitian
-    # part gives the projected Hermitian part
-    gmat = gmat - u @ (u_h @ gmat)
-    gmat = gmat - (gmat @ u) @ u_h
-    return 0.5 * (gmat + gmat.conj().T)
+    cols = heis.indices
+    ratio = w_root[rows] / w_root[cols]
+    gvals = ratio * heis.data
+    dim = superop.space.dim
+    support = np.arange(dim) * (dim + 1)
+    in_s = np.zeros(n, dtype=bool)
+    in_s[support] = True
+    u = np.zeros(n)
+    u[support] = w_root[support] / np.linalg.norm(w_root[support])
+
+    from_s, to_s = in_s[rows], in_s[cols]
+    reach = np.zeros(n, dtype=bool)
+    reach[cols[from_s]] = True
+    reached = in_s.copy()
+    reached[rows[to_s]] = True
+    gkeys = rows * n + cols
+    keys = np.concatenate((
+        gkeys,
+        (support[:, None] * n + np.flatnonzero(reach)).ravel(),
+        (np.flatnonzero(reached)[:, None] * n + support).ravel(),
+    ))
+    keys = np.sort(np.concatenate((keys, (keys % n) * n + keys // n)))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    prow, pcol = np.divmod(keys, n)
+    gpos = np.searchsorted(keys, gkeys)
+    in_g = np.zeros(keys.size, dtype=bool)
+    in_g[gpos] = True
+    gfill = np.zeros(keys.size, dtype=complex)
+    gfill[gpos] = gvals
+
+    # u^dag G: each column summed over the rows of S in ascending order
+    r = np.zeros(n, dtype=complex)
+    np.add.at(r, cols[from_s], gvals[from_s] * u[rows[from_s]])
+    p1 = 0.0 + u[prow] * r[pcol]
+    general = _two_in_a_row(p1 != 0, prow)
+    g1 = _sparse_sum(gfill, p1, -1, general)
+
+    # G1 u: each row summed over the columns in S in its stored order
+    v = np.zeros(n, dtype=complex)
+    col_in_s = in_s[pcol]
+    if general:
+        # reverse of insertion: the new columns of u (u^dag G) ascending,
+        # then those of G descending (G has a row of two, so the kernel's
+        # output is out of canonical order too)
+        new = col_in_s & ~in_g
+        old = np.flatnonzero(col_in_s & in_g)[::-1]
+        np.add.at(v, prow[new], g1[new] * u[pcol[new]])
+        np.add.at(v, prow[old], g1[old] * u[pcol[old]])
+    else:
+        np.add.at(v, prow[col_in_s], g1[col_in_s] * u[pcol[col_in_s]])
+    p2 = 0.0 + v[prow] * u[pcol]
+    general = general or _two_in_a_row(p2 != 0, prow)
+    g2 = _sparse_sum(g1, p2, -1, general)
+
+    # G2^dag is read in CSR order, so G2 alone decides the kernel
+    gsym = _sparse_sum(g2, g2[np.argsort(pcol * n + prow)].conj(), 1, general)
+    keep = gsym != 0
+    return _csr_from_sorted(prow[keep], pcol[keep], gsym[keep] * 0.5, n)
 
 
 def _metric_roots(pops):

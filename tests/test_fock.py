@@ -18,6 +18,7 @@ from gaussgap.fock import (
     _blocked_eigvalsh,
     _components,
     _metric_roots,
+    _thermal_envelope,
     _weighted_generator,
     build_hamiltonian,
     build_kraus,
@@ -41,6 +42,16 @@ DRIVEN = GklsModel(
     omega=np.array([[2.0]]), kappa=np.zeros((1, 1)),
     u_mat=np.array([[0.0], [np.sqrt(0.6)]]), v_mat=np.array([[np.sqrt(3.2)], [0.0]]),
     zeta=np.array([1.5 + 0.5j]),
+)
+
+# jumps a + adag/2 and a - adag/2: the cross terms a^T kron a and a kron adag
+# of their Kronecker products (conj(a) kron adag and adag kron a in the
+# predual) cancel exactly
+CANCELLING = GklsModel(
+    d=1, m=2,
+    omega=np.array([[0.7]]), kappa=np.zeros((1, 1)),
+    u_mat=np.array([[0.5], [-0.5]]), v_mat=np.array([[1.0], [1.0]]),
+    zeta=np.zeros(1),
 )
 
 
@@ -115,18 +126,20 @@ class TestSuperoperator:
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize(
-        "model, cutoff",
+        "model, cutoff, cancels",
         [
-            (one_dim_family(3.0, 1.0, 0.0, 0.0), 8),
-            (one_dim_family(3.0, 1.0, 2.0, 1.0), 8),
-            (DRIVEN, 8),
-            (_two_mode_model(np.random.default_rng(11)), 5),
+            (one_dim_family(3.0, 1.0, 0.0, 0.0), 8, False),
+            (one_dim_family(3.0, 1.0, 2.0, 1.0), 8, False),
+            (DRIVEN, 8, False),
+            (_two_mode_model(np.random.default_rng(11)), 5, False),
+            (CANCELLING, 8, True),
         ],
-        ids=["thermal", "squeezed", "driven", "two-mode"],
+        ids=["thermal", "squeezed", "driven", "two-mode", "cancelling"],
     )
-    def test_sparse_assembly_is_the_kronecker_formula(self, model, cutoff):
+    def test_sparse_assembly_is_the_kronecker_formula(self, model, cutoff, cancels):
         # vec(A x B) = (B^T kron A) vec(x): both pictures entry by entry from
-        # dense Kronecker products, and nothing stored outside their nonzeros
+        # dense Kronecker products summed in the same order, and nothing
+        # stored outside their nonzeros, not even where terms cancel exactly
         space = build_space(model.d, cutoff)
         superop = build_superoperator(model, space)
         kraus = build_kraus(model, space)
@@ -134,12 +147,16 @@ class TestSuperoperator:
         for ell in kraus:
             g -= 0.5 * (ell.conj().T @ ell)
         eye = np.eye(space.dim)
-        heis = np.kron(eye, g) + np.kron(g.conj(), eye)
-        pred = np.kron(eye, g.conj().T) + np.kron(g.T, eye)
-        for ell in kraus:
-            heis += np.kron(ell.T, ell.conj().T)
-            pred += np.kron(ell.conj(), ell)
-        for sparse_op, dense_op in ((superop.heisenberg, heis), (superop.predual, pred)):
+        heis_terms = [np.kron(eye, g), np.kron(g.conj(), eye)]
+        heis_terms += [np.kron(ell.T, ell.conj().T) for ell in kraus]
+        pred_terms = [np.kron(eye, g.conj().T), np.kron(g.T, eye)]
+        pred_terms += [np.kron(ell.conj(), ell) for ell in kraus]
+        for sparse_op, terms in ((superop.heisenberg, heis_terms), (superop.predual, pred_terms)):
+            dense_op = terms[0] + terms[1]
+            for term in terms[2:]:
+                dense_op += term
+            touched = np.any([term != 0 for term in terms], axis=0)
+            assert np.any(touched & (dense_op == 0)) == cancels
             assert sparse_op.format == "csr"
             assert np.array_equal(sparse_op.toarray(), dense_op)
             coo = sparse_op.tocoo()
@@ -474,6 +491,104 @@ class TestBlockedEigensolve:
         mat = np.where(pattern, rng.standard_normal(pattern.shape), 0.0)
         mat = mat + mat.T
         assert np.allclose(_blocked_eigvalsh(mat), np.linalg.eigvalsh(mat), atol=1e-12)
+
+
+def _reference_superoperator(model, space):
+    """Both pictures as the chain of scipy.sparse Kronecker products and CSR
+    sums that build_superoperator's formula spells out."""
+    kraus = build_kraus(model, space)
+    g = 1j * build_hamiltonian(model, space)
+    for ell in kraus:
+        g -= 0.5 * (ell.conj().T @ ell)
+    eye = sparse.csr_array(np.eye(space.dim, dtype=complex))
+
+    def kron(left, right):
+        return sparse.kron(left, right, format="csr")
+
+    heis = kron(eye, g) + kron(g.conj(), eye)
+    pred = kron(eye, g.conj().T) + kron(g.T, eye)
+    for ell in kraus:
+        heis = heis + kron(ell.T, ell.conj().T)
+        pred = pred + kron(ell.conj(), ell)
+    return Superoperator(space=space, predual=pred, heisenberg=heis)
+
+
+def _reference_weighted_generator(superop, w_root):
+    """The weighting, both rank-one projections and the Hermitian part as
+    scipy.sparse operations on the CSR Heisenberg generator."""
+    heis = sparse.csr_array(superop.heisenberg)
+    n = heis.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(heis.indptr))
+    ratio = w_root[rows] / w_root[heis.indices]
+    gmat = sparse.csr_array((ratio * heis.data, heis.indices, heis.indptr), shape=heis.shape)
+    support = np.arange(superop.space.dim) * (superop.space.dim + 1)
+    u_vals = w_root[support]
+    u_vals = u_vals / np.linalg.norm(u_vals)
+    u = sparse.csr_array((u_vals, (support, np.zeros_like(support))), shape=(n, 1))
+    u_h = u.conj().T
+    gmat = gmat - u @ (u_h @ gmat)
+    gmat = gmat - (gmat @ u) @ u_h
+    return 0.5 * (gmat + gmat.conj().T)
+
+
+def _reference_oracle_gap(model, space):
+    """(g, g_breve) from the reference assembly and weighting, with one dense
+    eigvalsh per connected component."""
+    mu2, lambda2 = _thermal_envelope(model)
+    pops = np.diag(thermal_density(space, lambda2 / (mu2 - lambda2))).real
+    superop = _reference_superoperator(model, space)
+    gaps = []
+    for w_root in _metric_roots(pops):
+        gsym = _reference_weighted_generator(superop, w_root)
+        dense = gsym.toarray()
+        labels = _components(gsym)
+        blocks = [np.flatnonzero(labels == b) for b in range(labels.max() + 1)]
+        evals = np.concatenate([np.linalg.eigvalsh(dense[np.ix_(b, b)]) for b in blocks])
+        gaps.append(-float(np.sort(evals)[-2]))
+    return tuple(gaps)
+
+
+THERMAL_GRID = [(3.0, 1.0, 0.0, 0.0), (2.6, 0.4, 2.0, 0.0), (3.7, 1.3, 1.1, 0.0)]
+
+
+class TestBitwiseReference:
+    @pytest.mark.parametrize("cutoff", [20, 25, 30])
+    def test_superoperator_is_the_sparse_chain(self, cutoff):
+        for params in THERMAL_GRID + [(3.0, 1.0, 2.0, 1.0)]:
+            space = build_space(1, cutoff)
+            got = build_superoperator(one_dim_family(*params), space)
+            ref = _reference_superoperator(one_dim_family(*params), space)
+            for new, old in ((got.heisenberg, ref.heisenberg), (got.predual, ref.predual)):
+                assert np.array_equal(new.indptr, old.indptr)
+                assert np.array_equal(new.indices, old.indices)
+                assert new.data.tobytes() == old.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "model, cutoff",
+        [(one_dim_family(*p), c) for p in THERMAL_GRID for c in (20, 25, 30)]
+        + [(one_dim_family(3.0, 1.0, 2.0, 1.0), 12), (DRIVEN, 12)],
+    )
+    def test_weighting_is_the_sparse_formula(self, model, cutoff):
+        # same stored entries and the same bits as the scipy.sparse
+        # expression (whose rows are not in canonical order)
+        space = build_space(1, cutoff)
+        superop = build_superoperator(model, space)
+        pops = np.diag(thermal_density(space, 0.5)).real
+        for w_root in _metric_roots(pops):
+            got = _weighted_generator(superop, w_root)
+            ref = _reference_weighted_generator(superop, w_root)
+            ref.sort_indices()
+            assert got.format == "csr"
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert got.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [20, 25, 30])
+    def test_oracle_gap_is_the_reference_pipeline(self, cutoff):
+        space = build_space(1, cutoff)
+        for params in THERMAL_GRID:
+            model = one_dim_family(*params)
+            assert oracle_gap(model, space) == _reference_oracle_gap(model, space)
 
 
 def test_components_skip_stored_zeros():
