@@ -8,11 +8,10 @@ validated against these numbers, never the other way round.
 
 The generator of a quadratic model is sparse (at cutoff 25, 2526 nonzeros
 of 676^2 entries), so both pictures are held as CSR arrays only.  Each is
-summed from the Kronecker terms of the dim x dim operators with index
-arithmetic on their nonzeros and stored with one CSR constructor call, its
-entries bit for bit those of the chain of scipy.sparse Kronecker products and
-sums that the formula spells out.  scipy.sparse is imported inside the oracle
-functions, so importing the package does not load it.
+summed entry by entry, in formula order, from the Kronecker terms of the
+dim x dim operators, bit for bit as the chain of scipy.sparse Kronecker
+products and sums.  scipy.sparse is imported inside the oracle functions,
+so importing the package does not load it.
 
 The steady state is one square sparse LU solve.  Trace preservation
 (vec(1)^dagger predual = 0, exact at truncation) makes the |0><0| row of the
@@ -28,16 +27,14 @@ lambda*adag) whose stationary density is exactly diagonal in the number
 basis, so the weighted inner products of both embeddings are diagonal and
 free of uncontrolled approximation.  The populations must be positive normal
 floats (near the pure vacuum the top ones underflow, and such a model is
-refused).  The weights scale only the stored entries, and the weighting,
-the projection off the invariant direction and the Hermitian part are
-formed with numpy on the CSR arrays.  The weighted, symmetrized generator is
-block diagonal in the connected components of its exact nonzero pattern
-(for this family the U(1) sectors l - m), labelled by a min-label pass with
-pointer jumping over the entries that are not zero (a stored zero is not an
-edge).  The entries are sorted once by component, each block is scattered
-into a small dense matrix and diagonalized on its own, and the union of the
-block spectra is the spectrum.  The blocks are read from the assembled
-matrix, never from the model.
+refused).  The weights scale only the stored entries, the projection off
+the invariant direction is its plain formula summed on them, and the
+Hermitian part equals its conjugate transpose exactly.  The result is block
+diagonal in the connected components of its exact nonzero pattern (for this
+family the U(1) sectors l - m), labelled by a min-label pass with pointer
+jumping (a stored zero is not an edge); the entries are sorted once by
+component, and each block, read from the assembled matrix and never from the
+model, is diagonalized on its own.
 """
 
 from __future__ import annotations
@@ -187,16 +184,13 @@ class Superoperator:
 
 def _kron_sum(terms, dim):
     """CSR array of kron(left_1, right_1) + kron(left_2, right_2) + ... for
-    dense dim x dim factors, with the entries scipy.sparse gives when it adds
-    the terms' CSR Kronecker products in order.
+    dense dim x dim factors, as the chain of scipy.sparse sums forms it.
 
     Each term's (row, col, value) comes from the nonzeros of its factors by
     index arithmetic, each value one product of a left and a right entry, as
-    sparse.kron multiplies them.  A CSR sum adds entry by entry (a missing
-    entry counts as +0) and drops the exact zeros of every partial sum; the
-    fold below does the same on one dense row per term over the union of
-    the entries, so each stored value is bit for bit that of the chain, and
-    the zeros of cancelling terms are not stored.
+    sparse.kron multiplies them.  Each entry is summed from +0 over the terms
+    in order, the left fold of the chain of CSR sums, so each stored value is
+    bit for bit that of the chain; exact cancellations are not stored.
     """
     n = dim * dim
     keys, vals = [], []
@@ -210,21 +204,30 @@ def _kron_sum(terms, dim):
         vals.append(
             (left[lrow, lcol].repeat(rvals.size).reshape(lrow.size, -1) * rvals).ravel()
         )
-    sizes = [k.size for k in keys]
-    union, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    table = np.zeros((len(terms), union.size), dtype=complex)
-    table[np.repeat(np.arange(len(terms)), sizes), slot] = np.concatenate(vals)
-    total = table[0]
-    for row in table[1:]:
-        total = total + row
-        total[total == 0] = 0
+    keys = np.concatenate(keys)
+    union = _distinct(keys)
+    total = _ordered_sum(np.searchsorted(union, keys), np.concatenate(vals), union.size)
     keep = total != 0
     return _csr_from_sorted(*np.divmod(union[keep], n), total[keep], n)
 
 
+def _distinct(keys):
+    """The distinct keys in ascending order."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _ordered_sum(slot, vals, size):
+    """Sums of complex vals into size slots, each from +0 in the order of
+    vals; complex addition adds the real and imaginary parts separately."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(slot, weights=vals.real, minlength=size)
+    out.imag = np.bincount(slot, weights=vals.imag, minlength=size)
+    return out
+
+
 def _csr_from_sorted(rows, cols, vals, n):
-    """n x n CSR array of entries given in row-major order without
-    duplicates."""
+    """n x n CSR array of distinct entries given in row-major order."""
     from scipy import sparse
 
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -498,25 +501,6 @@ def _blocked_eigvalsh(mat):
     return np.sort(np.concatenate(evals))
 
 
-def _sparse_sum(a, b, sign, general):
-    """a + sign * b over stored entries held as dense rows (+0 where not
-    stored), as a CSR addition or subtraction forms it: when an operand is
-    not in canonical order the kernel first adds each operand to +0, and an
-    exact zero is dropped, so it reads as +0 afterwards."""
-    if general:
-        a, b = 0.0 + a, 0.0 + b
-    out = a + b if sign > 0 else a - b
-    out[out == 0] = 0
-    return out
-
-
-def _two_in_a_row(stored, rows):
-    """Whether some row holds two of the stored entries: a rank-one CSR
-    product stores a row's entries in descending column order, so only then
-    is it out of canonical order."""
-    return stored.any() and np.bincount(rows[stored]).max() >= 2
-
-
 def _weighted_generator(superop: Superoperator, w_root):
     """Hermitian part of the Heisenberg generator in the orthonormal basis of
     the diagonal metric with square-root weights w_root, projected off the
@@ -525,17 +509,14 @@ def _weighted_generator(superop: Superoperator, w_root):
 
     Only the stored entries are weighted, by w_root[row] / w_root[col], and
     u lives on the dim diagonal vec indices S.  With G the weighted matrix,
-    the result is (G2 + G2^dag) / 2 with G1 = G - u (u^dag G) and
-    G2 = G1 - (G1 u) u^dag, formed with numpy on one sorted pattern that
-    holds every operand: the entries of G, the rows S times the columns they
-    reach, the rows reaching S times S, and the transposes of all of these.
-    The entries are those the scipy.sparse expression gives, bit for bit:
-    u^dag G and G1 u are summed from +0 in the order the CSR product kernel
-    visits their terms (rows ascending for u^dag G; for G1 u the order G1 is
-    stored in, which is the reverse of insertion when G - u (u^dag G) took
-    the kernel for operands out of canonical order), and every sum or
-    difference follows _sparse_sum.  The heisenberg array must be dense or a
-    CSR array in canonical order, as build_superoperator stores it.
+    P G P = G - u (u^dag G) - (G u) u^dag + (u^dag G u) u u^dag is one list
+    of (key, value) terms, each entry summed from +0 in list order on the
+    symmetric pattern of the keys and their transposes; the Hermitian part
+    0.5 (m_ij + conj(m_ji)) reads each transpose through an argsort of the
+    transposed keys, so it equals its conjugate transpose exactly.  Entries
+    differ from the scipy.sparse expression's by rounding (within eps times
+    the largest entry), and one of rounding size may be stored where that
+    expression cancels exactly.  The heisenberg array may be dense or CSR.
     """
     from scipy import sparse
 
@@ -545,63 +526,32 @@ def _weighted_generator(superop: Superoperator, w_root):
     n = heis.shape[0]
     rows = np.repeat(np.arange(n), np.diff(heis.indptr))
     cols = heis.indices
-    ratio = w_root[rows] / w_root[cols]
-    gvals = ratio * heis.data
+    gvals = w_root[rows] / w_root[cols] * heis.data
     dim = superop.space.dim
     support = np.arange(dim) * (dim + 1)
-    in_s = np.zeros(n, dtype=bool)
-    in_s[support] = True
+    u_s = w_root[support] / np.linalg.norm(w_root[support])
     u = np.zeros(n)
-    u[support] = w_root[support] / np.linalg.norm(w_root[support])
+    u[support] = u_s
 
-    from_s, to_s = in_s[rows], in_s[cols]
-    reach = np.zeros(n, dtype=bool)
-    reach[cols[from_s]] = True
-    reached = in_s.copy()
-    reached[rows[to_s]] = True
-    gkeys = rows * n + cols
-    keys = np.concatenate((
-        gkeys,
-        (support[:, None] * n + np.flatnonzero(reach)).ravel(),
-        (np.flatnonzero(reached)[:, None] * n + support).ravel(),
-    ))
-    keys = np.sort(np.concatenate((keys, (keys % n) * n + keys // n)))
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    prow, pcol = np.divmod(keys, n)
-    gpos = np.searchsorted(keys, gkeys)
-    in_g = np.zeros(keys.size, dtype=bool)
-    in_g[gpos] = True
-    gfill = np.zeros(keys.size, dtype=complex)
-    gfill[gpos] = gvals
-
-    # u^dag G: each column summed over the rows of S in ascending order
-    r = np.zeros(n, dtype=complex)
-    np.add.at(r, cols[from_s], gvals[from_s] * u[rows[from_s]])
-    p1 = 0.0 + u[prow] * r[pcol]
-    general = _two_in_a_row(p1 != 0, prow)
-    g1 = _sparse_sum(gfill, p1, -1, general)
-
-    # G1 u: each row summed over the columns in S in its stored order
-    v = np.zeros(n, dtype=complex)
-    col_in_s = in_s[pcol]
-    if general:
-        # reverse of insertion: the new columns of u (u^dag G) ascending,
-        # then those of G descending (G has a row of two, so the kernel's
-        # output is out of canonical order too)
-        new = col_in_s & ~in_g
-        old = np.flatnonzero(col_in_s & in_g)[::-1]
-        np.add.at(v, prow[new], g1[new] * u[pcol[new]])
-        np.add.at(v, prow[old], g1[old] * u[pcol[old]])
-    else:
-        np.add.at(v, prow[col_in_s], g1[col_in_s] * u[pcol[col_in_s]])
-    p2 = 0.0 + v[prow] * u[pcol]
-    general = general or _two_in_a_row(p2 != 0, prow)
-    g2 = _sparse_sum(g1, p2, -1, general)
-
-    # G2^dag is read in CSR order, so G2 alone decides the kernel
-    gsym = _sparse_sum(g2, g2[np.argsort(pcol * n + prow)].conj(), 1, general)
+    # u^dag G and G u, each entry summed in the stored order of G
+    ug = _ordered_sum(cols, u[rows] * gvals, n)
+    gu = _ordered_sum(rows, gvals * u[cols], n)
+    ugu = np.sum(u_s * gu[support])
+    reach, reached = np.flatnonzero(ug), np.flatnonzero(gu)
+    terms = (
+        (rows, cols, gvals),
+        (support[:, None], reach, -u_s[:, None] * ug[reach]),
+        (reached[:, None], support, -gu[reached][:, None] * u_s),
+        (support[:, None], support, ugu * np.outer(u_s, u_s)),
+    )
+    keys = np.concatenate([(r * n + c).ravel() for r, c, _ in terms])
+    vals = np.concatenate([v.ravel() for _, _, v in terms])
+    pattern = _distinct(np.concatenate((keys, keys % n * n + keys // n)))
+    m = _ordered_sum(np.searchsorted(pattern, keys), vals, pattern.size)
+    prow, pcol = np.divmod(pattern, n)
+    gsym = 0.5 * (m + m[np.argsort(pcol * n + prow)].conj())
     keep = gsym != 0
-    return _csr_from_sorted(prow[keep], pcol[keep], gsym[keep] * 0.5, n)
+    return _csr_from_sorted(prow[keep], pcol[keep], gsym[keep], n)
 
 
 def _metric_roots(pops):

@@ -549,6 +549,10 @@ def _reference_oracle_gap(model, space):
 
 
 THERMAL_GRID = [(3.0, 1.0, 0.0, 0.0), (2.6, 0.4, 2.0, 0.0), (3.7, 1.3, 1.1, 0.0)]
+WEIGHTING_CASES = [(one_dim_family(*p), c) for p in THERMAL_GRID for c in (20, 25, 30)] + [
+    (one_dim_family(3.0, 1.0, 2.0, 1.0), 12),
+    (DRIVEN, 12),
+]
 
 
 class TestBitwiseReference:
@@ -563,22 +567,49 @@ class TestBitwiseReference:
                 assert np.array_equal(new.indices, old.indices)
                 assert new.data.tobytes() == old.data.tobytes()
 
-    @pytest.mark.parametrize(
-        "model, cutoff",
-        [(one_dim_family(*p), c) for p in THERMAL_GRID for c in (20, 25, 30)]
-        + [(one_dim_family(3.0, 1.0, 2.0, 1.0), 12), (DRIVEN, 12)],
-    )
+    @pytest.mark.parametrize("model, cutoff", WEIGHTING_CASES)
     def test_weighting_is_the_sparse_formula(self, model, cutoff):
-        # same stored entries and the same bits as the scipy.sparse
-        # expression (whose rows are not in canonical order)
+        # the scipy.sparse expression up to rounding: within eps of its
+        # largest entry (the summation orders differ)
         space = build_space(1, cutoff)
         superop = build_superoperator(model, space)
         pops = np.diag(thermal_density(space, 0.5)).real
         for w_root in _metric_roots(pops):
             got = _weighted_generator(superop, w_root)
             ref = _reference_weighted_generator(superop, w_root)
-            ref.sort_indices()
             assert got.format == "csr"
+            assert abs(got - ref).max() <= np.finfo(float).eps * abs(ref).max()
+
+    @pytest.mark.parametrize("model, cutoff", WEIGHTING_CASES)
+    def test_weighting_is_exactly_hermitian(self, model, cutoff):
+        # equal by value, not up to rounding: each entry is paired with the
+        # conjugate of its transpose after both are summed
+        space = build_space(1, cutoff)
+        superop = build_superoperator(model, space)
+        pops = np.diag(thermal_density(space, 0.5)).real
+        for w_root in _metric_roots(pops):
+            got = _weighted_generator(superop, w_root)
+            adj = sparse.csr_array(got.conj().T)
+            adj.sort_indices()
+            assert np.array_equal(got.indptr, adj.indptr)
+            assert np.array_equal(got.indices, adj.indices)
+            assert np.array_equal(got.data, adj.data)
+
+    @pytest.mark.parametrize(
+        "model", [one_dim_family(3.0, 1.0, 2.0, 0.0), DRIVEN], ids=["thermal", "driven"]
+    )
+    def test_dense_input_is_the_sparse_result(self, model):
+        space = build_space(1, 12)
+        superop = build_superoperator(model, space)
+        dense = Superoperator(
+            space=space,
+            predual=superop.predual.toarray(),
+            heisenberg=superop.heisenberg.toarray(),
+        )
+        assert steady_state(dense).tobytes() == steady_state(superop).tobytes()
+        for w_root in _metric_roots(np.diag(thermal_density(space, 0.5)).real):
+            got = _weighted_generator(dense, w_root)
+            ref = _weighted_generator(superop, w_root)
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.array_equal(got.indices, ref.indices)
             assert got.data.tobytes() == ref.data.tobytes()
