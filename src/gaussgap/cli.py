@@ -20,6 +20,7 @@ RFC 4180 with '.' decimals and 17 significant digits so doubles round-trip.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -797,6 +798,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser():
     parser = _ArgumentParser(
         prog="gaussgap",

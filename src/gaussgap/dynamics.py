@@ -6,13 +6,14 @@ The semigroup acts on a Weyl operator with argument z by damping it with
     exp(-1/2 int_0^t Re<exp(sZ) z, C exp(sZ) z> ds)
 
 (plus a phase from the linear drive) and transporting the argument along
-exp(tZ).  Every function takes its propagators exp(tZ2d) from one expm call,
-for one time or a whole array of times.  The finite-time integrals of the
-flow come from the block-matrix exponential (exponentiate
-[[-Z^T, C], [0, Z]] h and read the off-diagonal block) at a step h short
-enough that the block stays of order one, followed by doubling steps up to
-t, which add positive semidefinite terms only; this keeps full relative
-precision at short times, at long times and near the stability boundary.
+exp(tZ).  Every exp(tZ2d) and every finite-time integral of the flow, for
+one time or an array of times, comes from one routine: the block-matrix
+exponential (exponentiate [[-Z^T, C], [0, Z]] h and read its blocks) at a
+step h short enough that the block stays of order one, then doubling steps
+up to t, which add positive semidefinite terms only.  This keeps full
+relative precision at short times, at long times and near the stability
+boundary, and a stable flow stays finite at every time, down to an exact
+zero where the propagator underflows.
 
 The decay of centered Weyl combinations in either embedding reduces to the
 kernels
@@ -142,37 +143,31 @@ class WeylCombo:
 
 
 def _times(t):
-    """A time or a 1-D array of times as a float array (0-d for a time)."""
+    """A time or a 1-D array of times as a float array (0-d for a time); the
+    flow runs forward only."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("times must be a scalar or a 1-D array")
     if not np.all(np.isfinite(times)):
         raise ValueError("time parameter must be finite")
-    return times
-
-
-def _forward_times(t, kind="evolution"):
-    """:func:`_times` for an evolution, a decay or a kernel, which run
-    forward only."""
-    times = _times(t)
     if np.any(times < 0):
-        raise ValueError(f"{kind} time must be non-negative")
+        raise ValueError("time must be non-negative")
     return times
 
 
 def propagator(dd: DriftDiffusion, t):
     """exp(t Z2d) for a time t, or the stack (len(t), 2d, 2d) of them for a
-    1-D array of times, from one expm call.  expm treats each slice of a
-    stack as a separate matrix, so a slice equals the single-time result
-    bit for bit."""
-    return expm(_times(t)[..., None, None] * dd.z2d)
+    1-D array of times, each slice bit for bit the single-time result."""
+    return _flow(dd, t)[0]
 
 
-def _flow(dd: DriftDiffusion, times):
+def _flow(dd: DriftDiffusion, t, start=None):
     """(E, G, f) at each time t: the propagator E = exp(t Z2d), the gramian
     G = int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds and the drift
     f = int_0^t exp(s Z2d^T) ds vec2d(zeta) of the drive of dd (None when
-    every drive entry is zero).
+    every drive entry is zero).  Given a start GaussianStateParams, G and f
+    come back as the covariance E^T S E + G and the mean vec2d(mu) E - f
+    of that state flowed to t.
 
     One expm call exponentiates [[-Z^T, C], [0, Z]] h, and [[Z^T, 1], [0, 0]] h
     for a nonzero drive, at the step h = t / 2^k of each time, with the least
@@ -185,43 +180,51 @@ def _flow(dd: DriftDiffusion, times):
     then reach t.  The block grows by at most exp(h |Z2d|_1) <= e over a
     step, and every doubling adds positive semidefinite terms, so G keeps
     its relative precision at every t, on stable drifts and on others.  A
-    time's result does not depend on the other times of the array.
+    time's result does not depend on the other times of the array.  A flow
+    that leaves double precision gives values that are not finite, without
+    a warning; the callers' guards report them.
     """
+    times = _times(t)
     z2d = dd.z2d
     n = z2d.shape[0]
-    span = np.abs(times) * np.linalg.norm(z2d, 1)
-    k = np.ceil(np.log2(np.maximum(span, 1.0)))
-    h = (times / 2.0**k)[..., None, None]
-    blk = np.zeros((2 * n, 2 * n))
-    blk[:n, :n] = -z2d.T
-    blk[:n, n:] = dd.c2d
-    blk[n:, n:] = z2d
-    if not np.any(dd.zeta):
-        eblk = expm(h * blk)
-        drift = None
-    else:
-        dblk = np.zeros((2 * n, 2 * n))
-        dblk[:n, :n] = z2d.T
-        dblk[:n, n:] = np.eye(n)
-        eblk, edrift = expm(np.stack([h * blk, h * dblk]))
-        drift = edrift[..., :n, n:] @ vec2d(dd.zeta)
-    et = eblk[..., n:, n:]
-    gram = et.swapaxes(-1, -2) @ eblk[..., :n, n:]
-    for step in range(int(np.max(k, initial=0.0))):
-        # the times that still double
-        live = (step < k)[..., None, None]
-        et_sharp = et.swapaxes(-1, -2)
-        gram = np.where(live, gram + et_sharp @ gram @ et, gram)
-        if drift is not None:
-            drift = np.where(live[..., 0], drift + (et_sharp @ drift[..., None])[..., 0], drift)
-        et = np.where(live, et @ et, et)
-    return et, 0.5 * (gram + gram.swapaxes(-1, -2)), drift
+    norm = np.linalg.norm(z2d, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.abs(times) * norm
+        # past double range the exponent comes from the logarithms
+        logs = np.log2(np.maximum(np.abs(times), 1.0)) + np.log2(max(norm, 1.0))
+        k = np.ceil(np.where(np.isinf(span), logs, np.log2(np.maximum(span, 1.0))))
+        h = np.ldexp(times, -k.astype(int))[..., None, None]
+        zero = np.zeros((n, n))
+        blk = np.block([[-z2d.T, dd.c2d], [zero, z2d]])
+        if not np.any(dd.zeta):
+            eblk = expm(h * blk)
+            drift = None
+        else:
+            dblk = np.block([[z2d.T, np.eye(n)], [zero, zero]])
+            eblk, edrift = expm(np.stack([h * blk, h * dblk]))
+            drift = edrift[..., :n, n:] @ vec2d(dd.zeta)
+        et = eblk[..., n:, n:]
+        gram = et.swapaxes(-1, -2) @ eblk[..., :n, n:]
+        for step in range(int(np.max(k, initial=0.0))):
+            # the times that still double
+            live = (step < k)[..., None, None]
+            et_sharp = et.swapaxes(-1, -2)
+            gram = np.where(live, gram + et_sharp @ gram @ et, gram)
+            if drift is not None:
+                drift = np.where(live[..., 0], drift + (et_sharp @ drift[..., None])[..., 0], drift)
+            et = np.where(live, et @ et, et)
+        gram = 0.5 * (gram + gram.swapaxes(-1, -2))
+        if start is not None:
+            mean = vec2d(start.mean) @ et
+            drift = mean if drift is None else mean - drift
+            gram = et.swapaxes(-1, -2) @ start.cov2d @ et + gram
+    return et, gram, drift
 
 
 def gramian_cov(dd: DriftDiffusion, t):
     """int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds for a time t or a 1-D array of
     times, to full relative precision at every t (see :func:`_flow`)."""
-    return _flow(dd, _times(t))[1]
+    return _flow(dd, t)[1]
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ def weyl_evolve(dd: DriftDiffusion, z, t) -> WeylEvolution:
     array of times (arrays), from one :func:`_flow` call."""
     vz = vec2d(z)
     col = vz[:, None]
-    et, gram, drift = _flow(dd, _forward_times(t))
+    et, gram, drift = _flow(dd, t)
     # one matrix product per time: a vector-stack-vector product would
     # change the last digit of some times against a single-time call
     decay = -0.5 * ((vz @ gram)[..., None, :] @ col)[..., 0, 0]
@@ -256,16 +259,11 @@ def state_evolve(dd: DriftDiffusion, sp: GaussianStateParams, t):
 
     with the drive zeta of dd, as one GaussianStateParams for a time t, or
     for a 1-D array of times (a leading time axis; one uncertainty check
-    over the whole stack), with every integral from one :func:`_flow` call.
+    over the whole stack), with the state flowed by one :func:`_flow` call.
     """
     # a flow that overflows gives a state that is not finite, which
     # GaussianStateParams rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        et, gram, drift = _flow(dd, _forward_times(t))
-        mean = vec2d(sp.mean) @ et
-        if drift is not None:
-            mean = mean - drift
-        cov = et.swapaxes(-1, -2) @ sp.cov2d @ et + gram
+    _, cov, mean = _flow(dd, t, sp)
     return GaussianStateParams(mean=unvec2d(mean), cov2d=cov)
 
 
@@ -300,8 +298,7 @@ def kernel_s(st: StationaryData, dd: DriftDiffusion, z, w, t, mode="gns"):
     the split one) at a time t, or the array of them at a 1-D array of
     times."""
     vecs = np.column_stack([vec2d(z), vec2d(w)])
-    et = propagator(dd, _forward_times(t, "kernel"))
-    val = _kernel_matrix(st, vecs, et, mode)[..., 0, 1]
+    val = _kernel_matrix(st, vecs, propagator(dd, t), mode)[..., 0, 1]
     return _plain(val if mode == "gns" else val.real)
 
 
@@ -315,7 +312,7 @@ def norm_decay(st: StationaryData, dd: DriftDiffusion, combo: WeylCombo, t, mode
     non-negative; a material imaginary residue raises ConsistencyError since
     the closed form guarantees a real value.
     """
-    return norm_decay_at(st, combo, propagator(dd, _forward_times(t, "decay")), mode)
+    return norm_decay_at(st, combo, propagator(dd, t), mode)
 
 
 def norm_decay_at(st: StationaryData, combo: WeylCombo, et, mode="gns"):
@@ -323,7 +320,7 @@ def norm_decay_at(st: StationaryData, combo: WeylCombo, et, mode="gns"):
     stack (T, 2d, 2d) of them, for callers that evaluate a fixed time grid:
     the coordinates and centered coefficients are built once, and the
     propagators of a whole grid come from one :func:`propagator` call, t = 0
-    included (expm of the zero matrix is exactly the identity).
+    included (the flow gives exactly the identity there).
 
     One combination gives a float, or an array of T norms; a stack of
     combinations (leading shape C) gives an array of shape C or C + (T,).
@@ -395,9 +392,8 @@ def kernel_psd_check(
     """
     if n < 1:
         raise ValueError("kernel order must be >= 1")
-    props = propagator(dd, _forward_times([0.0, t], "kernel"))
     vecs = np.column_stack([vec2d(z) for z in points])
-    g0, gt = _kernel_matrix(st, vecs, props, mode)
+    g0, gt = _kernel_matrix(st, vecs, propagator(dd, [0.0, t]), mode)
     term0 = np.exp(-2.0 * rate * t) * g0**n
     termt = gt**n
     kmat = term0 - termt

@@ -406,6 +406,25 @@ class TestMain:
         for row in rows[::2]:
             assert row[2] == row[3] and row[4] == row[5]
 
+    def test_parser_built_once(self, capsys):
+        argvs = [
+            ["analyze", MODEL_B_PRESET],
+            ["gap", MODEL_B_PRESET, "--mode", "bogus"],
+            ["decay", MODEL_B_PRESET, "--samples", "2", "--t-grid", "0.5"],
+            ["evolve", MODEL_B_PRESET, "--t", "0.5,1"],
+            ["sweep", "--grid", "mu2=3;lambda2=1;omega=0,2;kappa=0"],
+            ["gap", MODEL_B_PRESET, "--mode", "kms"],
+        ]
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append((main(argv), capsys.readouterr()))
+        cli._build_parser.cache_clear()
+        reused = [(main(argv), capsys.readouterr()) for argv in argvs]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert fresh[1][0] == 1 and "invalid choice" in fresh[1][1].err
+
     def test_decay_deterministic_given_seed(self, capsys):
         main(["decay", MODEL_B_PRESET, "--samples", "2", "--seed", "3"])
         out1 = capsys.readouterr().out
@@ -736,10 +755,8 @@ class TestMain:
             ["evolve", json.dumps({"version": 1, "one_dim": {"mu2": 1, "lambda2": 0.5,
                                                               "omega": 0, "kappa": 2}}),
              "--t", "10,250,1000"],
-            # expm of 1e100 Z2d is NaN
-            ["decay", MODEL_B_PRESET, "--t-grid", "1e20,1e100"],
         ],
-        ids=["evolve-overflow", "decay-nan-propagator"],
+        ids=["evolve-overflow"],
     )
     def test_non_finite_results_are_range_errors(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
@@ -750,6 +767,33 @@ class TestMain:
         assert captured.err.startswith("error [RangeExceeded]: ")
         assert captured.err.count("\n") == 1
         assert not any(word in captured.out.lower() for word in ("nan", "inf"))
+
+    @pytest.mark.parametrize("grid", ["1e20,1e100", "1e308"], ids=["1e20-1e100", "1e308"])
+    def test_decay_at_huge_times_prints_zeros(self, capsys, grid):
+        # a direct expm of 1e100 Z2d was NaN, and t |Z|_1 overflows at 1e308;
+        # the exact norms and bounds are 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["decay", MODEL_B_PRESET, "--samples", "3", "--t-grid", grid]) == 0
+        captured = capsys.readouterr()
+        assert caught == [] and captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))[1:]
+        assert len(rows) == 3 * len(grid.split(","))
+        assert all(row[2:] == ["0", "0", "0", "0"] for row in rows)
+
+    def test_evolve_at_the_largest_time_is_stationary(self, capsys):
+        # t |Z|_1 overflows double precision; the doubling count comes from
+        # the logarithms
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evolve", MODEL_B_PRESET, "--t", "1e308"]) == 0
+        captured = capsys.readouterr()
+        assert caught == [] and captured.err == ""
+        (state,) = json.loads(captured.out)["states"]
+        stationary = solve_stationary(build_drift_diffusion(parse_model(MODEL_B_PRESET))).s2d
+        assert state["t"] == 1e308
+        assert state["dist_to_stationary"] <= 1e-13 * np.linalg.norm(stationary)
+        assert state["mean"] == [[0.0, 0.0]]
 
     def test_overflowing_model_is_range_error(self, capsys):
         doc = json.loads(MODEL_A_JSON)

@@ -1,6 +1,7 @@
 """Closed-form dynamics, decay kernels, sharpness and the split trace."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -418,9 +419,10 @@ class TestNormDecayStack:
     def test_range_guard_on_nan_slice(self, model_b):
         _, dd, st = model_b
         combo = WeylCombo(coefficients=[1.0], vectors=[[1.0]])
-        # expm of 1e100 Z2d is NaN rather than the zero matrix
-        props = propagator(dd, np.array([0.0, 1e20, 1e100]))
-        assert np.all(np.isnan(props[2]))
+        # a propagator that left double precision, built by hand: the flow
+        # itself reaches zero at long times on this stable drift
+        props = propagator(dd, np.array([0.0, 1e20, 1e20]))
+        props[2] = np.nan
         assert norm_decay_at(st, combo, props[:2], "gns")[1] == 0.0
         with pytest.raises(RangeExceeded, match="not finite"):
             norm_decay_at(st, combo, props, "gns")
@@ -735,6 +737,49 @@ def test_unstable_flow_matches_mpmath(index):
     if index % 2:
         model = dataclasses.replace(model, zeta=rng.standard_normal(d) + 1j * rng.standard_normal(d))
     _assert_flow_matches_mpmath(model, [0.5, 2.0, 5.0], 81 + index)
+
+
+class TestPropagator:
+    """exp(t Z2d) comes from the doubling flow, like every other flow."""
+
+    def test_exact_identity_and_exact_zero(self, model_b):
+        _, dd, _ = model_b
+        assert np.array_equal(propagator(dd, 0.0), np.eye(2))
+        # a direct expm of 1e100 Z2d is NaN here
+        assert np.array_equal(propagator(dd, 1e100), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("params", [(3.0, 1.0, 2.0, 1.0), (3.0, 2.999, 0.5, 0.1), None],
+                             ids=["B", "hot", "d2"])
+    def test_matches_mpmath_expm(self, params):
+        import mpmath as mp
+
+        if params is None:
+            _, dd, _ = random_stable_faithful(np.random.default_rng(78), 2)
+        else:
+            dd = build_drift_diffusion(one_dim_family(*params))
+        for t in (0.05, 4.0, 50.0):
+            with mp.workdps(40):
+                exact = mp.expm(mp.matrix((t * dd.z2d).tolist()))
+                exact = np.array(exact.tolist(), dtype=float)
+            err = np.linalg.norm(propagator(dd, t) - exact) / np.linalg.norm(exact)
+            # observed up to 1e-16, 3e-15 and 2.5e-14 at the three times
+            assert err <= 5e-15 * max(t, 0.2), (t, err)
+
+    def test_unstable_drift_leaves_range_quietly(self):
+        # kappa = 2 > gamma: exp(t Z2d) grows like exp(1.75 t)
+        dd = build_drift_diffusion(one_dim_family(1.0, 0.5, 0.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            props = propagator(dd, np.array([1e3, 1e100]))
+        assert not np.isfinite(props).all(axis=(1, 2)).any()
+
+    @pytest.mark.parametrize("flow", [propagator, gramian_cov])
+    def test_negative_time_rejected(self, model_b, flow):
+        _, dd, _ = model_b
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            flow(dd, -0.1)
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            flow(dd, np.array([0.0, 0.5, -0.1]))
 
 
 class TestTimeArrays:
