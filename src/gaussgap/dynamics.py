@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     ConsistencyError,
@@ -70,6 +69,16 @@ __all__ = [
 
 #: |quadratic form| above which exp() would leave double precision
 EXP_GUARD = 700.0
+
+
+def expm(a):
+    """scipy.linalg.expm, imported on first use: loading scipy.linalg takes
+    about half of a cold start, and importing the package or running
+    ``sweep`` never needs it.  Every exponential of this module goes through
+    this name."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True)
@@ -240,15 +249,24 @@ class WeylEvolution:
 def weyl_evolve(dd: DriftDiffusion, z, t) -> WeylEvolution:
     """Damping exponent, drive phase and transported argument of an evolved
     Weyl operator at a time t (floats and a vector), or at each of a 1-D
-    array of times (arrays), from one :func:`_flow` call."""
+    array of times (arrays), from one :func:`_flow` call.  A result that
+    leaves double precision raises RangeExceeded, naming the first such time
+    of an array as ``index``."""
     vz = vec2d(z)
     col = vz[:, None]
     et, gram, drift = _flow(dd, t)
-    # one matrix product per time: a vector-stack-vector product would
-    # change the last digit of some times against a single-time call
-    decay = -0.5 * ((vz @ gram)[..., None, :] @ col)[..., 0, 0]
-    phase = np.zeros_like(decay) if drift is None else (drift[..., None, :] @ col)[..., 0, 0]
-    return WeylEvolution(_plain(decay), _plain(phase), unvec2d((et @ col)[..., 0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one matrix product per time: a vector-stack-vector product would
+        # change the last digit of some times against a single-time call
+        decay = -0.5 * ((vz @ gram)[..., None, :] @ col)[..., 0, 0]
+        phase = np.zeros_like(decay) if drift is None else (drift[..., None, :] @ col)[..., 0, 0]
+        z_t = (et @ col)[..., 0]
+    raise_first(
+        ~(np.isfinite(decay) & np.isfinite(phase) & np.all(np.isfinite(z_t), axis=-1)),
+        RangeExceeded,
+        "evolved Weyl operator is not finite: the flow left double precision",
+    )
+    return WeylEvolution(_plain(decay), _plain(phase), unvec2d(z_t))
 
 
 def state_evolve(dd: DriftDiffusion, sp: GaussianStateParams, t):

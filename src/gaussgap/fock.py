@@ -11,7 +11,8 @@ of 676^2 entries), so both pictures are held as CSR arrays only.  Each is
 summed entry by entry, in formula order, from the Kronecker terms of the
 dim x dim operators, bit for bit as the chain of scipy.sparse Kronecker
 products and sums.  scipy.sparse is imported inside the oracle functions,
-so importing the package does not load it.
+and scipy.linalg inside the module's expm on its first call, so importing
+the package loads neither.
 
 The steady state is one square sparse LU solve.  Trace preservation
 (vec(1)^dagger predual = 0, exact at truncation) makes the |0><0| row of the
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     ConsistencyError,
@@ -76,6 +76,14 @@ MAX_SUPEROP_DIM = 64
 # infinity norm times |rho|; LU with threshold pivoting and one refinement
 # step stays near n eps
 STEADY_RESIDUAL = 1e-10
+
+
+def expm(a):
+    """scipy.linalg.expm, imported on first use (see the module docstring);
+    every Weyl matrix goes through this name."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True)

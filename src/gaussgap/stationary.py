@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import (
     NotFaithful,
@@ -82,6 +81,16 @@ class StationaryData(_EntryIndexing):
         return _plain(np.linalg.det(self.s_tilde).real)
 
 
+def solve_continuous_lyapunov(a, q):
+    """scipy.linalg.solve_continuous_lyapunov, imported on first use:
+    loading scipy.linalg takes about half of a cold start, and importing the
+    package or the stacked solves of ``sweep`` never need it.  Every
+    Bartels-Stewart solve goes through this name."""
+    from scipy.linalg import solve_continuous_lyapunov as scipy_solve
+
+    return scipy_solve(a, q)
+
+
 def _check_lyapunov_residual(z2d, c2d, s):
     """Raise SingularLyapunov unless S (or each S of a stack) solves
     Z^T S + S Z = -C to a normwise backward error of 1e-10."""
@@ -107,6 +116,10 @@ def _solve_lyapunov(z2d, c2d):
     n^2 x n^2 Kronecker systems, cheap for the n = 2 of one mode and O(n^6)
     in general."""
     if z2d.ndim == 2:
+        # imported before the filter below, so that a warning raised while
+        # scipy loads is not taken for a singular system
+        import scipy.linalg  # noqa: F401
+
         with warnings.catch_warnings():
             # trsyl warns when it has to perturb an eigenvalue pair of Z
             # whose sum is ~0: the operator is then singular at working

@@ -1330,3 +1330,43 @@ def test_cli_import_leaves_scipy_sparse_out():
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     assert out == "[0, 0, 0] False\n"
+
+
+def test_start_up_leaves_scipy_linalg_out():
+    # scipy.linalg is about half of a cold start; only Bartels-Stewart and
+    # expm need it, so the imports, sweep (stacked Kronecker solves), --help
+    # and usage errors must not load it, while analyze does
+    src = os.path.dirname(os.path.dirname(gaussgap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    script = (
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    return 'scipy.linalg' in sys.modules\n"
+        "import gaussgap\n"
+        "seen = [loaded()]\n"
+        "import gaussgap.cli\n"
+        "seen.append(loaded())\n"
+        "from gaussgap.cli import main\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes.append(main(['sweep']))\n"
+        "    seen.append(loaded())\n"
+        "    try:\n"
+        "        main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "    seen.append(loaded())\n"
+        "    codes.append(main(['gap', sys.argv[1], '--mode', 'neither']))\n"
+        "    seen.append(loaded())\n"
+        "    codes.append(main(['analyze', sys.argv[1]]))\n"
+        "    seen.append(loaded())\n"
+        "print(codes, seen)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, MODEL_B_PRESET],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out == "[0, 0, 1, 0] [False, False, False, False, False, True]\n"

@@ -104,6 +104,18 @@ class TestWeylEvolve:
             val = np.exp(res.decay_exponent + 1j * res.phase) * char_fn(sp, res.z_t)
             assert abs(val - base_val) < 1e-10
 
+    @pytest.mark.parametrize("t", [1e3, 1e100])
+    def test_overflowing_flow_rejected(self, t):
+        # kappa = 2 > gamma = 0.25: the flow leaves double precision, which
+        # must end in RangeExceeded, not in a warning or a NaN result
+        dd = build_drift_diffusion(one_dim_family(1.0, 0.5, 0.0, 2.0))
+        with pytest.raises(RangeExceeded, match="not finite") as caught:
+            weyl_evolve(dd, np.array([1.0]), t)
+        assert caught.value.index is None
+        with pytest.raises(RangeExceeded) as caught:
+            weyl_evolve(dd, np.array([1.0]), np.array([1.0, t, 10.0]))
+        assert caught.value.index == 1
+
 
 class TestStateEvolve:
     def test_vacuum_relaxation_model_a(self, model_a):
