@@ -419,8 +419,18 @@ _SWEEP_ROW = "%.17g" + ",%.17g" * 8 + "\r\n"
 # ---------------------------------------------------------------------------
 
 
+def _import_linalg_for(model):
+    """Import scipy.linalg before the report of a model of d >= 2 modes,
+    whose Lyapunov solve is Bartels-Stewart: made here rather than at the
+    solve, the import took less CPU in a fresh process (see main).  One mode
+    is solved by the Kronecker system and never loads it."""
+    if model.d > 1:
+        import scipy.linalg  # noqa: F401
+
+
 def _cmd_analyze(args) -> int:
     model, preset = _read_model(args.model)
+    _import_linalg_for(model)
     report = run_report(model, closed_form=preset)
     if args.json:
         _dump_json(report, sys.stdout)
@@ -476,6 +486,7 @@ def _print_human(report: dict):
 
 def _cmd_gap(args) -> int:
     model, preset = _read_model(args.model)
+    _import_linalg_for(model)
     report = run_report(model, closed_form=preset)
     wanted = {"gns": ["gns"], "kms": ["kms"], "both": ["gns", "kms"]}[args.mode]
     out = {key: report[key] for key in wanted}
@@ -860,12 +871,11 @@ def _build_parser():
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.func is not _cmd_sweep:
-            # every other command solves by Bartels-Stewart or exponentiates
-            # on a valid model, and those import scipy.linalg on first use;
-            # the same import made here, before the model is read, took
-            # about 20 ms less CPU in a fresh analyze process than made at
-            # its first Lyapunov solve (same modules and calls, fewer page
+        if args.func in (_cmd_evolve, _cmd_decay, _cmd_oracle):
+            # these exponentiate or assemble the Fock oracle on every valid
+            # model, and those import scipy.linalg on first use; the same
+            # import made at command start took less CPU in a fresh process
+            # than made at first use (same modules and calls, fewer page
             # faults)
             import scipy.linalg  # noqa: F401
         return args.func(args)

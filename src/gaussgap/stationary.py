@@ -15,9 +15,11 @@ s_breve = M^T diag(nu, nu) M with nu_j = sqrt(sigma_j^2 - 1) shares the
 symplectic eigenbasis of S and drives the square-root-split embedding.
 
 Every function takes one model or a stack of models (leading axes).  The one
-method split is the Lyapunov solve: Bartels-Stewart, O(d^3), for one model,
-and one batched Kronecker solve, cheap for the 2 x 2 drifts of one mode, for
-a stack.
+method split is the Lyapunov solve, and it goes by size alone: Bartels-Stewart,
+O(d^3), for one model of d >= 2 modes, and the (batched) Kronecker solve,
+cheap for the 2 x 2 drifts of one mode, for one mode and for every stack.  So
+a one-mode model is solved without scipy.linalg, and bit for bit as the same
+model inside a stack.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class StationaryData(_EntryIndexing):
 def solve_continuous_lyapunov(a, q):
     """scipy.linalg.solve_continuous_lyapunov, imported on first use:
     loading scipy.linalg takes about half of a cold start, and importing the
-    package or the stacked solves of ``sweep`` never need it.  Every
-    Bartels-Stewart solve goes through this name."""
+    package and the Kronecker solves of one mode and of stacks never need
+    it.  Every Bartels-Stewart solve goes through this name."""
     from scipy.linalg import solve_continuous_lyapunov as scipy_solve
 
     return scipy_solve(a, q)
@@ -109,13 +111,37 @@ def _check_lyapunov_residual(z2d, c2d, s):
     )
 
 
+def _kronecker_lyapunov(z2d, c2d):
+    """Solve Z^T S + S Z = -C, or each equation of a stack (N, n, n), as one
+    (stacked) n^2 x n^2 Kronecker linear system: cheap for the n = 2 of one
+    mode and O(n^6) in general."""
+    n = z2d.shape[-1]
+    eye = np.eye(n)
+    # row-major vec(S): (Z^T S)_ij = Z_ki S_kj and (S Z)_ij = S_il Z_lj
+    kron = np.einsum("...ki,jl->...ijkl", z2d, eye) + np.einsum(
+        "ik,...lj->...ijkl", eye, z2d
+    )
+    kron = kron.reshape(z2d.shape[:-2] + (n * n, n * n))
+    rhs = -c2d.reshape(c2d.shape[:-2] + (n * n, 1))
+    try:
+        return np.linalg.solve(kron, rhs).reshape(z2d.shape)
+    except np.linalg.LinAlgError:
+        # an exactly singular system fails the whole stack: name its entry
+        raise_first(
+            np.linalg.det(kron) == 0.0,
+            SingularLyapunov,
+            "Lyapunov system is singular",
+        )
+        raise
+
+
 def _solve_lyapunov(z2d, c2d):
-    """Solve Z^T S + S Z = -C.  One equation goes by Bartels-Stewart, a real
-    Schur factorization of Z^T and a quasi-triangular Sylvester solve, O(n^3)
-    in n = 2d; a stack (N, n, n) by one stacked linear solve of the
-    n^2 x n^2 Kronecker systems, cheap for the n = 2 of one mode and O(n^6)
-    in general."""
-    if z2d.ndim == 2:
+    """Solve Z^T S + S Z = -C.  The method depends only on the input's size:
+    one equation with n = 2d >= 4 goes by Bartels-Stewart, a real Schur
+    factorization of Z^T and a quasi-triangular Sylvester solve, O(n^3); a
+    2 x 2 equation (one mode) and every stack go by the Kronecker system,
+    which needs no scipy.linalg."""
+    if z2d.ndim == 2 and z2d.shape[-1] > 2:
         # imported before the filter below, so that a warning raised while
         # scipy loads is not taken for a singular system
         import scipy.linalg  # noqa: F401
@@ -130,24 +156,7 @@ def _solve_lyapunov(z2d, c2d):
             except (np.linalg.LinAlgError, ValueError, RuntimeWarning) as exc:
                 raise SingularLyapunov(f"Lyapunov system is singular: {exc}") from exc
     else:
-        n = z2d.shape[-1]
-        eye = np.eye(n)
-        # row-major vec(S): (Z^T S)_ij = Z_ki S_kj and (S Z)_ij = S_il Z_lj
-        kron = np.einsum("...ki,jl->...ijkl", z2d, eye) + np.einsum(
-            "ik,...lj->...ijkl", eye, z2d
-        )
-        kron = kron.reshape(z2d.shape[:-2] + (n * n, n * n))
-        rhs = -c2d.reshape(c2d.shape[:-2] + (n * n, 1))
-        try:
-            s = np.linalg.solve(kron, rhs).reshape(z2d.shape)
-        except np.linalg.LinAlgError:
-            # an exactly singular system fails the whole stack: name its entry
-            raise_first(
-                np.linalg.det(kron) == 0.0,
-                SingularLyapunov,
-                "Lyapunov system is singular",
-            )
-            raise
+        s = _kronecker_lyapunov(z2d, c2d)
     s = 0.5 * (s + s.swapaxes(-1, -2))
     _check_lyapunov_residual(z2d, c2d, s)
     return s

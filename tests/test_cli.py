@@ -212,7 +212,7 @@ class TestMain:
                 0,
                 "stability: stable (abscissa -1)\n"
                 "noise form: min eig 2 (full rank)\n"
-                "invariant state: sigma = [2.2360679774997902], faithful = True, "
+                "invariant state: sigma = [2.2360679774997894], faithful = True, "
                 "det(S+iJ) = 4\n"
                 "gap (one-sided embedding):  g = 0.5\n"
                 "gap (split embedding):      g = 0.5527864045\n"
@@ -1090,6 +1090,25 @@ class TestSweepStack:
             for got, want, allowed in zip(row[4::2], (g, g_breve, sigma), tol):
                 assert abs(float(got) - want) <= allowed, (params, got, want)
 
+    def test_rows_are_analyze_bit_for_bit(self, capsys):
+        # a one-mode analyze solves its Lyapunov equation by the same
+        # Kronecker system as the stack, so each row carries the very
+        # doubles of analyze --json on its point, lambda2 = 0 included
+        axes = {"mu2": [2.0, 3.5], "lambda2": [0.0, 0.5, 1.0], "omega": [0.0, 2.0],
+                "kappa": [0.0, 0.7, 1.3]}
+        rows = _sweep_csv_rows(capsys, _grid_spec(axes))
+        assert len(rows) == 27  # three points are unstable
+        assert {float(row[1]) for row in rows} == {0.0, 0.5, 1.0}
+        for row in rows:
+            mu2, lambda2, omega, kappa = (float(x) for x in row[:4])
+            preset = {"mu2": mu2, "lambda2": lambda2, "omega": omega, "kappa": kappa}
+            code = main(["analyze", json.dumps({"version": 1, "one_dim": preset}), "--json"])
+            # lambda2 = 0 has no one-sided gap: exit 2
+            assert code == (2 if lambda2 == 0.0 else 0)
+            report = json.loads(capsys.readouterr().out)
+            want = (report["gns"]["g"], report["kms"]["g"], report["stationary"]["sigma"][0])
+            assert [float(row[k]) for k in (4, 6, 8)] == list(want), row[:4]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_bytes_match_row_by_row_table(self, capsys, seed):
         # the command formats whole rows and takes the closed forms of all
@@ -1333,15 +1352,16 @@ def test_cli_import_leaves_scipy_sparse_out():
 
 
 def test_start_up_leaves_scipy_linalg_out():
-    # scipy.linalg is about half of a cold start; only Bartels-Stewart and
-    # expm need it, so the imports, sweep (stacked Kronecker solves), --help
-    # and usage errors must not load it, while analyze does
+    # scipy.linalg is about half of a cold start; only Bartels-Stewart (one
+    # model of d >= 2 modes) and expm need it, so the imports, sweep and the
+    # one-mode analyze and gap (Kronecker solves), --help and usage errors
+    # must not load it, while a two-mode analyze and evolve do
     src = os.path.dirname(os.path.dirname(gaussgap.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "def loaded():\n"
         "    return 'scipy.linalg' in sys.modules\n"
         "import gaussgap\n"
@@ -1363,10 +1383,19 @@ def test_start_up_leaves_scipy_linalg_out():
         "    seen.append(loaded())\n"
         "    codes.append(main(['analyze', sys.argv[1]]))\n"
         "    seen.append(loaded())\n"
+        "    codes.append(main(['gap', sys.argv[1]]))\n"
+        "    seen.append(loaded())\n"
+        "    codes.append(main(json.loads(sys.argv[2])))\n"
+        "    seen.append(loaded())\n"
         "print(codes, seen)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", script, MODEL_B_PRESET],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout
-    assert out == "[0, 0, 1, 0] [False, False, False, False, False, True]\n"
+    # each last command in a fresh process
+    for last in (["analyze", DRIVEN_D2_JSON], ["evolve", MODEL_B_PRESET, "--t", "0.5"]):
+        out = subprocess.run(
+            [sys.executable, "-c", script, MODEL_B_PRESET, json.dumps(last)],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        assert out == (
+            "[0, 0, 1, 0, 0, 0] "
+            "[False, False, False, False, False, False, False, True]\n"
+        ), last[0]

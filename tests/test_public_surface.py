@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 
+from conftest import random_stable_faithful
 from gaussgap.dynamics import GaussianStateParams, propagator, state_evolve
 from gaussgap.fock import build_space, weyl_matrix
 from gaussgap.model import build_drift_diffusion, one_dim_family
@@ -89,6 +90,11 @@ SCIPY_SEAMS = (
 )
 
 
+#: a stable two-mode model: one mode is solved by the Kronecker system, two
+#: modes by Bartels-Stewart
+TWO_MODES = random_stable_faithful(np.random.default_rng(104), 2)[0]
+
+
 def _seam_results():
     dd = build_drift_diffusion(one_dim_family(3.0, 1.0, 2.0, 1.0))
     state = state_evolve(dd, GaussianStateParams.vacuum(1), 0.7)
@@ -97,7 +103,7 @@ def _seam_results():
         state.mean,
         state.cov2d,
         weyl_matrix(build_space(1, 6), [0.3 + 0.1j]),
-        solve_stationary(dd).s2d,
+        solve_stationary(build_drift_diffusion(TWO_MODES)).s2d,
     ]
 
 

@@ -1,6 +1,7 @@
 """Stability data, Lyapunov solve, Williamson data and the second covariance."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -151,16 +152,64 @@ class TestLyapunovSolve:
         assert lyapunov_residual_ok(dd, s)
         assert np.linalg.eigvalsh(s)[0] > 0
 
-    def test_perturbed_solution_rejected(self, model_b, monkeypatch):
-        _, dd, _ = model_b
+    def test_perturbed_solution_rejected(self, monkeypatch):
+        # a two-mode model: one mode does not reach Bartels-Stewart
+        dd = random_stable(np.random.default_rng(154), 2)
         solve = stationary.solve_continuous_lyapunov
         monkeypatch.setattr(
             stationary,
             "solve_continuous_lyapunov",
-            lambda a, q: solve(a, q) + 1e-6 * np.array([[1.0, 0.0], [0.0, -1.0]]),
+            lambda a, q: solve(a, q) + 1e-6 * np.diag([1.0, 0.0, 0.0, -1.0]),
         )
         with pytest.raises(SingularLyapunov, match="numerically defective"):
             solve_stationary(dd)
+
+    def test_perturbed_kronecker_solution_rejected(self, model_b, monkeypatch):
+        _, dd, _ = model_b
+        solve = stationary._kronecker_lyapunov
+        monkeypatch.setattr(
+            stationary,
+            "_kronecker_lyapunov",
+            lambda z, c: solve(z, c) + 1e-6 * np.array([[1.0, 0.0], [0.0, -1.0]]),
+        )
+        with pytest.raises(SingularLyapunov, match="numerically defective"):
+            solve_stationary(dd)
+
+    @pytest.mark.parametrize(
+        "scale, delta",
+        [(1.0, 10.0**-k) for k in range(1, 13)]
+        + [(s, delta) for s in (1e100, 1e-100) for delta in (None, 1e-6)],
+        ids=[f"kappa-sqrt5-1e-{k}" for k in range(1, 13)]
+        + [f"{tag}-{s}" for s in ("1e100", "1e-100") for tag in ("B", "kappa-sqrt5-1e-6")],
+    )
+    def test_one_mode_matches_mpmath(self, scale, delta):
+        # kappa -> sqrt(5) on (3, 1, 2, kappa) walks to the stability
+        # boundary, where the decay rate is about delta and |S| ~ 1 / delta
+        import mpmath as mp
+
+        kappa = 1.0 if delta is None else np.sqrt(5.0) - delta
+        dd = build_drift_diffusion(one_dim_family(*(scale * p for p in (3.0, 1.0, 2.0, kappa))))
+        z2d, c2d = dd.z2d, dd.c2d
+        s = _solve_lyapunov(z2d, c2d)
+        with mp.workdps(60):
+            # Z^T S + S Z = -C of the stored doubles, as its 4 x 4 system
+            zm = mp.matrix(z2d.tolist())
+            system = mp.zeros(4, 4)
+            for i, j, k in itertools.product(range(2), repeat=3):
+                system[2 * i + j, 2 * k + j] += zm[k, i]
+                system[2 * i + j, 2 * i + k] += zm[k, j]
+            vec = mp.lu_solve(system, mp.matrix((-c2d).ravel().tolist()))
+            exact = mp.matrix(2, 2)
+            for i, j in itertools.product(range(2), repeat=2):
+                exact[i, j] = vec[2 * i + j]
+            err = float(mp.mnorm(mp.matrix(s.tolist()) - exact, "f") / mp.mnorm(exact, "f"))
+            exact = np.array(exact.tolist(), dtype=float)
+        # a backward-stable solve: eps times the condition |Z| |S| / |C|,
+        # which the model's scale leaves unchanged; observed at most 0.14
+        # of it (at 1e100 on B), 0.02 along the walk
+        bound = (np.finfo(float).eps * np.linalg.norm(z2d, 2) * np.linalg.norm(exact, 2)
+                 / np.linalg.norm(c2d, 2))
+        assert err <= bound, (err, bound)
 
     def test_residual_check_at_extreme_scale(self):
         # |Z| ~ 1e160: the squares of the residual's entries overflow, and an
@@ -172,12 +221,15 @@ class TestLyapunovSolve:
             _check_lyapunov_residual(dd.z2d, dd.c2d, 2.0 * st.s2d)
 
     def test_singular_operator_raises_without_warning(self):
-        # eigenvalues 1 and -1 of Z sum to zero: trsyl perturbs them and warns
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(SingularLyapunov, match="singular"):
-                _solve_lyapunov(np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.5, 1.0]]))
-        assert caught == []
+        # eigenvalues 1 and -1 of Z sum to zero: the 2 x 2 Kronecker system
+        # is exactly singular, and at 4 x 4 trsyl perturbs them and warns
+        for z2d in (np.diag([1.0, -1.0]), np.diag([1.0, -1.0, 2.0, 3.0])):
+            c2d = np.eye(len(z2d)) + 0.5 * np.ones_like(z2d)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(SingularLyapunov, match="singular"):
+                    _solve_lyapunov(z2d, c2d)
+            assert caught == []
 
     def test_stability_boundary_walk_emits_no_warning(self):
         # kappa^2 -> gamma^2 + omega^2: the decay rate falls to ~1e-11 and
