@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -290,26 +289,33 @@ def _dump_json(obj, stream):
     """Write obj followed by a newline, byte for byte as
     json.dump(obj, stream, sort_keys=True, indent=2, default=np.ndarray.tolist)
     would write it, handed to the stream in pieces rather than as one
-    string.  A float64 array is written as one piece (see
-    :func:`_float_text`); lists, tuples and every other value take the
+    string.  A finite float64 array is written as one piece (see
+    :func:`_write_pieces`); lists, tuples and every other value take the
     general path."""
     pieces = []
     _json_pieces(obj, "\n", pieces, stream, {})
     pieces.append("\n")
-    stream.writelines(pieces)
+    _write_pieces(pieces, stream)
 
 
 def _json_pieces(obj, newline, pieces, stream, layouts):
     """Append the indented JSON text of obj, which starts a line whose break
     and indentation are newline, to pieces; every few thousand pieces go to
-    the stream.  A float64 array is one piece where :func:`_float_text`
-    takes it, any other array is written as its tolist(); a dict whose keys
-    are not all strings goes to json itself.  layouts holds the array
-    templates of one dump."""
+    the stream.  A nonempty float64 array of at least one dimension with no
+    NaN or infinity (float.__repr__ spells them nan and inf, json NaN and
+    Infinity) is one (template, sep, array) piece, with the layout of its
+    shape (see :func:`_nest_template`); any other array is written as its
+    tolist().  A dict whose keys are not all strings goes to json itself.
+    layouts holds the layouts of one dump."""
     if isinstance(obj, np.ndarray):
-        text = _float_text(obj, newline, layouts)
-        if text is not None:
-            pieces.append(text)
+        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
+            key = (obj.shape, newline)
+            if key not in layouts:
+                layouts[key] = (
+                    _nest_template(obj.shape, newline),
+                    "," + newline + "  " * obj.ndim,
+                )
+            pieces.append((*layouts[key], obj))
             return
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
@@ -324,7 +330,7 @@ def _json_pieces(obj, newline, pieces, stream, layouts):
             sep = "," + inner
         pieces.append(newline + "]")
         if len(pieces) > 4096:
-            stream.writelines(pieces)
+            _write_pieces(pieces, stream)
             pieces.clear()
     elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
         inner = newline + "  "
@@ -337,71 +343,53 @@ def _json_pieces(obj, newline, pieces, stream, layouts):
     elif isinstance(obj, dict):
         text = json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist)
         pieces.append(text.replace("\n", newline))
+    elif type(obj) is float and math.isfinite(obj):
+        pieces.append(float.__repr__(obj))
     else:
         pieces.append(json.dumps(obj))
 
 
-def _float_text(array, newline, layouts):
-    """The indented JSON text of array when it is a float64 array of at
-    least one dimension with no NaN or infinity (float.__repr__ spells them
-    nan and inf, json NaN and Infinity); else None.
-
-    Every float is written with float.__repr__, as json does, into a
-    template of the layout of the array, built once per dump.  Square
-    matrices, or a stack of them, each equal to its transpose bit for bit
-    (so that -0.0 never stands in for 0.0) have only their upper triangles
-    formatted, and each repr fills the fields of (i, j) and (j, i)."""
-    if array.dtype != np.float64 or not array.ndim:
-        return None
-    shape, bits = array.shape, array.view(np.int64)
-    symmetric = (
-        array.ndim >= 2
-        and shape[-1] == shape[-2] > 1
-        and array.size > 0
-        and bool((bits == bits.swapaxes(-1, -2)).all())
-    )
-    key = (shape, newline, symmetric)
-    if key not in layouts:
-        layouts[key] = _layout(shape, newline, symmetric)
-    template, take, spread = layouts[key]
-    flat = array.ravel().tolist()
-    reprs = list(map(float.__repr__, take(flat) if take else flat))
-    text = template.format(*(spread(reprs) if spread else reprs))
-    return None if "n" in text else text
+def _write_pieces(pieces, stream):
+    """Write pieces, strings and (template, sep, array) triples, to the
+    stream.  Every float is written with float.__repr__, as json does, but
+    each distinct float64 bit pattern among the arrays (so -0.0 never stands
+    in for 0.0) is formatted once: values repeat across the rows of a
+    report, and an evolve from the invariant state prints the same
+    covariance at every time.  Each array's text is made as it is
+    written."""
+    arrays = [piece[2].ravel() for piece in pieces if type(piece) is tuple]
+    if not arrays:
+        stream.writelines(pieces)
+        return
+    distinct, inverse = np.unique(np.concatenate(arrays).view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    stream.writelines(_filled(pieces, reprs, inverse))
 
 
-def _layout(shape, newline, symmetric):
-    """The template of the JSON text of a float array of the shape at the
-    indentation newline, with one empty str.format field per entry, and for
-    a symmetric stack two getters: take picks the upper triangles, row by
-    row, from the flat list of the values, and spread maps their reprs
-    onto every entry, (i, j) and (j, i) alike."""
-    template = _nest_template(shape, newline)
-    if not symmetric:
-        return template, None, None
-    n = shape[-1]
-    row = np.arange(n)
-    upper = row[:, None] <= row
-    # the place of each entry (i <= j) in the row-by-row triangle, mirrored
-    tri = (np.cumsum(upper) - 1).reshape(n, n)
-    tri = np.where(upper, tri, tri.T)
-    stack = np.arange(math.prod(shape[:-2]))[:, None]
-    take = stack * (n * n) + np.flatnonzero(upper)
-    spread = stack * (n * (n + 1) // 2) + tri.ravel()
-    return (
-        template,
-        operator.itemgetter(*take.ravel().tolist()),
-        operator.itemgetter(*spread.ravel().tolist()),
-    )
+def _filled(pieces, reprs, inverse):
+    """The pieces as strings: the entries of each array, reprs[inverse] in
+    the order of the pieces, joined by sep along its rows, fill its
+    template."""
+    start = 0
+    for piece in pieces:
+        if type(piece) is tuple:
+            template, sep, array = piece
+            end = start + array.size
+            rows = reprs[inverse[start:end]].reshape(-1, array.shape[-1]).tolist()
+            yield template % tuple(map(sep.join, rows))
+            start = end
+        else:
+            yield piece
 
 
 def _nest_template(shape, newline):
-    """The indented JSON text of an array of the shape whose every entry is
-    the empty str.format field {}."""
-    if not shape[0]:
-        return "[]"
+    """The indented JSON text of a nonempty array of the shape, each of
+    whose rows along the last axis is the %-format field %s, for its entries
+    joined by "," and their line break and indentation."""
     inner = newline + "  "
-    item = _nest_template(shape[1:], inner) if len(shape) > 1 else "{}"
+    if len(shape) == 1:
+        return "[" + inner + "%s" + newline + "]"
+    item = _nest_template(shape[1:], inner)
     return "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
 
 

@@ -167,21 +167,22 @@ def _times(t):
 def propagator(dd: DriftDiffusion, t):
     """exp(t Z2d) for a time t, or the stack (len(t), 2d, 2d) of them for a
     1-D array of times, each slice bit for bit the single-time result."""
-    return _flow(dd, t)[0]
+    return _flow(dd, t, drive=False)[0]
 
 
-def _flow(dd: DriftDiffusion, t, start=None):
+def _flow(dd: DriftDiffusion, t, start=None, drive=True):
     """(E, G, f) at each time t: the propagator E = exp(t Z2d), the gramian
     G = int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds and the drift
     f = int_0^t exp(s Z2d^T) ds vec2d(zeta) of the drive of dd (None when
-    every drive entry is zero).  Given a start GaussianStateParams, G and f
-    come back as the covariance E^T S E + G and the mean vec2d(mu) E - f
-    of that state flowed to t.
+    every drive entry is zero, or drive is False for a caller that reads
+    only E).  Given a start GaussianStateParams, G and f come back as the
+    covariance E^T S E + G and the mean vec2d(mu) E - f of that state
+    flowed to t.
 
     One expm call exponentiates [[-Z^T, C], [0, Z]] h, and [[Z^T, 1], [0, 0]] h
-    for a nonzero drive, at the step h = t / 2^k of each time, with the least
-    k >= 0 such that h |Z2d|_1 <= 1; the blocks give E(h), E(h)^-T G(h) and
-    f(h).  k doubling steps
+    for a nonzero drive that is asked for, at the step h = t / 2^k of each
+    time, with the least k >= 0 such that h |Z2d|_1 <= 1; the blocks give
+    E(h), E(h)^-T G(h) and f(h).  k doubling steps
 
         G(2h) = G(h) + E(h)^T G(h) E(h),  f(2h) = f(h) + E(h)^T f(h),
         E(2h) = E(h)^2
@@ -205,7 +206,7 @@ def _flow(dd: DriftDiffusion, t, start=None):
         h = np.ldexp(times, -k.astype(int))[..., None, None]
         zero = np.zeros((n, n))
         blk = np.block([[-z2d.T, dd.c2d], [zero, z2d]])
-        if not np.any(dd.zeta):
+        if not (drive and np.any(dd.zeta)):
             eblk = expm(h * blk)
             drift = None
         else:

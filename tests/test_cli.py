@@ -1145,18 +1145,18 @@ class TestSweepStack:
         assert captured.out == expected.getvalue()
 
 
-def _mixed_d4_model():
-    """A rotated d = 4 model with a linear drive, as a model document."""
+def _mixed_model(d):
+    """A rotated d-mode model with a linear drive, as a model document."""
     rng = np.random.default_rng(81)
-    model, _, _ = random_stable_faithful(rng, 4)
-    zeta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    model, _, _ = random_stable_faithful(rng, d)
+    zeta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
     def pairs(a):
         a = np.asarray(a)
         return np.stack([a.real, a.imag], axis=-1).tolist()
 
     return json.dumps(
-        {"version": 1, "d": 4, "m": model.m, "omega": pairs(model.omega),
+        {"version": 1, "d": d, "m": model.m, "omega": pairs(model.omega),
          "kappa": pairs(model.kappa), "U": pairs(model.u_mat),
          "V": pairs(model.v_mat), "zeta": pairs(zeta)}
     )
@@ -1200,17 +1200,20 @@ class TestDumpJson:
             ["evolve", "MIXED_D4", "--t", ",".join(str(0.1 * k) for k in range(50)),
              "--s0", "stationary"],
             ["evolve", DRIVEN_D2_JSON, "--t", "0,0.3,1.5,7"],
+            # the invariant state at every time: each covariance repeats
+            ["evolve", "MIXED_D8", "--t", ",".join(repr(0.01 * k) for k in range(1, 401)),
+             "--s0", "stationary"],
             ["oracle", MODEL_B_PRESET, "--cutoff", "8", "--check", "char"],
             ["oracle", MODEL_A_JSON, "--cutoff", "8", "--check", "kms-trace"],
             ["oracle", MODEL_A_JSON, "--cutoff", "8", "--check", "gap"],
         ],
         ids=["analyze-preset", "analyze-d4", "analyze-pump", "analyze-model-c",
              "analyze-not-faithful", "gap-both", "gap-gns", "evolve-d4", "evolve-preset",
-             "evolve-d4-50-times", "evolve-driven-vacuum",
+             "evolve-d4-50-times", "evolve-driven-vacuum", "evolve-d8-400-times",
              "oracle-char", "oracle-kms-trace", "oracle-gap"],
     )
     def test_every_json_command(self, capsys, monkeypatch, argv):
-        argv = [_mixed_d4_model() if a == "MIXED_D4" else a for a in argv]
+        argv = [_mixed_model(int(a[7:])) if a.startswith("MIXED_D") else a for a in argv]
         written = []
         dump = cli._dump_json
         monkeypatch.setattr(
@@ -1276,6 +1279,21 @@ class TestDumpJson:
                           "list": ZERO_MIRROR.tolist()}, id="arrays-nested"),
             pytest.param([[1.0, 0.5], [0.5, 2.0]], id="list-symmetric"),
             pytest.param(np.arange(12.0).reshape(3, 4).T[::2], id="array-strided"),
+            pytest.param([{"s": SYMMETRIC, "t": 0.5}, {"s": SYMMETRIC.copy(), "t": 1.0},
+                          {"s": 2.0 * SYMMETRIC, "t": 1.5}], id="rows-repeating"),
+            pytest.param({"a": np.array([0.0, 1.0]), "b": np.array([[-0.0, 1.0]]),
+                          "c": np.array([1.0, 0.0, -0.0])}, id="zeros-signed-across-arrays"),
+            pytest.param({"f": np.array([1.0, 2.0]),
+                          "nan": np.array([0x7FF8000000000001, 0x7FF0000000000002,
+                                           0xFFF8000000000000, 0x3FF0000000000000],
+                                          dtype=np.uint64).view(np.float64)},
+                         id="nan-payloads"),
+            pytest.param([np.array([0.5, 1.0]), np.array([0.5, float("inf")]),
+                          np.array([1.0, 0.5])], id="rows-non-finite-middle"),
+            # two pieces per entry: the list of "b" is flushed when it closes
+            pytest.param({"a": np.array([0.1, 2.0]),
+                          "b": [np.array([0.1, float(k)]) for k in range(2100)],
+                          "c": np.array([[0.1, -0.0], [2.0, 3.0]])}, id="flush-between-arrays"),
             pytest.param({"i": np.arange(3), "b": np.array([True]),
                           "f32": np.array([0.1], dtype=np.float32), "x": np.array(2.5)},
                          id="arrays-not-float64"),

@@ -785,6 +785,20 @@ class TestPropagator:
             props = propagator(dd, np.array([1e3, 1e100]))
         assert not np.isfinite(props).all(axis=(1, 2)).any()
 
+    def test_drive_is_not_exponentiated(self, model_b, monkeypatch):
+        # E does not depend on the drive: a driven model's propagator is the
+        # undriven one's bit for bit, from one block per time
+        from gaussgap import dynamics
+
+        model, dd, _ = model_b
+        driven = build_drift_diffusion(dataclasses.replace(model, zeta=np.array([0.5 - 0.3j])))
+        times = np.linspace(0.0, 10.0, 50)
+        shapes = []
+        expm = dynamics.expm
+        monkeypatch.setattr(dynamics, "expm", lambda a: (shapes.append(a.shape), expm(a))[1])
+        assert np.array_equal(propagator(driven, times), propagator(dd, times))
+        assert shapes == [(50, 4, 4), (50, 4, 4)]
+
     @pytest.mark.parametrize("flow", [propagator, gramian_cov])
     def test_negative_time_rejected(self, model_b, flow):
         _, dd, _ = model_b
