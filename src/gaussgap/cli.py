@@ -476,6 +476,8 @@ def _cmd_gap(args) -> int:
     model, preset = _read_model(args.model)
     _import_linalg_for(model)
     report = run_report(model, closed_form=preset)
+    if not report["validation"]["ok"]:
+        validate(model)  # raises the first failed check; no gaps to print
     wanted = {"gns": ["gns"], "kms": ["kms"], "both": ["gns", "kms"]}[args.mode]
     out = {key: report[key] for key in wanted}
     out["has_gns_gap"] = report["has_gns_gap"]

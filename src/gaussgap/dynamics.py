@@ -175,8 +175,8 @@ def _flow(dd: DriftDiffusion, t, start=None, drive=True):
     G = int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds and the drift
     f = int_0^t exp(s Z2d^T) ds vec2d(zeta) of the drive of dd (None when
     every drive entry is zero, or drive is False for a caller that reads
-    only E).  Given a start GaussianStateParams, G and f come back as the
-    covariance E^T S E + G and the mean vec2d(mu) E - f of that state
+    only E and G).  Given a start GaussianStateParams, G and f come back as
+    the covariance E^T S E + G and the mean vec2d(mu) E - f of that state
     flowed to t.
 
     One expm call exponentiates [[-Z^T, C], [0, Z]] h, and [[Z^T, 1], [0, 0]] h
@@ -234,7 +234,7 @@ def _flow(dd: DriftDiffusion, t, start=None, drive=True):
 def gramian_cov(dd: DriftDiffusion, t):
     """int_0^t exp(s Z2d^T) C2d exp(s Z2d) ds for a time t or a 1-D array of
     times, to full relative precision at every t (see :func:`_flow`)."""
-    return _flow(dd, t)[1]
+    return _flow(dd, t, drive=False)[1]
 
 
 @dataclass(frozen=True)

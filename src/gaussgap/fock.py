@@ -28,14 +28,15 @@ lambda*adag) whose stationary density is exactly diagonal in the number
 basis, so the weighted inner products of both embeddings are diagonal and
 free of uncontrolled approximation.  The populations must be positive normal
 floats (near the pure vacuum the top ones underflow, and such a model is
-refused).  The weights scale only the stored entries, the projection off
-the invariant direction is its plain formula summed on them, and the
-Hermitian part equals its conjugate transpose exactly.  The result is block
-diagonal in the connected components of its exact nonzero pattern (for this
-family the U(1) sectors l - m), labelled by a min-label pass with pointer
-jumping (a stored zero is not an edge); the entries are sorted once by
-component, and each block, read from the assembled matrix and never from the
-model, is diagonalized on its own.
+refused).  The weights scale only the stored entries, and the Hermitian
+part equals its conjugate transpose exactly.  The invariant direction
+w_root * vec(1) must lie in its kernel, which holds to rounding only for
+stationary weights, and is checked rather than projected out.  The result
+is block diagonal in the connected components of its exact nonzero pattern
+(for this family the U(1) sectors l - m), labelled by a min-label pass with
+pointer jumping (a stored zero is not an edge); the entries are sorted once
+by component, and each block, read from the assembled matrix and never from
+the model, is diagonalized on its own.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ MAX_SPACE_DIM = 4096
 MAX_SUPEROP_DIM = 64
 # backward-error bound of the steady-state solve, relative to the system's
 # infinity norm times |rho|; LU with threshold pivoting and one refinement
-# step stays near n eps
+# step stays near n eps; the gap oracle bounds the residual of the invariant
+# direction, relative to the largest entry, by the same figure
 STEADY_RESIDUAL = 1e-10
 
 
@@ -511,20 +513,14 @@ def _blocked_eigvalsh(mat):
 
 def _weighted_generator(superop: Superoperator, w_root):
     """Hermitian part of the Heisenberg generator in the orthonormal basis of
-    the diagonal metric with square-root weights w_root, projected off the
-    invariant direction u = w_root * vec(1) / |w_root * vec(1)|, as a CSR
-    array.
+    the diagonal metric with square-root weights w_root, as a CSR array.
 
-    Only the stored entries are weighted, by w_root[row] / w_root[col], and
-    u lives on the dim diagonal vec indices S.  With G the weighted matrix,
-    P G P = G - u (u^dag G) - (G u) u^dag + (u^dag G u) u u^dag is one list
-    of (key, value) terms, each entry summed from +0 in list order on the
-    symmetric pattern of the keys and their transposes; the Hermitian part
-    0.5 (m_ij + conj(m_ji)) reads each transpose through an argsort of the
-    transposed keys, so it equals its conjugate transpose exactly.  Entries
-    differ from the scipy.sparse expression's by rounding (within eps times
-    the largest entry), and one of rounding size may be stored where that
-    expression cancels exactly.  The heisenberg array may be dense or CSR.
+    Only the stored entries are weighted, by w_root[row] / w_root[col], each
+    into its slot of the symmetric pattern of the stored keys and their
+    transposes; the Hermitian part 0.5 (m_ij + conj(m_ji)) reads each
+    transpose through an argsort of the transposed keys, so it equals its
+    conjugate transpose exactly.  The pattern depends on the Heisenberg
+    generator alone.  The heisenberg array may be dense or CSR.
     """
     from scipy import sparse
 
@@ -533,29 +529,10 @@ def _weighted_generator(superop: Superoperator, w_root):
         heis = sparse.csr_array(heis)
     n = heis.shape[0]
     rows = np.repeat(np.arange(n), np.diff(heis.indptr))
-    cols = heis.indices
-    gvals = w_root[rows] / w_root[cols] * heis.data
-    dim = superop.space.dim
-    support = np.arange(dim) * (dim + 1)
-    u_s = w_root[support] / np.linalg.norm(w_root[support])
-    u = np.zeros(n)
-    u[support] = u_s
-
-    # u^dag G and G u, each entry summed in the stored order of G
-    ug = _ordered_sum(cols, u[rows] * gvals, n)
-    gu = _ordered_sum(rows, gvals * u[cols], n)
-    ugu = np.sum(u_s * gu[support])
-    reach, reached = np.flatnonzero(ug), np.flatnonzero(gu)
-    terms = (
-        (rows, cols, gvals),
-        (support[:, None], reach, -u_s[:, None] * ug[reach]),
-        (reached[:, None], support, -gu[reached][:, None] * u_s),
-        (support[:, None], support, ugu * np.outer(u_s, u_s)),
-    )
-    keys = np.concatenate([(r * n + c).ravel() for r, c, _ in terms])
-    vals = np.concatenate([v.ravel() for _, _, v in terms])
-    pattern = _distinct(np.concatenate((keys, keys % n * n + keys // n)))
-    m = _ordered_sum(np.searchsorted(pattern, keys), vals, pattern.size)
+    keys = rows * n + heis.indices
+    pattern = _distinct(np.concatenate((keys, heis.indices * n + rows)))
+    m = np.zeros(pattern.size, dtype=complex)
+    m[np.searchsorted(pattern, keys)] = w_root[rows] / w_root[heis.indices] * heis.data
     prow, pcol = np.divmod(pattern, n)
     gsym = 0.5 * (m + m[np.argsort(pcol * n + prow)].conj())
     keep = gsym != 0
@@ -587,20 +564,34 @@ def oracle_gap(model: GklsModel, space: TruncatedSpace) -> tuple[float, float]:
 
     The exactly-diagonal thermal stationary weights make both weighted inner
     products diagonal; the generator is conjugated into the corresponding
-    orthonormal basis, symmetrized, projected off the invariant direction,
-    and its least-negative remaining eigenvalue returned (sign flipped).
-    The eigenvalues come one block at a time from the connected components
-    of the symmetrized matrix's nonzero pattern.
+    orthonormal basis and symmetrized.  The invariant direction
+    u = w_root * vec(1) / |w_root * vec(1)| lies in the kernel of the result
+    exactly when the weights are the stationary density, which is checked:
+    |gsym u| above STEADY_RESIDUAL max|gsym| raises ConsistencyError.  The
+    eigenvalues come one block at a time from the connected components of
+    the symmetrized matrix's nonzero pattern, and the least-negative one
+    below the top is returned (sign flipped).
     """
     mu2, lambda2 = _thermal_envelope(model)
     nbar = lambda2 / (mu2 - lambda2)
     pops = np.diag(thermal_density(space, nbar)).real
     w_roots = _metric_roots(pops)
     superop = build_superoperator(model, space)
+    support = np.arange(space.dim) * (space.dim + 1)
     gaps = []
     for w_root in w_roots:
-        evals = _blocked_eigvalsh(_weighted_generator(superop, w_root))
-        # the projection pins one eigenvalue at zero (the invariant
-        # direction); the gap is the distance from zero of the rest
+        gsym = _weighted_generator(superop, w_root)
+        u = np.zeros(gsym.shape[0])
+        u[support] = w_root[support] / np.linalg.norm(w_root[support])
+        resid = np.linalg.norm(gsym @ u)
+        bound = STEADY_RESIDUAL * np.abs(gsym.data).max()
+        if not resid <= bound:
+            raise ConsistencyError(
+                f"invariant-direction residual {resid:.3e} exceeds {bound:.3e}: "
+                "the weights are not the stationary density"
+            )
+        evals = _blocked_eigvalsh(gsym)
+        # the top eigenvalue is u's, zero up to rounding; the gap is the
+        # distance from zero of the next
         gaps.append(-float(evals[-2]))
     return tuple(gaps)

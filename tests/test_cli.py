@@ -35,6 +35,31 @@ MODEL_A_JSON = json.dumps(
     }
 )
 
+
+def _model_json(omega, kappa, u_mat, v_mat):
+    """Model file text of real coefficient matrices, with no drive."""
+    def pairs(mat):
+        return [[[x, 0.0] for x in row] for row in mat]
+
+    d = len(omega)
+    return json.dumps({
+        "version": 1, "d": d, "m": len(u_mat), "omega": pairs(omega),
+        "kappa": pairs(kappa), "U": pairs(u_mat), "V": pairs(v_mat),
+        "zeta": [[0.0, 0.0]] * d,
+    })
+
+
+#: one model per failed validation check, keyed by its error code
+INVALID_MODELS = {
+    "NotHermitian": json.dumps({
+        "version": 1, "d": 1, "m": 1, "omega": [[[0.0, 1.0]]], "kappa": [[[0.0, 0.0]]],
+        "U": [[[0.0, 0.0]]], "V": [[[1.0, 0.0]]], "zeta": [[0.0, 0.0]],
+    }),
+    "NotSymmetric": _model_json([[0, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0]], [[1, 0]]),
+    "DimensionMismatch": _model_json([[0]], [[0]], [[0], [1], [0]], [[1], [0], [1]]),
+    "DependentKraus": _model_json([[0]], [[0]], [[0], [0]], [[1], [2]]),
+}
+
 MODEL_B_PRESET = json.dumps(
     {"version": 1, "one_dim": {"mu2": 3.0, "lambda2": 1.0, "omega": 2.0, "kappa": 1.0}}
 )
@@ -246,6 +271,17 @@ class TestMain:
         assert main(["analyze", "{"]) == 1
         err = capsys.readouterr().err
         assert "ParseError" in err
+
+    @pytest.mark.parametrize("code", sorted(INVALID_MODELS))
+    @pytest.mark.parametrize("mode", ["gns", "kms", "both"])
+    def test_gap_on_invalid_model(self, capsys, code, mode):
+        # an invalid model's report has no gaps: the command ends in the
+        # first failed check, as evolve and decay do
+        assert main(["gap", INVALID_MODELS[code], "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error [{code}]: ")
+        assert captured.err.count("\n") == 1
 
     def test_missing_model_file(self, capsys, tmp_path):
         path = str(tmp_path / "nonexistent.json")

@@ -799,6 +799,21 @@ class TestPropagator:
         assert np.array_equal(propagator(driven, times), propagator(dd, times))
         assert shapes == [(50, 4, 4), (50, 4, 4)]
 
+    def test_gramian_drive_is_not_exponentiated(self, model_b, monkeypatch):
+        # G does not depend on the drive: a driven model's gramian comes from
+        # one block per time, bit for bit the flow that also carries the drive
+        from gaussgap import dynamics
+
+        model, _, _ = model_b
+        driven = build_drift_diffusion(dataclasses.replace(model, zeta=np.array([0.5 - 0.3j])))
+        times = np.linspace(0.0, 10.0, 50)
+        with_drive = dynamics._flow(driven, times)[1]
+        shapes = []
+        expm = dynamics.expm
+        monkeypatch.setattr(dynamics, "expm", lambda a: (shapes.append(a.shape), expm(a))[1])
+        assert gramian_cov(driven, times).tobytes() == with_drive.tobytes()
+        assert shapes == [(50, 4, 4)]
+
     @pytest.mark.parametrize("flow", [propagator, gramian_cov])
     def test_negative_time_rejected(self, model_b, flow):
         _, dd, _ = model_b

@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
+from gaussgap import fock
 from gaussgap.dynamics import GaussianStateParams, char_fn, kms_weyl_trace, weyl_evolve
 from gaussgap.errors import (
     ConsistencyError,
@@ -34,6 +35,9 @@ from gaussgap.fock import (
 from gaussgap.gap import analyze
 from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
+
+# number-diagonal thermal models (mu2, lambda2, omega, kappa = 0)
+THERMAL_GRID = [(3.0, 1.0, 0.0, 0.0), (2.6, 0.4, 2.0, 0.0), (3.7, 1.3, 1.1, 0.0)]
 
 # thermal jumps (mu2 = 3.2, lambda2 = 0.6) with a linear drive: the invariant
 # state is a displaced thermal state, not number-diagonal
@@ -334,6 +338,18 @@ class TestGapOracle:
         with pytest.raises(OutsideEnvelope):
             oracle_gap(one_dim_family(2, 0), build_space(1, 10))
 
+    @pytest.mark.parametrize("params", THERMAL_GRID)
+    @pytest.mark.parametrize("error", [1e-6, 0.1])
+    def test_weights_off_the_stationary_density_refused(self, monkeypatch, params, error):
+        # weights from a wrong mean occupation leave the invariant direction
+        # out of the kernel; nothing projects it out, so the check must fire
+        exact = fock.thermal_density
+        monkeypatch.setattr(
+            fock, "thermal_density", lambda space, nbar: exact(space, nbar * (1 + error))
+        )
+        with pytest.raises(ConsistencyError, match="invariant-direction residual"):
+            oracle_gap(one_dim_family(*params), build_space(1, 25))
+
 
 def _lstsq_steady_state(superop):
     """Least-squares solve of the predual kernel with the unit-trace row
@@ -513,21 +529,23 @@ def _reference_superoperator(model, space):
     return Superoperator(space=space, predual=pred, heisenberg=heis)
 
 
-def _reference_weighted_generator(superop, w_root):
-    """The weighting, both rank-one projections and the Hermitian part as
-    scipy.sparse operations on the CSR Heisenberg generator."""
+def _reference_weighted_generator(superop, w_root, project=True):
+    """The weighting, both rank-one projections off the invariant direction
+    (unless project is False) and the Hermitian part as scipy.sparse
+    operations on the CSR Heisenberg generator."""
     heis = sparse.csr_array(superop.heisenberg)
     n = heis.shape[0]
     rows = np.repeat(np.arange(n), np.diff(heis.indptr))
     ratio = w_root[rows] / w_root[heis.indices]
     gmat = sparse.csr_array((ratio * heis.data, heis.indices, heis.indptr), shape=heis.shape)
-    support = np.arange(superop.space.dim) * (superop.space.dim + 1)
-    u_vals = w_root[support]
-    u_vals = u_vals / np.linalg.norm(u_vals)
-    u = sparse.csr_array((u_vals, (support, np.zeros_like(support))), shape=(n, 1))
-    u_h = u.conj().T
-    gmat = gmat - u @ (u_h @ gmat)
-    gmat = gmat - (gmat @ u) @ u_h
+    if project:
+        support = np.arange(superop.space.dim) * (superop.space.dim + 1)
+        u_vals = w_root[support]
+        u_vals = u_vals / np.linalg.norm(u_vals)
+        u = sparse.csr_array((u_vals, (support, np.zeros_like(support))), shape=(n, 1))
+        u_h = u.conj().T
+        gmat = gmat - u @ (u_h @ gmat)
+        gmat = gmat - (gmat @ u) @ u_h
     return 0.5 * (gmat + gmat.conj().T)
 
 
@@ -548,7 +566,6 @@ def _reference_oracle_gap(model, space):
     return tuple(gaps)
 
 
-THERMAL_GRID = [(3.0, 1.0, 0.0, 0.0), (2.6, 0.4, 2.0, 0.0), (3.7, 1.3, 1.1, 0.0)]
 WEIGHTING_CASES = [(one_dim_family(*p), c) for p in THERMAL_GRID for c in (20, 25, 30)] + [
     (one_dim_family(3.0, 1.0, 2.0, 1.0), 12),
     (DRIVEN, 12),
@@ -569,14 +586,14 @@ class TestBitwiseReference:
 
     @pytest.mark.parametrize("model, cutoff", WEIGHTING_CASES)
     def test_weighting_is_the_sparse_formula(self, model, cutoff):
-        # the scipy.sparse expression up to rounding: within eps of its
-        # largest entry (the summation orders differ)
+        # the scipy.sparse weighting and Hermitian part, with no projection,
+        # up to rounding: within eps of its largest entry
         space = build_space(1, cutoff)
         superop = build_superoperator(model, space)
         pops = np.diag(thermal_density(space, 0.5)).real
         for w_root in _metric_roots(pops):
             got = _weighted_generator(superop, w_root)
-            ref = _reference_weighted_generator(superop, w_root)
+            ref = _reference_weighted_generator(superop, w_root, project=False)
             assert got.format == "csr"
             assert abs(got - ref).max() <= np.finfo(float).eps * abs(ref).max()
 
