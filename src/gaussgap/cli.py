@@ -411,7 +411,8 @@ def _import_linalg_for(model):
     """Import scipy.linalg before the report of a model of d >= 2 modes,
     whose Lyapunov solve is Bartels-Stewart: made here rather than at the
     solve, the import took less CPU in a fresh process (see main).  One mode
-    is solved by the Kronecker system and never loads it."""
+    is solved by the Kronecker system and the flow of evolve and decay is
+    numpy only, so a one-mode model never loads it here."""
     if model.d > 1:
         import scipy.linalg  # noqa: F401
 
@@ -518,6 +519,7 @@ def _read_state(path, d):
 
 def _cmd_evolve(args) -> int:
     model = parse_model(args.model)
+    _import_linalg_for(model)
     dd = build_drift_diffusion(model)
     times = _parse_times(args.t, "--t")
     try:
@@ -551,6 +553,7 @@ def _cmd_decay(args) -> int:
     if args.samples < 0:
         raise ParseError(f"--samples must be non-negative, got {args.samples}")
     model = parse_model(args.model)
+    _import_linalg_for(model)
     dd = build_drift_diffusion(model)
     require_stable(dd)
     times = _parse_times(args.t_grid, "--t-grid")
@@ -861,12 +864,11 @@ def _build_parser():
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.func in (_cmd_evolve, _cmd_decay, _cmd_oracle):
-            # these exponentiate or assemble the Fock oracle on every valid
-            # model, and those import scipy.linalg on first use; the same
-            # import made at command start took less CPU in a fresh process
-            # than made at first use (same modules and calls, fewer page
-            # faults)
+        if args.func is _cmd_oracle:
+            # the Fock oracle imports scipy.linalg on first use on every
+            # valid model; the same import made at command start took less
+            # CPU in a fresh process than made at first use (same modules
+            # and calls, fewer page faults)
             import scipy.linalg  # noqa: F401
         return args.func(args)
     except GaussGapError as exc:

@@ -8,12 +8,13 @@ The semigroup acts on a Weyl operator with argument z by damping it with
 (plus a phase from the linear drive) and transporting the argument along
 exp(tZ).  Every exp(tZ2d) and every finite-time integral of the flow, for
 one time or an array of times, comes from one routine: the block-matrix
-exponential (exponentiate [[-Z^T, C], [0, Z]] h and read its blocks) at a
-step h short enough that the block stays of order one, then doubling steps
-up to t, which add positive semidefinite terms only.  This keeps full
-relative precision at short times, at long times and near the stability
-boundary, and a stable flow stays finite at every time, down to an exact
-zero where the propagator underflows.
+exponential (the right block column of exp([[-Z^T, C], [0, Z]] h), from a
+numpy Taylor polynomial) at a step h with h |Z2d|_2 <= 1, then doubling
+steps up to t, which add positive semidefinite terms only.  This keeps
+full relative precision at short times, at long times and near the
+stability boundary, and a stable flow stays finite at every time, down to
+an exact zero where the propagator underflows.  The module needs no
+scipy.
 
 The decay of centered Weyl combinations in either embedding reduces to the
 kernels
@@ -33,6 +34,7 @@ evaluate at once, the combination axes before the time axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +73,37 @@ __all__ = [
 EXP_GUARD = 700.0
 
 
-def expm(a):
-    """scipy.linalg.expm, imported on first use: loading scipy.linalg takes
-    about half of a cold start, and importing the package or running
-    ``sweep`` never needs it.  Every exponential of this module goes through
-    this name."""
-    from scipy.linalg import expm as scipy_expm
+#: degree m of the Taylor polynomial of :func:`expm`.  At theta = 1 the
+#: remainder of the diagonal blocks, sum_{j > m} 1 / j!, and that of the
+#: coupling block relative to |B|, sum_{j >= m} 1 / j! (see expm), are at
+#: most 8.6e-18, below half the unit roundoff 2^-53: the Taylor bound of
+#: Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009
+TAYLOR_DEGREE = 19
+_TAYLOR_COEFFS = [1.0 / math.factorial(j) for j in range(TAYLOR_DEGREE + 1)]
 
-    return scipy_expm(a)
+
+def expm(a):
+    """Right block column exp(a)[..., :, n:] of each 2n x 2n block of a,
+    n = a.shape[-1] // 2, from the Taylor polynomial of degree
+    TAYLOR_DEGREE: Horner's rule takes one (2n x 2n) @ (2n x n) product per
+    degree and adds each coefficient on the diagonal of the [0; I] block in
+    place.  It neither scales nor squares, so each slice's result depends on
+    that slice alone.
+
+    The blocks are upper block triangular, [[A, B], [0, D]] with |A|_2 and
+    |D|_2 at most theta = 1 (:func:`_flow` steps them there).  The j-th
+    Taylor term of the coupling block is a sum of j products A^i B D^(j-1-i)
+    over j!, of norm at most |B| / (j - 1)!, and linear in B; so the column
+    keeps full relative precision whatever the size of B.  Every exponential
+    of this module goes through this name."""
+    n = a.shape[-1] // 2
+    coeffs = _TAYLOR_COEFFS
+    col = a[..., n:] * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        np.einsum("...ii->...i", col[..., n:, :])[...] += c
+        col = a @ col
+    np.einsum("...ii->...i", col[..., n:, :])[...] += coeffs[0]
+    return col
 
 
 @dataclass(frozen=True)
@@ -87,9 +112,11 @@ class GaussianStateParams:
     a stack: the mean has shape (..., d) and the covariance (..., 2d, 2d).
 
     Mean and covariance must be finite (else RangeExceeded), and every
-    covariance must satisfy the uncertainty bound cov2d + iJ >= 0; one
-    stacked eigensolve checks them all, and a failing entry of a stack is
-    reported as ``index``.  The stored covariance is 0.5 (cov + cov^T), and
+    covariance must satisfy the uncertainty bound cov2d + iJ >= 0 up to
+    tol = 1e-10 max(1, |cov2d|_F): one stacked Cholesky factorization of
+    cov2d + iJ + tol / 2 accepts them all, and only when it fails does one
+    stacked eigensolve decide, reporting a failing entry of a stack as
+    ``index``.  The stored covariance is 0.5 (cov + cov^T), and
     floating-point addition commutes, so every cov2d entry of a stack equals
     its transpose bit for bit, signs of zero included.
     """
@@ -112,13 +139,20 @@ class GaussianStateParams:
         )
         cov = 0.5 * (cov + cov.swapaxes(-1, -2))
         # cov + iJ is exactly Hermitian: cov is symmetric and J antisymmetric
-        lam = np.linalg.eigvalsh(cov + 1j * jmat(d))[..., 0]
-        raise_first(
-            lam < -1e-10 * np.maximum(1.0, _fro(cov)),
-            NotPositiveDefinite,
-            "covariance violates the uncertainty bound (min eig {:.3e})",
-            lam,
-        )
+        form = cov + 1j * jmat(d)
+        tol = 1e-10 * np.maximum(1.0, _fro(cov))
+        try:
+            # a factor of the form shifted by tol / 2 proves min eig >= -tol
+            # for every entry, far outside the factorization's rounding
+            np.linalg.cholesky(form + np.asarray(0.5 * tol)[..., None, None] * np.eye(2 * d))
+        except np.linalg.LinAlgError:
+            lam = np.linalg.eigvalsh(form)[..., 0]
+            raise_first(
+                lam < -tol,
+                NotPositiveDefinite,
+                "covariance violates the uncertainty bound (min eig {:.3e})",
+                lam,
+            )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov2d", cov)
 
@@ -179,42 +213,45 @@ def _flow(dd: DriftDiffusion, t, start=None, drive=True):
     the covariance E^T S E + G and the mean vec2d(mu) E - f of that state
     flowed to t.
 
-    One expm call exponentiates [[-Z^T, C], [0, Z]] h, and [[Z^T, 1], [0, 0]] h
-    for a nonzero drive that is asked for, at the step h = t / 2^k of each
-    time, with the least k >= 0 such that h |Z2d|_1 <= 1; the blocks give
-    E(h), E(h)^-T G(h) and f(h).  k doubling steps
+    One expm call gives the right block columns of the exponentials of
+    [[-Z^T, C], [0, Z]] h, and of [[Z^T, 1], [0, 0]] h for a nonzero drive
+    that is asked for, at the step h = t / 2^k of each time, with the least
+    k >= 0 such that h |Z2d|_2 <= 1; the columns give E(h)^-T G(h), E(h) and
+    f(h).  k doubling steps
 
         G(2h) = G(h) + E(h)^T G(h) E(h),  f(2h) = f(h) + E(h)^T f(h),
         E(2h) = E(h)^2
 
-    then reach t.  The block grows by at most exp(h |Z2d|_1) <= e over a
-    step, and every doubling adds positive semidefinite terms, so G keeps
-    its relative precision at every t, on stable drifts and on others.  A
-    time's result does not depend on the other times of the array.  A flow
-    that leaves double precision gives values that are not finite, without
-    a warning; the callers' guards report them.
+    then reach t.  C and the drive enter the blocks linearly, so the step
+    depends on Z2d alone, and a model's E and G are the same bit for bit
+    with and without its drive.  E grows by at most a factor e over a
+    step, and every doubling adds positive semidefinite terms, so G keeps its
+    relative precision at every t, on stable drifts and on others.  A time's
+    result does not depend on the other times of the array.  A flow that
+    leaves double precision gives values that are not finite, without a
+    warning; the callers' guards report them.
     """
     times = _times(t)
     z2d = dd.z2d
     n = z2d.shape[0]
-    norm = np.linalg.norm(z2d, 1)
+    norm = dd.drift_norm
     with np.errstate(over="ignore", invalid="ignore"):
-        span = np.abs(times) * norm
+        span = times * norm
         # past double range the exponent comes from the logarithms
-        logs = np.log2(np.maximum(np.abs(times), 1.0)) + np.log2(max(norm, 1.0))
+        logs = np.log2(np.maximum(times, 1.0)) + np.log2(max(norm, 1.0))
         k = np.ceil(np.where(np.isinf(span), logs, np.log2(np.maximum(span, 1.0))))
         h = np.ldexp(times, -k.astype(int))[..., None, None]
         zero = np.zeros((n, n))
         blk = np.block([[-z2d.T, dd.c2d], [zero, z2d]])
         if not (drive and np.any(dd.zeta)):
-            eblk = expm(h * blk)
+            col = expm(h * blk)
             drift = None
         else:
             dblk = np.block([[z2d.T, np.eye(n)], [zero, zero]])
-            eblk, edrift = expm(np.stack([h * blk, h * dblk]))
-            drift = edrift[..., :n, n:] @ vec2d(dd.zeta)
-        et = eblk[..., n:, n:]
-        gram = et.swapaxes(-1, -2) @ eblk[..., :n, n:]
+            col, dcol = expm(np.stack([h * blk, h * dblk]))
+            drift = dcol[..., :n, :] @ vec2d(dd.zeta)
+        et = col[..., n:, :]
+        gram = et.swapaxes(-1, -2) @ col[..., :n, :]
         for step in range(int(np.max(k, initial=0.0))):
             # the times that still double
             live = (step < k)[..., None, None]

@@ -40,11 +40,13 @@ def rounding_allowances(dd, st):
     beyond 1e-12 relative: ROUTE_ROUNDING rounding units of |Z| cond(T) in
     each gap (absolute, the envelope of the route cross-check, T the matrix
     whose roots the gap takes), and of the drift condition |Z| / |abscissa|
-    in sigma (relative)."""
+    in sigma (relative).  For a stack of models, arrays over the stack."""
     eps = np.finfo(float).eps
 
     def gap_allowance(roots):
-        cond = (np.linalg.norm(roots[0], 2) * np.linalg.norm(roots[1], 2)) ** 2
+        cond = (
+            np.linalg.norm(roots[0], 2, axis=(-2, -1)) * np.linalg.norm(roots[1], 2, axis=(-2, -1))
+        ) ** 2
         return 0.5 * ROUTE_ROUNDING * eps * dd.drift_norm * cond
 
     return (

@@ -1407,9 +1407,10 @@ def test_cli_import_leaves_scipy_sparse_out():
 
 def test_start_up_leaves_scipy_linalg_out():
     # scipy.linalg is about half of a cold start; only Bartels-Stewart (one
-    # model of d >= 2 modes) and expm need it, so the imports, sweep and the
-    # one-mode analyze and gap (Kronecker solves), --help and usage errors
-    # must not load it, while a two-mode analyze and evolve do
+    # model of d >= 2 modes) and the Fock oracle need it, so the imports,
+    # sweep, the one-mode analyze and gap (Kronecker solves), the one-mode
+    # evolve and decay (numpy flow), --help and usage errors must not load
+    # it, while a two-mode analyze does
     src = os.path.dirname(os.path.dirname(gaussgap.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
@@ -1444,12 +1445,16 @@ def test_start_up_leaves_scipy_linalg_out():
         "print(codes, seen)\n"
     )
     # each last command in a fresh process
-    for last in (["analyze", DRIVEN_D2_JSON], ["evolve", MODEL_B_PRESET, "--t", "0.5"]):
+    for last, loads in (
+        (["analyze", DRIVEN_D2_JSON], True),
+        (["evolve", MODEL_B_PRESET, "--t", "0.5"], False),
+        (["decay", MODEL_B_PRESET, "--samples", "2"], False),
+    ):
         out = subprocess.run(
             [sys.executable, "-c", script, MODEL_B_PRESET, json.dumps(last)],
             capture_output=True, text=True, env=env, check=True,
         ).stdout
         assert out == (
             "[0, 0, 1, 0, 0, 0] "
-            "[False, False, False, False, False, False, False, True]\n"
+            f"[False, False, False, False, False, False, False, {loads}]\n"
         ), last[0]

@@ -27,10 +27,16 @@ from gaussgap.dynamics import (
     state_evolve,
     weyl_evolve,
 )
-from gaussgap.errors import ConsistencyError, NotFaithful, NotPositiveDefinite, RangeExceeded
+from gaussgap.errors import (
+    ConsistencyError,
+    NotFaithful,
+    NotPositiveDefinite,
+    RangeExceeded,
+    raise_first,
+)
 from gaussgap.gap import analyze
-from gaussgap.model import GklsModel, build_drift_diffusion, one_dim_family
-from gaussgap.realops import vec2d
+from gaussgap.model import GklsModel, _fro, build_drift_diffusion, one_dim_family
+from gaussgap.realops import jmat, vec2d
 from gaussgap.stationary import solve_stationary
 
 
@@ -751,6 +757,96 @@ def test_unstable_flow_matches_mpmath(index):
     _assert_flow_matches_mpmath(model, [0.5, 2.0, 5.0], 81 + index)
 
 
+def _mp_flow_blocks(dd, times):
+    """40-digit (E, G, f) at each time, from the eigendecomposition
+    Z2d = V diag(lam) V^-1 as in :func:`_mp_vacuum_flow`, with
+    f = V^-T diag(expm1(t lam) / lam) V^T vec2d(zeta)."""
+    import mpmath as mp
+
+    def real(a):
+        return np.array([[float(mp.re(a[i, j])) for j in range(a.cols)] for i in range(a.rows)])
+
+    with mp.workdps(40):
+        lam, v = mp.eig(mp.matrix(dd.z2d.tolist()))
+        vinv = v**-1
+        n = len(lam)
+        noise = v.T * mp.matrix(dd.c2d.tolist()) * v
+        drive = v.T * mp.matrix(vec2d(dd.zeta).tolist())
+        out = []
+        for t in times:
+            inner = mp.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    rate = lam[i] + lam[j]
+                    inner[i, j] = noise[i, j] * mp.expm1(t * rate) / rate
+            et = v * mp.diag([mp.exp(t * x) for x in lam]) * vinv
+            integ = mp.diag([mp.expm1(t * x) / x for x in lam])
+            out.append((real(et), real(vinv.T * inner * vinv), real(vinv.T * integ * drive).ravel()))
+        return out
+
+
+def _flow_accuracy_cases():
+    """(model, times): the kappa = 0.95 one-mode model (drift rates 1.95 and
+    0.05) up to t = 1e3 and a growing one-mode model, stable and unstable
+    fuzzed models at d = 2 and 4, each without and with a drive, and one
+    driven stable d = 8 model at two times."""
+    rng = np.random.default_rng(90)
+
+    def driven(model):
+        zeta = rng.standard_normal(model.d) + 1j * rng.standard_normal(model.d)
+        return dataclasses.replace(model, zeta=zeta)
+
+    slow = one_dim_family(3.0, 1.0, 0.0, 0.95)
+    grows = one_dim_family(1.0, 0.5, 0.0, 2.0)
+    cases = [(slow, [1e-3, 0.1, 10.0, 1e3]), (driven(slow), [1e-3, 0.1, 10.0, 1e3])]
+    cases += [(grows, [1e-3, 0.1, 1.0, 100.0]), (driven(grows), [1e-3, 0.1, 1.0, 100.0])]
+    for d in (2, 4):
+        stable = random_stable_faithful(rng, d)[0]
+        unstable = random_unstable(rng, d)[0]
+        for model in (stable, driven(stable)):
+            cases.append((model, [1e-3, 0.1, 3.0, 50.0]))
+        for model in (unstable, driven(unstable)):
+            cases.append((model, [1e-3, 0.1, 1.0, 5.0]))
+    cases.append((driven(random_stable_faithful(rng, 8)[0]), [0.5, 20.0]))
+    return cases
+
+
+def test_flow_exponential_as_accurate_as_scipy(monkeypatch):
+    # the numpy Taylor exponential against scipy.linalg.expm on the same
+    # blocks, both measured against a 40-digit reference: E from propagator,
+    # G and f from _flow
+    import scipy.linalg
+
+    from gaussgap import dynamics
+
+    def scipy_column(a):
+        return scipy.linalg.expm(a)[..., :, a.shape[-1] // 2:]
+
+    cases = [(build_drift_diffusion(model), np.array(times)) for model, times in _flow_accuracy_cases()]
+    refs = [_mp_flow_blocks(dd, times) for dd, times in cases]
+
+    def errors():
+        errs = []
+        for (dd, times), ref in zip(cases, refs):
+            props = propagator(dd, times)
+            _, grams, drifts = dynamics._flow(dd, times)
+            for i, (et, gram, drift) in enumerate(ref):
+                got = [(props[i], et), (grams[i], gram)]
+                if drifts is not None:
+                    got.append((drifts[i], drift))
+                for a, b in got:
+                    assert np.linalg.norm(b) > 1e-300
+                    errs.append(np.linalg.norm(a - b) / np.linalg.norm(b))
+        return np.array(errs)
+
+    taylor = errors()
+    monkeypatch.setattr(dynamics, "expm", scipy_column)
+    reference = errors()
+    assert taylor.size == reference.size == 126
+    assert np.median(taylor) <= 2.0 * np.median(reference), (np.median(taylor), np.median(reference))
+    assert taylor.max() <= 2.0 * reference.max(), (taylor.max(), reference.max())
+
+
 class TestPropagator:
     """exp(t Z2d) comes from the doubling flow, like every other flow."""
 
@@ -916,3 +1012,90 @@ class TestTimeArrays:
         with pytest.raises(NotPositiveDefinite) as caught:
             GaussianStateParams(mean=np.zeros(1), cov2d=0.5 * np.eye(2))
         assert caught.value.index is None
+
+
+def _eigvalsh_rule(cov):
+    """The uncertainty rule decided by one stacked eigensolve of cov + iJ
+    alone, as GaussianStateParams states it: None when every entry passes,
+    else the (message, index) of its NotPositiveDefinite."""
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    lam = np.linalg.eigvalsh(cov + 1j * jmat(cov.shape[-1] // 2))[..., 0]
+    try:
+        raise_first(
+            lam < -1e-10 * np.maximum(1.0, _fro(cov)),
+            NotPositiveDefinite,
+            "covariance violates the uncertainty bound (min eig {:.3e})",
+            lam,
+        )
+    except NotPositiveDefinite as exc:
+        return str(exc), exc.index
+    return None
+
+
+class TestUncertaintyCheck:
+    """The Cholesky test of cov + iJ + tol / 2 accepts and refuses exactly as
+    the eigenvalue rule, with the same message and index."""
+
+    @staticmethod
+    def _pure(rng, d):
+        # M M^T for a symplectic M = exp(J H): min eig of S + iJ is 0
+        import scipy.linalg
+
+        h = rng.standard_normal((2 * d, 2 * d))
+        m = scipy.linalg.expm(jmat(d) @ (h + h.T) * 0.4)
+        return m @ m.T
+
+    @staticmethod
+    def _shifted(cov, frac):
+        # cov - frac tol I: min eig of cov + iJ moves by -frac tol exactly
+        tol = 1e-10 * max(1.0, np.linalg.norm(cov))
+        return cov - frac * tol * np.eye(cov.shape[-1])
+
+    def _assert_same_decision(self, cov, monkeypatch, eigensolves):
+        cov = np.asarray(cov)
+        mean = np.zeros(cov.shape[:-2] + (cov.shape[-1] // 2,))
+        expected = _eigvalsh_rule(cov)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (calls.append(a.shape), eigvalsh(a))[1])
+        if expected is None:
+            GaussianStateParams(mean=mean, cov2d=cov)
+        else:
+            with pytest.raises(NotPositiveDefinite) as caught:
+                GaussianStateParams(mean=mean, cov2d=cov)
+            assert (str(caught.value), caught.value.index) == expected
+        monkeypatch.undo()
+        assert len(calls) == eigensolves
+        return expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pure_states_pass_without_an_eigensolve(self, d, monkeypatch):
+        rng = np.random.default_rng(60 + d)
+        pure = [np.eye(2 * d), np.diag(np.exp(np.r_[np.full(d, 5.0), np.full(d, -5.0)]))]
+        pure += [self._pure(rng, d) for _ in range(3)]
+        for cov in pure:
+            assert self._assert_same_decision(cov, monkeypatch, 0) is None
+        assert self._assert_same_decision(np.stack(pure), monkeypatch, 0) is None
+
+    @pytest.mark.parametrize("frac, passes, eigensolves", [
+        (0.3, True, 0),  # inside tol / 2: the factorization succeeds
+        (0.9, True, 1),  # between tol / 2 and tol: the eigensolve accepts
+        (1.1, False, 1),
+        (3.0, False, 1),
+    ])
+    def test_entries_near_the_tolerance(self, frac, passes, eigensolves, monkeypatch):
+        rng = np.random.default_rng(64)
+        for d in (1, 2, 3):
+            for cov in (np.eye(2 * d), self._pure(rng, d)):
+                got = self._assert_same_decision(self._shifted(cov, frac), monkeypatch, eigensolves)
+                assert (got is None) == passes
+
+    def test_stack_names_a_later_failing_entry(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        pure = [self._pure(rng, 2) for _ in range(5)]
+        shifts = [0.0, 0.9, 0.3, 1.1, 3.0]
+        stack = np.stack([self._shifted(cov, frac) for cov, frac in zip(pure, shifts)])
+        message, index = self._assert_same_decision(stack, monkeypatch, 1)
+        assert index == 3 and "uncertainty bound" in message
+        # entries that pass up to tol only: the eigensolve accepts the stack
+        assert self._assert_same_decision(stack[:3], monkeypatch, 1) is None

@@ -29,6 +29,7 @@ from gaussgap.model import (
     one_dim_family,
 )
 from gaussgap.realops import hermitian_root_pairs
+from gaussgap.stationary import solve_stationary
 
 
 class TestGnsGap:
@@ -271,6 +272,17 @@ def _assert_split_gap_dominates(res):
     assert np.all(excess <= 1e-12 * np.maximum(1.0, np.abs(res.g_breve))), np.max(excess)
 
 
+def _assert_within_spectral_bound(models, res):
+    # g_breve <= -abscissa(Z) (with g <= g_breve, the spectral bound), up to
+    # the split gap's rounding allowance (eps times the conditioning of its
+    # roots); returns the slack, which vanishes at kappa = 0
+    dd = build_drift_diffusion(models)[res.index]
+    _, g_breve_tol, _ = rounding_allowances(dd, solve_stationary(dd))
+    slack = -dd.abscissa - res.g_breve
+    assert np.all(slack >= -g_breve_tol), np.min(slack)
+    return slack, g_breve_tol
+
+
 def test_split_gap_dominates_stacked_one_mode_grid():
     # g <= g_breve over a dense one-mode grid, strictly when kappa != 0 and
     # both noise channels are active
@@ -285,9 +297,13 @@ def test_split_gap_dominates_stacked_one_mode_grid():
     )
     admitted = 0
     for group in (params[:, 1] == 0.0, params[:, 1] > 0.0):
-        res = analyze_stack(one_dim_family(*params[group].T))
+        models = one_dim_family(*params[group].T)
+        res = analyze_stack(models)
         _assert_split_gap_dominates(res)
+        slack, g_breve_tol = _assert_within_spectral_bound(models, res)
         kappa = params[group][res.index, 3]
+        # at kappa = 0 both gaps reach the drift's decay rate
+        assert np.all(np.abs(slack[kappa == 0.0]) <= g_breve_tol[kappa == 0.0])
         strict = (kappa != 0.0) & (params[group][res.index, 1] > 0.0)
         margin = (res.g_breve - res.g)[strict]
         assert np.all(margin > 1e-12 * np.maximum(1.0, res.g_breve[strict]))
@@ -302,6 +318,7 @@ def test_split_gap_dominates_fuzzed_multimode(d):
     assert res.index.size > 100  # stable, with a faithful state
     assert np.all(res.g > 0)  # m = 2d independent jumps: cz is full rank
     _assert_split_gap_dominates(res)
+    _assert_within_spectral_bound(stack, res)
 
 
 def test_analyze_stack_needs_a_stack():

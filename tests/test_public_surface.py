@@ -1,5 +1,6 @@
-"""Every exported name has a caller in the package or a documented use, and
-the three scipy.linalg seams carry every call to their routines."""
+"""Every exported name has a caller in the package or a documented use, the
+two scipy.linalg seams and the numpy exponential of the flow carry every
+call to their routines, and the flow never imports scipy."""
 
 import ast
 import importlib
@@ -81,13 +82,15 @@ def test_every_export_is_used_or_documented():
     assert unused == []
 
 
-#: module-level names through which scipy.linalg is reached on first use;
-#: the benchmark tracer reads and patches the two expm seams by these names
+#: module-level names through which scipy.linalg is reached on first use
 SCIPY_SEAMS = (
-    ("dynamics", "expm"),
     ("fock", "expm"),
     ("stationary", "solve_continuous_lyapunov"),
 )
+
+#: seams that are numpy routines and never reach scipy; the benchmark tracer
+#: patches dynamics.expm by this name, as it does fock.expm
+NUMPY_SEAMS = (("dynamics", "expm"),)
 
 
 #: a stable two-mode model: one mode is solved by the Kronecker system, two
@@ -109,8 +112,8 @@ def _seam_results():
 
 def test_scipy_linalg_seams_carry_every_call(monkeypatch):
     expected = _seam_results()
-    counts = dict.fromkeys(SCIPY_SEAMS, 0)
-    for key in SCIPY_SEAMS:
+    counts = dict.fromkeys(SCIPY_SEAMS + NUMPY_SEAMS, 0)
+    for key in counts:
         module = importlib.import_module(f"gaussgap.{key[0]}")
         # a seam in __all__ would be wrapped twice by the tracer
         assert key[1] not in module.__all__
@@ -126,3 +129,15 @@ def test_scipy_linalg_seams_carry_every_call(monkeypatch):
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_numpy_seams_import_no_scipy():
+    for module, _ in NUMPY_SEAMS:
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        imported = [
+            alias.name if isinstance(node, ast.Import) else node.module
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert not [name for name in imported if name and name.split(".")[0] == "scipy"], module
