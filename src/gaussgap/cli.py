@@ -85,7 +85,8 @@ def _read_model(source):
     None for an explicit model.
 
     A path that does not exist is reported as such, unless the string looks
-    like a JSON document.
+    like a JSON document.  A model of two or more modes imports scipy.linalg
+    here, in every command that reads one.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -141,6 +142,11 @@ def _read_model(source):
         v_mat=_as_complex_array(doc["V"], (m, d), "V"),
         zeta=_as_complex_array(doc["zeta"], (d,), "zeta"),
     )
+    if d > 1:
+        # the Lyapunov solve of d >= 2 modes is Bartels-Stewart; imported
+        # as the model is read rather than at the solve, scipy.linalg took
+        # less CPU in a fresh process (see main)
+        import scipy.linalg  # noqa: F401
     return model, None
 
 
@@ -407,19 +413,8 @@ _SWEEP_ROW = "%.17g" + ",%.17g" * 8 + "\r\n"
 # ---------------------------------------------------------------------------
 
 
-def _import_linalg_for(model):
-    """Import scipy.linalg before the report of a model of d >= 2 modes,
-    whose Lyapunov solve is Bartels-Stewart: made here rather than at the
-    solve, the import took less CPU in a fresh process (see main).  One mode
-    is solved by the Kronecker system and the flow of evolve and decay is
-    numpy only, so a one-mode model never loads it here."""
-    if model.d > 1:
-        import scipy.linalg  # noqa: F401
-
-
 def _cmd_analyze(args) -> int:
     model, preset = _read_model(args.model)
-    _import_linalg_for(model)
     report = run_report(model, closed_form=preset)
     if args.json:
         _dump_json(report, sys.stdout)
@@ -475,7 +470,6 @@ def _print_human(report: dict):
 
 def _cmd_gap(args) -> int:
     model, preset = _read_model(args.model)
-    _import_linalg_for(model)
     report = run_report(model, closed_form=preset)
     if not report["validation"]["ok"]:
         validate(model)  # raises the first failed check; no gaps to print
@@ -519,7 +513,6 @@ def _read_state(path, d):
 
 def _cmd_evolve(args) -> int:
     model = parse_model(args.model)
-    _import_linalg_for(model)
     dd = build_drift_diffusion(model)
     times = _parse_times(args.t, "--t")
     try:
@@ -552,8 +545,9 @@ def _cmd_evolve(args) -> int:
 def _cmd_decay(args) -> int:
     if args.samples < 0:
         raise ParseError(f"--samples must be non-negative, got {args.samples}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
     model = parse_model(args.model)
-    _import_linalg_for(model)
     dd = build_drift_diffusion(model)
     require_stable(dd)
     times = _parse_times(args.t_grid, "--t-grid")
@@ -593,7 +587,7 @@ def _draw_combo(rng, d):
 
 def _decay_norms(st, props, draws):
     """The (2, len(draws), len(props)) norms of the drawn combinations in
-    the one-sided and the split embedding, from one norm_decay_at call per
+    the one-sided and the split embedding, from one norm_decay call per
     term count and embedding; errors carry the failing draw's position as
     ``index``."""
     norms = np.empty((2, len(draws), len(props)))
@@ -606,7 +600,7 @@ def _decay_norms(st, props, draws):
         )
         for k, mode in enumerate(("gns", "kms")):
             try:
-                norms[k, pos] = dynamics.norm_decay_at(st, combo, props, mode)
+                norms[k, pos] = dynamics.norm_decay(st, combo, props, mode)
             except GaussGapError as exc:
                 if exc.index is not None:
                     exc.index = int(pos[exc.index])
@@ -703,6 +697,8 @@ def _parse_grid(grid_arg: str) -> dict:
             raise ParseError(
                 f"unknown grid axis {name!r}; use {', '.join(DEFAULT_GRID)}"
             )
+        if name in grid:
+            raise ParseError(f"grid axis {name!r} given twice")
         try:
             grid[name] = [float(v) for v in values.split(",")]
         except ValueError as exc:
@@ -841,7 +837,6 @@ def _build_parser():
     p.set_defaults(func=_cmd_decay)
 
     p = sub.add_parser("sweep", help="CSV sweep over the single-mode family")
-    p.add_argument("--preset", choices=["one-dim"], default="one-dim")
     p.add_argument(
         "--grid",
         default="",

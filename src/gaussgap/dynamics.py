@@ -25,11 +25,11 @@ kernels
 with vz = [Re z; Im z]; norm_decay sums xi_j* xi_k (exp(s_t) - 1) over the
 combination with centered coefficients xi_j = exp(-Re<z_j, S z_j>/2) eta_j.
 Every flow function (propagator, gramian_cov, weyl_evolve, state_evolve,
-kernel_s, norm_decay) takes a time or a 1-D array of times and gives an
-array a leading time axis, each entry bit-identical to the single-time
-call; norm_decay_at takes one propagator or a stack of them.  A WeylCombo
-may also hold a stack of combinations, which norm_decay and norm_decay_at
-evaluate at once, the combination axes before the time axis.
+kernel_s) takes a time or a 1-D array of times and gives an array a leading
+time axis, each entry bit-identical to the single-time call; norm_decay
+takes one propagator or a stack of them.  A WeylCombo may also hold a stack
+of combinations, which norm_decay evaluates at once, the combination axes
+before the propagator axis.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "char_fn",
     "kernel_s",
     "norm_decay",
-    "norm_decay_at",
     "kernel_psd_check",
     "sharpness_witness",
     "SharpnessWitness",
@@ -358,25 +357,17 @@ def kernel_s(st: StationaryData, dd: DriftDiffusion, z, w, t, mode="gns"):
     return _plain(val if mode == "gns" else val.real)
 
 
-def norm_decay(st: StationaryData, dd: DriftDiffusion, combo: WeylCombo, t, mode="gns"):
-    """Squared embedded norm of the evolved, centered combination at a time
-    t, or the array of them at a 1-D array of times (one :func:`propagator`
-    call and one :func:`norm_decay_at` call); a stack of combinations puts
-    its leading axes first.
+def norm_decay(st: StationaryData, combo: WeylCombo, et, mode="gns"):
+    """Squared embedded norm of the evolved, centered combination at the
+    propagator et = exp(t Z2d), or at each of a stack (T, 2d, 2d) of them:
+    the coordinates and centered coefficients are built once, and the
+    propagators of a whole time grid come from one :func:`propagator` call,
+    t = 0 included (the flow gives exactly the identity there).
 
     Equals sum_{j,k} conj(xi_j) xi_k (exp(s_t(z_j, z_k)) - 1) and is real
     non-negative; a material imaginary residue raises ConsistencyError since
-    the closed form guarantees a real value.
-    """
-    return norm_decay_at(st, combo, propagator(dd, t), mode)
-
-
-def norm_decay_at(st: StationaryData, combo: WeylCombo, et, mode="gns"):
-    """:func:`norm_decay` at the propagator et = exp(t Z2d), or at each of a
-    stack (T, 2d, 2d) of them, for callers that evaluate a fixed time grid:
-    the coordinates and centered coefficients are built once, and the
-    propagators of a whole grid come from one :func:`propagator` call, t = 0
-    included (the flow gives exactly the identity there).
+    the closed form guarantees a real value, and a kernel value past the
+    exp() envelope raises RangeExceeded.
 
     One combination gives a float, or an array of T norms; a stack of
     combinations (leading shape C) gives an array of shape C or C + (T,).

@@ -170,8 +170,8 @@ class Superoperator:
     """Vectorized generator (column stacking) in both pictures.
 
     build_superoperator stores CSR arrays in canonical order (sorted column
-    indices, no duplicates, no stored zeros); a dense array works wherever
-    a sparse one is read."""
+    indices, no duplicates, no stored zeros), the one form the oracle
+    functions read."""
 
     space: TruncatedSpace
     predual: object
@@ -304,20 +304,20 @@ def steady_state(superop: Superoperator):
 
     One square sparse LU solve: the |0><0| row of the predual (vec index 0),
     which trace preservation makes minus the sum of the other
-    diagonal-index rows, is replaced by the unit-trace row.  The predual may
-    be sparse or dense.  A system that is exactly singular, or singular to
-    working precision (reciprocal condition below n eps, n = dim^2, in the
-    infinity norm, from a deterministic one-column norm estimate of the
-    inverse), means a truncated kernel of dimension two or more and raises
-    OutsideEnvelope; a full residual |predual rho| above
-    STEADY_RESIDUAL |system| |rho| raises ConsistencyError.
+    diagonal-index rows, is replaced by the unit-trace row.  A system that
+    is exactly singular, or singular to working precision (reciprocal
+    condition below n eps, n = dim^2, in the infinity norm, from a
+    deterministic one-column norm estimate of the inverse), means a
+    truncated kernel of dimension two or more and raises OutsideEnvelope; a
+    full residual |predual rho| above STEADY_RESIDUAL |system| |rho| raises
+    ConsistencyError.
     """
     from scipy import sparse
     from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
     dim = superop.space.dim
     n = dim * dim
-    predual = sparse.csr_array(superop.predual, dtype=complex)
+    predual = superop.predual
     trace_row = sparse.csr_array(np.eye(dim, dtype=complex).reshape(1, -1, order="F"))
     system = sparse.vstack([trace_row, predual[1:]], format="csr")
     anorm = float(abs(system).sum(axis=1).max())  # infinity norm of system
@@ -445,14 +445,9 @@ def _thermal_envelope(model: GklsModel):
     return mu2, lambda2
 
 
-def _nonzeros(mat):
+def _nonzeros(csr):
     """Row indices, column indices and values of the nonzero entries of a
-    dense or sparse matrix; a stored zero is skipped."""
-    if not hasattr(mat, "tocsr"):
-        mat = np.asarray(mat)
-        rows, cols = np.nonzero(mat)
-        return rows, cols, mat[rows, cols]
-    csr = mat.tocsr()
+    CSR array; a stored zero is skipped."""
     rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
     keep = csr.data != 0
     return rows[keep], csr.indices[keep], csr.data[keep]
@@ -477,16 +472,16 @@ def _labels(rows, cols, n):
 
 def _components(pattern):
     """Connected components of the graph whose adjacency is the nonzero
-    pattern of the symmetric matrix pattern (dense or sparse), as labels
-    0..k-1, one per vertex, numbered in the order of their least vertices.
-    A stored zero is not an edge."""
+    pattern of the symmetric CSR array pattern, as labels 0..k-1, one per
+    vertex, numbered in the order of their least vertices.  A stored zero is
+    not an edge."""
     rows, cols, _ = _nonzeros(pattern)
     return _labels(rows, cols, pattern.shape[0])
 
 
 def _blocked_eigvalsh(mat):
-    """Ascending eigenvalues of a dense or sparse Hermitian matrix, from one
-    eigvalsh per connected component of its exact nonzero pattern.
+    """Ascending eigenvalues of a Hermitian CSR array, from one eigvalsh per
+    connected component of its exact nonzero pattern.
 
     The entries are sorted once by component; each block takes its run of
     them, at the positions of their rows and columns in ascending index
@@ -520,13 +515,9 @@ def _weighted_generator(superop: Superoperator, w_root):
     transposes; the Hermitian part 0.5 (m_ij + conj(m_ji)) reads each
     transpose through an argsort of the transposed keys, so it equals its
     conjugate transpose exactly.  The pattern depends on the Heisenberg
-    generator alone.  The heisenberg array may be dense or CSR.
+    generator alone.
     """
-    from scipy import sparse
-
     heis = superop.heisenberg
-    if getattr(heis, "format", None) != "csr":
-        heis = sparse.csr_array(heis)
     n = heis.shape[0]
     rows = np.repeat(np.arange(n), np.diff(heis.indptr))
     keys = rows * n + heis.indices

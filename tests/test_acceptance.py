@@ -25,6 +25,7 @@ from gaussgap.dynamics import (
     kernel_psd_check,
     kms_weyl_trace,
     norm_decay,
+    propagator,
     sharpness_witness,
     WeylCombo,
 )
@@ -255,8 +256,8 @@ def test_c5_decay_suite_and_sharpness(capsys):
                 coefficients=np.stack([c.coefficients for c in group]),
                 vectors=np.stack([c.vectors for c in group]),
             )
-            vg = norm_decay(st, dd, combo, grid, "gns")
-            vk = norm_decay(st, dd, combo, grid, "kms")
+            vg = norm_decay(st, combo, propagator(dd, grid), "gns")
+            vk = norm_decay(st, combo, propagator(dd, grid), "kms")
             violations += int(
                 np.sum(vg[:, 1:] > np.exp(-2 * rep.g * times) * vg[:, :1] * (1 + 1e-9))
             )
@@ -278,7 +279,7 @@ def test_c5_decay_suite_and_sharpness(capsys):
                 coefficients=wit.coefficients,
                 vectors=np.stack([r * wit.z1, r * wit.z2]),
             )
-            v = norm_decay(st, dd, combo, small, "gns")
+            v = norm_decay(st, combo, propagator(dd, small), "gns")
             if np.any(v[1:] > np.exp(omega_test * small[1:]) * v[0]):
                 beaten = True
                 break

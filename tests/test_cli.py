@@ -15,9 +15,9 @@ import pytest
 
 from conftest import random_stable_faithful, rounding_allowances
 import gaussgap
-from gaussgap import cli, fock, gap
+from gaussgap import cli, dynamics, fock, gap
 from gaussgap.cli import main, parse_model, run_report
-from gaussgap.dynamics import WeylCombo, norm_decay
+from gaussgap.dynamics import WeylCombo, norm_decay, propagator
 from gaussgap.errors import GaussGapError, ParseError, RangeExceeded, ShapeError
 from gaussgap.model import build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
@@ -365,6 +365,22 @@ class TestMain:
         out = capsys.readouterr().out
         assert (out, None) == _decay_reference(MODEL_B_PRESET, 6, seed, grid)
 
+    def test_decay_runs_through_norm_decay(self, capsys, monkeypatch):
+        # the command's kernel is the public norm_decay, so a tracer that
+        # wraps that name sees every decay evaluation
+        calls = []
+        public = dynamics.norm_decay
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return public(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "norm_decay", counting)
+        assert main(["decay", MODEL_B_PRESET, "--samples", "5"]) == 0
+        assert len(calls) > 0
+        out = capsys.readouterr().out
+        assert (out, None) == _decay_reference(MODEL_B_PRESET, 5, 0, "0.05,0.2,0.5,1,3")
+
     def test_decay_failure_partway_keeps_earlier_rows(self, capsys):
         # sample 2 leaves the exp() envelope: the rows of samples 0 and 1
         # come out, then the error of the per-sample reference
@@ -472,8 +488,6 @@ class TestMain:
         assert main(
             [
                 "sweep",
-                "--preset",
-                "one-dim",
                 "--grid",
                 "mu2=2.0,3.0;lambda2=0.5,1.0;omega=0.0,2.0;kappa=0.0,1.0",
             ]
@@ -561,6 +575,13 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error [ParseError]: unknown grid axis 'foo'")
+
+    def test_sweep_repeated_axis(self, capsys):
+        # a repeated axis is refused, not merged or overwritten
+        assert main(["sweep", "--grid", "mu2=3;mu2=4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error [ParseError]: grid axis 'mu2' given twice\n"
 
     def test_sweep_non_finite_value(self, capsys):
         assert main(["sweep", "--grid", "mu2=3,nan"]) == 1
@@ -744,7 +765,7 @@ class TestMain:
             (["analyze"], "the following arguments are required: model"),
             (["gap", "MODEL_B", "--mode", "neither"], "argument --mode: invalid choice: 'neither'"),
             (["decay", "MODEL_B", "--samples", "2.5"], "argument --samples: invalid int value: '2.5'"),
-            (["sweep", "--preset", "two-dim"], "argument --preset: invalid choice: 'two-dim'"),
+            (["sweep", "--preset", "one-dim"], "unrecognized arguments: --preset one-dim"),
         ],
         ids=["missing-model", "bad-mode", "non-integer-samples", "unknown-preset"],
     )
@@ -768,6 +789,13 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error [ParseError]: --samples must be non-negative, got -1\n"
+
+    def test_negative_decay_seed(self, capsys):
+        # numpy's generator would refuse it with a traceback
+        assert main(["decay", MODEL_B_PRESET, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error [ParseError]: --seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize(
         "key, value",
@@ -928,17 +956,17 @@ def _decay_reference(preset, samples, seed, grid):
             * (rng.standard_normal((n, model.d)) + 1j * rng.standard_normal((n, model.d))),
         )
         try:
-            gns0 = norm_decay(st, dd, combo, 0.0, "gns")
-            kms0 = norm_decay(st, dd, combo, 0.0, "kms")
+            gns0 = norm_decay(st, combo, propagator(dd, 0.0), "gns")
+            kms0 = norm_decay(st, combo, propagator(dd, 0.0), "kms")
             rows = [
                 [s]
                 + [
                     _fmt17(c)
                     for c in (
                         t,
-                        norm_decay(st, dd, combo, t, "gns"),
+                        norm_decay(st, combo, propagator(dd, t), "gns"),
                         np.exp(-2.0 * rep.g * t) * gns0,
-                        norm_decay(st, dd, combo, t, "kms"),
+                        norm_decay(st, combo, propagator(dd, t), "kms"),
                         np.exp(-2.0 * rep.g_breve * t) * kms0,
                     )
                 ]

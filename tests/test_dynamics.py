@@ -21,7 +21,6 @@ from gaussgap.dynamics import (
     kernel_s,
     kms_weyl_trace,
     norm_decay,
-    norm_decay_at,
     propagator,
     sharpness_witness,
     state_evolve,
@@ -291,7 +290,7 @@ class TestKernel:
 
 
 def _norm_decay_reference(st, combo, et, mode):
-    """norm_decay_at of one combination at one propagator, with the
+    """norm_decay of one combination at one propagator, with the
     coordinates column-stacked term by term (a transposed view of them
     would change the last digit of some norms for l >= 2)."""
     form = st.s_tilde if mode == "gns" else st.s_breve
@@ -310,14 +309,14 @@ class TestNormDecay:
         # truncated Fock evaluation in the oracle suite
         _, dd, st = model_a
         combo = WeylCombo(coefficients=[1.0], vectors=[[1.0]])
-        assert norm_decay(st, dd, combo, 0.0, "gns") == pytest.approx(
+        assert norm_decay(st, combo, propagator(dd, 0.0), "gns") == pytest.approx(
             np.exp(-2.0) * (np.exp(2.0) - 1.0), rel=1e-12
         )
 
     def test_single_weyl_decay_and_bound(self, model_a):
         _, dd, st = model_a
         combo = WeylCombo(coefficients=[1.0], vectors=[[1.0]])
-        val = norm_decay(st, dd, combo, 0.5, "gns")
+        val = norm_decay(st, combo, propagator(dd, 0.5), "gns")
         assert val == pytest.approx(np.exp(-2.0) * (np.exp(2 / np.e) - 1.0), rel=1e-12)
         bound = np.exp(-2 * 0.5 * 1.0) * np.exp(-2.0) * (np.exp(2.0) - 1.0)
         assert val <= bound * (1 + 1e-9)
@@ -326,8 +325,8 @@ class TestNormDecay:
         _, dd, st = model_b
         combo = WeylCombo(coefficients=[1.0], vectors=[[0.0]])
         for t in (0.0, 0.7):
-            assert norm_decay(st, dd, combo, t, "gns") == pytest.approx(0.0, abs=1e-14)
-            assert norm_decay(st, dd, combo, t, "kms") == pytest.approx(0.0, abs=1e-14)
+            assert norm_decay(st, combo, propagator(dd, t), "gns") == pytest.approx(0.0, abs=1e-14)
+            assert norm_decay(st, combo, propagator(dd, t), "kms") == pytest.approx(0.0, abs=1e-14)
 
     def test_nonnegative_and_decaying(self, model_b):
         _, dd, st = model_b
@@ -337,8 +336,8 @@ class TestNormDecay:
         times = grid[1:]
         for _ in range(25):
             combo = random_weyl_combo(rng, 1)
-            vg = norm_decay(st, dd, combo, grid, "gns")
-            vk = norm_decay(st, dd, combo, grid, "kms")
+            vg = norm_decay(st, combo, propagator(dd, grid), "gns")
+            vk = norm_decay(st, combo, propagator(dd, grid), "kms")
             assert vg[0] >= -1e-10 and vk[0] >= -1e-10
             assert np.all(vg[1:] <= np.exp(-2 * rep.g * times) * vg[0] * (1 + 1e-9))
             assert np.all(vk[1:] <= np.exp(-2 * rep.g_breve * times) * vk[0] * (1 + 1e-9))
@@ -353,8 +352,8 @@ class TestNormDecay:
             rep = analyze(dd)
             for _ in range(10):
                 combo = random_weyl_combo(rng, d, scale=0.4)
-                vg = norm_decay(st, dd, combo, grid, "gns")
-                vk = norm_decay(st, dd, combo, grid, "kms")
+                vg = norm_decay(st, combo, propagator(dd, grid), "gns")
+                vk = norm_decay(st, combo, propagator(dd, grid), "kms")
                 assert np.all(vg[1:] <= np.exp(-2 * rep.g * times) * vg[0] * (1 + 1e-9))
                 assert np.all(
                     vk[1:] <= np.exp(-2 * rep.g_breve * times) * vk[0] * (1 + 1e-9)
@@ -364,7 +363,7 @@ class TestNormDecay:
         _, dd, st = model_a
         combo = WeylCombo(coefficients=[1.0], vectors=[[40.0]])
         with pytest.raises(RangeExceeded):
-            norm_decay(st, dd, combo, 0.0, "gns")
+            norm_decay(st, combo, propagator(dd, 0.0), "gns")
 
     def test_empty_combo_rejected(self):
         with pytest.raises(ValueError):
@@ -372,7 +371,7 @@ class TestNormDecay:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
     def test_time_array_matches_scalar_calls(self, d):
-        # one propagator call and one norm_decay_at call for the whole grid
+        # one propagator call and one norm_decay call for the whole grid
         # and a whole stack of combinations; each entry equals the call on
         # its own combination and time bit for bit, and that call equals the
         # per-term reference bit for bit.  A stacked einsum would move bits
@@ -387,17 +386,17 @@ class TestNormDecay:
             )
             stack = WeylCombo(coefficients=coefficients, vectors=vectors)
             for mode in ("gns", "kms"):
-                stacked = norm_decay(st, dd, stack, grid, mode)
+                stacked = norm_decay(st, stack, propagator(dd, grid), mode)
                 assert stacked.shape == (8, grid.size)
                 for k, t in enumerate(grid):
-                    at_t = norm_decay(st, dd, stack, t, mode)
+                    at_t = norm_decay(st, stack, propagator(dd, t), mode)
                     assert at_t.shape == (8,)
                     assert np.array_equal(at_t, stacked[:, k])
                 for s in range(8):
                     combo = WeylCombo(coefficients=coefficients[s], vectors=vectors[s])
-                    values = norm_decay(st, dd, combo, grid, mode)
+                    values = norm_decay(st, combo, propagator(dd, grid), mode)
                     assert values.shape == grid.shape
-                    singles = [norm_decay(st, dd, combo, t, mode) for t in grid]
+                    singles = [norm_decay(st, combo, propagator(dd, t), mode) for t in grid]
                     assert all(type(v) is float for v in singles)
                     assert np.array_equal(values, singles)
                     assert np.array_equal(stacked[s], singles)
@@ -416,13 +415,13 @@ class TestNormDecay:
         _, dd, st = model_b
         combo = WeylCombo(coefficients=[1.0], vectors=[[0.5]])
         with pytest.raises(ValueError):
-            norm_decay(st, dd, combo, np.array([0.0, 0.5, -0.1]), "gns")
+            norm_decay(st, combo, propagator(dd, np.array([0.0, 0.5, -0.1])), "gns")
         with pytest.raises(ValueError):
-            norm_decay(st, dd, combo, -0.1, "gns")
+            norm_decay(st, combo, propagator(dd, -0.1), "gns")
 
 
 class TestNormDecayStack:
-    """norm_decay_at on a hand-built stack of propagators applies every
+    """norm_decay on a hand-built stack of propagators applies every
     guard at every slice."""
 
     def test_range_guard_on_last_slice_only(self, model_a):
@@ -430,9 +429,9 @@ class TestNormDecayStack:
         combo = WeylCombo(coefficients=[1.0], vectors=[[1.0]])
         # s_0(1, 1) = 2 on model A, so a factor 30 gives 1800 > EXP_GUARD
         stack = np.stack([np.eye(2), 0.5 * np.eye(2), 30.0 * np.eye(2)])
-        assert norm_decay_at(st, combo, stack[:2], "gns").shape == (2,)
+        assert norm_decay(st, combo, stack[:2], "gns").shape == (2,)
         with pytest.raises(RangeExceeded):
-            norm_decay_at(st, combo, stack, "gns")
+            norm_decay(st, combo, stack, "gns")
 
     def test_range_guard_on_nan_slice(self, model_b):
         _, dd, st = model_b
@@ -441,9 +440,9 @@ class TestNormDecayStack:
         # itself reaches zero at long times on this stable drift
         props = propagator(dd, np.array([0.0, 1e20, 1e20]))
         props[2] = np.nan
-        assert norm_decay_at(st, combo, props[:2], "gns")[1] == 0.0
+        assert norm_decay(st, combo, props[:2], "gns")[1] == 0.0
         with pytest.raises(RangeExceeded, match="not finite"):
-            norm_decay_at(st, combo, props, "gns")
+            norm_decay(st, combo, props, "gns")
 
     def test_imaginary_residue_on_one_slice(self, model_b):
         _, _, st = model_b
@@ -453,32 +452,32 @@ class TestNormDecayStack:
         combo = WeylCombo(coefficients=[1.0], vectors=[[0.5 + 0.5j]])
         stack = np.stack([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])
         with pytest.raises(ConsistencyError, match="propagator 1 of the stack"):
-            norm_decay_at(broken, combo, stack, "gns")
-        assert np.array_equal(norm_decay_at(broken, combo, stack[[0, 2]], "gns"), [0.0, 0.0])
+            norm_decay(broken, combo, stack, "gns")
+        assert np.array_equal(norm_decay(broken, combo, stack[[0, 2]], "gns"), [0.0, 0.0])
 
     def test_kms_needs_faithful_state(self):
         dd = build_drift_diffusion(one_dim_family(1.0, 0.0))
         st = solve_stationary(dd)
         combo = WeylCombo(coefficients=[1.0], vectors=[[0.5]])
         stack = propagator(dd, np.array([0.0, 0.5]))
-        assert norm_decay_at(st, combo, stack, "gns").shape == (2,)
+        assert norm_decay(st, combo, stack, "gns").shape == (2,)
         with pytest.raises(NotFaithful):
-            norm_decay_at(st, combo, stack, "kms")
+            norm_decay(st, combo, stack, "kms")
 
     def test_unknown_mode(self, model_b):
         _, dd, st = model_b
         combo = WeylCombo(coefficients=[1.0], vectors=[[0.5]])
         with pytest.raises(ValueError, match="unknown mode"):
-            norm_decay_at(st, combo, propagator(dd, np.array([0.0, 0.5])), "both")
+            norm_decay(st, combo, propagator(dd, np.array([0.0, 0.5])), "both")
 
     def test_single_propagator_gives_a_float(self, model_b):
         _, dd, st = model_b
         combo = WeylCombo(coefficients=[1.0, 0.5j], vectors=[[0.5], [0.2 - 0.3j]])
         stack = propagator(dd, np.array([0.0, 0.7]))
         for mode in ("gns", "kms"):
-            single = norm_decay_at(st, combo, stack[1], mode)
+            single = norm_decay(st, combo, stack[1], mode)
             assert type(single) is float
-            assert single == norm_decay_at(st, combo, stack, mode)[1]
+            assert single == norm_decay(st, combo, stack, mode)[1]
 
     @pytest.mark.parametrize("over_t", [False, True])
     def test_range_guard_names_the_combination(self, model_a, over_t):
@@ -489,10 +488,10 @@ class TestNormDecayStack:
         stack = WeylCombo(coefficients=np.ones((4, 1)), vectors=[[[0.5]], [[40.0]], [[1.0]], [[40.0]]])
         et = propagator(dd, np.array([0.0, 0.5]) if over_t else 0.0)
         with pytest.raises(RangeExceeded, match="exp\\(\\) envelope") as info:
-            norm_decay_at(st, stack, et, "gns")
+            norm_decay(st, stack, et, "gns")
         assert info.value.index == 1
         ok = WeylCombo(coefficients=np.ones((2, 1)), vectors=[[[0.5]], [[1.0]]])
-        assert norm_decay_at(st, ok, et, "gns").shape == ((2, 2) if over_t else (2,))
+        assert norm_decay(st, ok, et, "gns").shape == ((2, 2) if over_t else (2,))
 
     def test_imaginary_residue_names_the_combination(self, model_b):
         _, _, st = model_b
@@ -501,12 +500,12 @@ class TestNormDecayStack:
         stack = WeylCombo(coefficients=np.ones((3, 1)), vectors=[[[0.0]], [[0.5 + 0.5j]], [[0.0]]])
         props = np.stack([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])
         with pytest.raises(ConsistencyError, match="propagator 1 of the stack") as info:
-            norm_decay_at(broken, stack, props, "gns")
+            norm_decay(broken, stack, props, "gns")
         assert info.value.index == 1
         with pytest.raises(ConsistencyError, match="imaginary part [^ ]+$") as info:
-            norm_decay_at(broken, stack, props[1], "gns")
+            norm_decay(broken, stack, props[1], "gns")
         assert info.value.index == 1
-        assert np.array_equal(norm_decay_at(broken, stack, props[[0, 2]], "gns"), np.zeros((3, 2)))
+        assert np.array_equal(norm_decay(broken, stack, props[[0, 2]], "gns"), np.zeros((3, 2)))
 
 
 class TestKernelPsd:
@@ -589,8 +588,8 @@ class TestSharpness:
                 coefficients=wit.coefficients,
                 vectors=np.stack([r * wit.z1, r * wit.z2]),
             )
-            v0 = norm_decay(st, dd, combo, 0.0, "gns")
-            vt = norm_decay(st, dd, combo, t, "gns")
+            v0 = norm_decay(st, combo, propagator(dd, 0.0), "gns")
+            vt = norm_decay(st, combo, propagator(dd, t), "gns")
             if vt > np.exp(omega_test * t) * v0:
                 violated = True
                 break

@@ -400,7 +400,11 @@ class TestSquareSteadyState:
         h = build_hamiltonian(model, space)
         eye = np.eye(space.dim)
         comm = np.kron(eye, h) - np.kron(h.T, eye)
-        closed = Superoperator(space=space, predual=-1j * comm, heisenberg=1j * comm)
+        closed = Superoperator(
+            space=space,
+            predual=sparse.csr_array(-1j * comm),
+            heisenberg=sparse.csr_array(1j * comm),
+        )
         with pytest.raises(OutsideEnvelope, match="no unique steady state"):
             steady_state(closed)
 
@@ -412,7 +416,7 @@ class TestSquareSteadyState:
         predual = superop.predual.toarray()
         predual[0] += 0.1 * np.eye(11).reshape(-1, order="F")
         broken = Superoperator(
-            space=superop.space, predual=predual, heisenberg=superop.heisenberg
+            space=superop.space, predual=sparse.csr_array(predual), heisenberg=superop.heisenberg
         )
         with pytest.raises(ConsistencyError, match="steady-state residual"):
             steady_state(broken)
@@ -430,10 +434,15 @@ class TestSquareSteadyState:
         comm = np.kron(eye, h) - np.kron(h.T, eye)
         damped = build_superoperator(one_dim_family(3.0, 1.0, 0.0, 0.0), space)
         weak = Superoperator(
-            space=space, predual=-1j * comm + 1e-15 * damped.predual.toarray(),
+            space=space,
+            predual=sparse.csr_array(-1j * comm + 1e-15 * damped.predual.toarray()),
             heisenberg=None,
         )
-        closed = Superoperator(space=space, predual=-1j * comm, heisenberg=1j * comm)
+        closed = Superoperator(
+            space=space,
+            predual=sparse.csr_array(-1j * comm),
+            heisenberg=sparse.csr_array(1j * comm),
+        )
         before = np.random.get_state()
         steady_state(damped)
         for superop in (weak, closed):
@@ -456,7 +465,7 @@ class TestBlockedEigensolve:
     )
     def test_component_counts(self, model, blocks):
         heis = build_superoperator(model, build_space(1, 25)).heisenberg.toarray()
-        labels = _components((heis != 0) | (heis.T != 0))
+        labels = _components(sparse.csr_array((heis != 0) | (heis.T != 0)))
         assert labels.max() + 1 == blocks
         assert set(labels) == set(range(blocks))
 
@@ -494,19 +503,21 @@ class TestBlockedEigensolve:
             one_dim_family(3.0, 1.0, 0.0, 0.0), build_space(1, 6)
         ).heisenberg.toarray()
         pattern = (heis != 0) | (heis.T != 0)
-        labels = _components(pattern)
+        labels = _components(sparse.csr_array(pattern))
         assert labels.max() + 1 == 13
         i, j = 1, 7  # vec indices of |1><0| and |0><1|: sectors +1 and -1
         assert labels[i] != labels[j]
         pattern[i, j] = pattern[j, i] = True
-        merged = _components(pattern)
+        merged = _components(sparse.csr_array(pattern))
         assert merged.max() + 1 == 12
         assert merged[i] == merged[j]
         # the blocked solve follows the planted coupling
         rng = np.random.default_rng(5)
         mat = np.where(pattern, rng.standard_normal(pattern.shape), 0.0)
         mat = mat + mat.T
-        assert np.allclose(_blocked_eigvalsh(mat), np.linalg.eigvalsh(mat), atol=1e-12)
+        assert np.allclose(
+            _blocked_eigvalsh(sparse.csr_array(mat)), np.linalg.eigvalsh(mat), atol=1e-12
+        )
 
 
 def _reference_superoperator(model, space):
@@ -612,25 +623,6 @@ class TestBitwiseReference:
             assert np.array_equal(got.indices, adj.indices)
             assert np.array_equal(got.data, adj.data)
 
-    @pytest.mark.parametrize(
-        "model", [one_dim_family(3.0, 1.0, 2.0, 0.0), DRIVEN], ids=["thermal", "driven"]
-    )
-    def test_dense_input_is_the_sparse_result(self, model):
-        space = build_space(1, 12)
-        superop = build_superoperator(model, space)
-        dense = Superoperator(
-            space=space,
-            predual=superop.predual.toarray(),
-            heisenberg=superop.heisenberg.toarray(),
-        )
-        assert steady_state(dense).tobytes() == steady_state(superop).tobytes()
-        for w_root in _metric_roots(np.diag(thermal_density(space, 0.5)).real):
-            got = _weighted_generator(dense, w_root)
-            ref = _weighted_generator(superop, w_root)
-            assert np.array_equal(got.indptr, ref.indptr)
-            assert np.array_equal(got.indices, ref.indices)
-            assert got.data.tobytes() == ref.data.tobytes()
-
     @pytest.mark.parametrize("cutoff", [20, 25, 30])
     def test_oracle_gap_is_the_reference_pipeline(self, cutoff):
         space = build_space(1, cutoff)
@@ -645,7 +637,7 @@ def test_components_skip_stored_zeros():
     mat = sparse.csr_array((np.array([0.0, 0.0, 1.0, 1.0]), (rows, cols)), shape=(4, 4))
     assert mat.nnz == 4
     assert _components(mat).tolist() == [0, 1, 2, 2]
-    assert _components(mat.toarray()).tolist() == [0, 1, 2, 2]
+    assert _components(sparse.csr_array(mat.toarray())).tolist() == [0, 1, 2, 2]
 
 
 def test_two_mode_cross_validation():
