@@ -291,6 +291,22 @@ def _report_exit_code(report: dict) -> int:
     return 0 if report.get("has_gns_gap") else 2
 
 
+#: floats of pending arrays above which _dump_json writes what it holds: a
+#: 400-time evolve at d = 8 (108,800) stays below, so one dedup covers it
+_FLUSH_FLOATS = 1 << 17
+
+
+class _Pieces(list):
+    """Pieces not yet written, and the count of floats in their arrays."""
+
+    floats = 0
+
+    def flush(self, stream):
+        _write_pieces(self, stream)
+        self.clear()
+        self.floats = 0
+
+
 def _dump_json(obj, stream):
     """Write obj followed by a newline, byte for byte as
     json.dump(obj, stream, sort_keys=True, indent=2, default=np.ndarray.tolist)
@@ -298,16 +314,18 @@ def _dump_json(obj, stream):
     string.  A finite float64 array is written as one piece (see
     :func:`_write_pieces`); lists, tuples and every other value take the
     general path."""
-    pieces = []
+    pieces = _Pieces()
     _json_pieces(obj, "\n", pieces, stream, {})
     pieces.append("\n")
-    _write_pieces(pieces, stream)
+    pieces.flush(stream)
 
 
 def _json_pieces(obj, newline, pieces, stream, layouts):
     """Append the indented JSON text of obj, which starts a line whose break
-    and indentation are newline, to pieces; every few thousand pieces go to
-    the stream.  A nonempty float64 array of at least one dimension with no
+    and indentation are newline, to pieces, a :class:`_Pieces`; they go to
+    the stream once a list closes on a few thousand of them, or once their
+    arrays hold more than _FLUSH_FLOATS floats, which bounds the memory of
+    a large report.  A nonempty float64 array of at least one dimension with no
     NaN or infinity (float.__repr__ spells them nan and inf, json NaN and
     Infinity) is one (template, sep, array) piece, with the layout of its
     shape (see :func:`_nest_template`); any other array is written as its
@@ -322,6 +340,9 @@ def _json_pieces(obj, newline, pieces, stream, layouts):
                     "," + newline + "  " * obj.ndim,
                 )
             pieces.append((*layouts[key], obj))
+            pieces.floats += obj.size
+            if pieces.floats > _FLUSH_FLOATS:
+                pieces.flush(stream)
             return
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
@@ -336,8 +357,7 @@ def _json_pieces(obj, newline, pieces, stream, layouts):
             sep = "," + inner
         pieces.append(newline + "]")
         if len(pieces) > 4096:
-            _write_pieces(pieces, stream)
-            pieces.clear()
+            pieces.flush(stream)
     elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
         inner = newline + "  "
         sep = "{" + inner
@@ -531,13 +551,17 @@ def _cmd_evolve(args) -> int:
     states = dynamics.state_evolve(dd, sp, np.array(times))
     # the rows hold slices of the stacks, which _dump_json writes as arrays
     means = _pairs(states.mean)
-    rows = []
-    for t, mean, cov in zip(times, means, states.cov2d):
-        row = {"t": t, "mean": mean, "cov2d": cov}
-        if st is not None:
-            # a 2-D norm per row: a norm over a stack sums in another order
-            row["dist_to_stationary"] = float(np.linalg.norm(cov - st.s2d))
-        rows.append(row)
+    rows = [
+        {"t": t, "mean": mean, "cov2d": cov} for t, mean, cov in zip(times, means, states.cov2d)
+    ]
+    if st is not None:
+        # np.linalg.norm of each row, sqrt(f . f) of its flattened difference
+        # f, as one vector product per row: a norm over the whole stack sums
+        # in another order
+        diff = (states.cov2d - st.s2d).reshape(len(rows), 1, st.s2d.size)
+        dist = np.sqrt(diff @ diff.swapaxes(-1, -2))[:, 0, 0]
+        for row, value in zip(rows, dist.tolist()):
+            row["dist_to_stationary"] = value
     _dump_json({"schema": REPORT_SCHEMA, "states": rows}, sys.stdout)
     return 0
 

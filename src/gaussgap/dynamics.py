@@ -9,8 +9,9 @@ The semigroup acts on a Weyl operator with argument z by damping it with
 exp(tZ).  Every exp(tZ2d) and every finite-time integral of the flow, for
 one time or an array of times, comes from one routine: the block-matrix
 exponential (the right block column of exp([[-Z^T, C], [0, Z]] h), from a
-numpy Taylor polynomial) at a step h with h |Z2d|_2 <= 1, then doubling
-steps up to t, which add positive semidefinite terms only.  This keeps
+numpy Taylor polynomial whose powers every time shares) at a step h with
+h |Z2d|_2 <= 1, then doubling steps up to t, which add positive
+semidefinite terms only.  This keeps
 full relative precision at short times, at long times and near the
 stability boundary, and a stable flow stays finite at every time, down to
 an exact zero where the propagator underflows.  The module needs no
@@ -81,27 +82,52 @@ TAYLOR_DEGREE = 19
 _TAYLOR_COEFFS = [1.0 / math.factorial(j) for j in range(TAYLOR_DEGREE + 1)]
 
 
-def expm(a):
-    """Right block column exp(a)[..., :, n:] of each 2n x 2n block of a,
-    n = a.shape[-1] // 2, from the Taylor polynomial of degree
-    TAYLOR_DEGREE: Horner's rule takes one (2n x 2n) @ (2n x n) product per
-    degree and adds each coefficient on the diagonal of the [0; I] block in
-    place.  It neither scales nor squares, so each slice's result depends on
-    that slice alone.
+def expm(base, x):
+    """Right block column exp(x base)[..., :, n:] of each 2n x 2n block of
+    base at each x, n = base.shape[-1] // 2, from the Taylor polynomial of
+    degree TAYLOR_DEGREE.  x is an array that broadcasts against the leading
+    axes of base and leads the result: times of shape (T,) and one block
+    give (T, 2n, n), times of shape (T, 1) and a pair of blocks
+    (T, 2, 2n, n).
 
-    The blocks are upper block triangular, [[A, B], [0, D]] with |A|_2 and
-    |D|_2 at most theta = 1 (:func:`_flow` steps them there).  The j-th
-    Taylor term of the coupling block is a sum of j products A^i B D^(j-1-i)
-    over j!, of norm at most |B| / (j - 1)!, and linear in B; so the column
-    keeps full relative precision whatever the size of B.  Every exponential
-    of this module goes through this name."""
-    n = a.shape[-1] // 2
-    coeffs = _TAYLOR_COEFFS
-    col = a[..., n:] * coeffs[-1]
-    for c in coeffs[-2:0:-1]:
-        np.einsum("...ii->...i", col[..., n:, :])[...] += c
-        col = a @ col
-    np.einsum("...ii->...i", col[..., n:, :])[...] += coeffs[0]
+    The columns P_j = base^j [0; I] take one (2n x 2n) @ (2n x n) product
+    per degree, once for all x, as in the exp(tA)B of Al-Mohy and Higham,
+    SIAM J. Sci. Comput. 33(2), 2011.  Each x then weighs them,
+    sum_j x^j / j! P_j, highest degree first, by a (1 x m) @ (m x 2n^2)
+    product of its own, so its column is the same bit for bit whatever the
+    other x of the array.  One matrix product of all the weights with the
+    stacked columns would not be: BLAS blocks its sums by the size of the
+    stack, which changes the last digit of some x against a call with that
+    x alone.  An elementwise Horner sum per x is stack-independent too, but
+    it streams the whole stack once per degree: about six times as long for
+    400 times at d = 8.  The j = 0 term, 1 on the diagonal of [0; I], comes
+    last.
+
+    The blocks are upper block triangular, [[A, B], [0, D]] with |x A|_2
+    and |x D|_2 at most theta = 1 (:func:`_flow` steps them there).  The
+    j-th Taylor term of the coupling block is a sum of j products
+    A^i B D^(j-1-i) over j!, of norm at most |x B| / (j - 1)!, and linear in
+    B; so the column keeps full relative precision whatever the size of B.
+    Every exponential of this module goes through this name."""
+    n = base.shape[-1] // 2
+    powers = [base[..., n:]]
+    for _ in range(TAYLOR_DEGREE - 1):
+        powers.append(base @ powers[-1])
+    if not powers[1].any():
+        # base squares to zero, as for a drift of zero, where x is the time
+        # itself and may be far above 1: the polynomial is 1 + x base
+        # exactly, and no x^j overflows against a zero power
+        powers = powers[:1]
+    # x^j / j!, j = m, ..., 1, as a contiguous row per x: a reversed view
+    # would take numpy's own loop instead of BLAS
+    degrees = len(powers)
+    x = np.asarray(x)[..., None, None]
+    weights = np.cumprod(np.broadcast_to(x, x.shape[:-1] + (degrees,)), axis=-1)
+    weights = np.ascontiguousarray((weights * _TAYLOR_COEFFS[1 : degrees + 1])[..., ::-1])
+    stacked = np.stack(powers[::-1], axis=-3).reshape(base.shape[:-2] + (degrees, -1))
+    col = (weights @ stacked)[..., 0, :]
+    col = col.reshape(col.shape[:-1] + (2 * n, n))
+    np.einsum("...ii->...i", col[..., n:, :])[...] += _TAYLOR_COEFFS[0]
     return col
 
 
@@ -212,58 +238,78 @@ def _flow(dd: DriftDiffusion, t, start=None, drive=True):
     the covariance E^T S E + G and the mean vec2d(mu) E - f of that state
     flowed to t.
 
-    One expm call gives the right block columns of the exponentials of
-    [[-Z^T, C], [0, Z]] h, and of [[Z^T, 1], [0, 0]] h for a nonzero drive
-    that is asked for, at the step h = t / 2^k of each time, with the least
-    k >= 0 such that h |Z2d|_2 <= 1; the columns give E(h)^-T G(h), E(h) and
-    f(h).  k doubling steps
+    Each time takes the step h = t / 2^k, with the least k >= 0 such that
+    h |Z2d|_2 <= 1.  One expm call gives the right block columns of the
+    exponentials of B h, B = [[-Z^T, C], [0, Z]], and of [[Z^T, 1], [0, 0]] h
+    for a nonzero drive that is asked for, at every step; the columns give
+    E(h)^-T G(h), E(h) and f(h).  Its base is B / 2^e, with 2^e the power
+    of two at or above |Z2d|_2, so the scaling is exact and the base's
+    powers stay near 1, and its argument is x = h 2^e <= 2: the Taylor
+    powers are shared by every time of the array.  k doubling steps
 
         G(2h) = G(h) + E(h)^T G(h) E(h),  f(2h) = f(h) + E(h)^T f(h),
         E(2h) = E(h)^2
 
-    then reach t.  C and the drive enter the blocks linearly, so the step
-    depends on Z2d alone, and a model's E and G are the same bit for bit
-    with and without its drive.  E grows by at most a factor e over a
-    step, and every doubling adds positive semidefinite terms, so G keeps its
-    relative precision at every t, on stable drifts and on others.  A time's
-    result does not depend on the other times of the array.  A flow that
-    leaves double precision gives values that are not finite, without a
-    warning; the callers' guards report them.
+    then reach t.  The stack is ordered by k once, so the times that still
+    double at a step are its tail, and only they are multiplied, in place.
+    C and the drive enter the blocks linearly, so the step depends on Z2d
+    alone, and a model's E and G are the same bit for bit with and without
+    its drive.  E grows by at most a factor e over a step, and every
+    doubling adds positive semidefinite terms, so G keeps its relative
+    precision at every t, on stable drifts and on others.  A time's result
+    does not depend on the other times of the array, nor on their order.  A
+    flow that leaves double precision gives values that are not finite,
+    without a warning; the callers' guards report them.
     """
     times = _times(t)
     z2d = dd.z2d
     n = z2d.shape[0]
     norm = dd.drift_norm
+    # the power of two 2^e at or above |Z2d|_2 scales the blocks exactly
+    e = math.ceil(math.log2(norm)) if norm > 0 else 0
     with np.errstate(over="ignore", invalid="ignore"):
-        span = times * norm
+        # one stack for a time and for an array of times
+        flat = times.reshape(-1)
+        span = flat * norm
         # past double range the exponent comes from the logarithms
-        logs = np.log2(np.maximum(times, 1.0)) + np.log2(max(norm, 1.0))
-        k = np.ceil(np.where(np.isinf(span), logs, np.log2(np.maximum(span, 1.0))))
-        h = np.ldexp(times, -k.astype(int))[..., None, None]
+        logs = np.log2(np.maximum(flat, 1.0)) + np.log2(max(norm, 1.0))
+        k = np.ceil(np.where(np.isinf(span), logs, np.log2(np.maximum(span, 1.0)))).astype(int)
+        # the stack in the order of k, so that the times that still double
+        # at each step are its tail
+        order = np.argsort(k, kind="stable")
+        k = k[order]
+        # x = h 2^e at the step h = t / 2^k
+        x = np.ldexp(flat[order], e - k)
         zero = np.zeros((n, n))
         blk = np.block([[-z2d.T, dd.c2d], [zero, z2d]])
         if not (drive and np.any(dd.zeta)):
-            col = expm(h * blk)
+            col = expm(np.ldexp(blk, -e), x)
             drift = None
         else:
             dblk = np.block([[z2d.T, np.eye(n)], [zero, zero]])
-            col, dcol = expm(np.stack([h * blk, h * dblk]))
-            drift = dcol[..., :n, :] @ vec2d(dd.zeta)
+            cols = expm(np.ldexp(np.stack([blk, dblk]), -e), x[:, None])
+            col = cols[:, 0]
+            drift = cols[:, 1, :n, :] @ vec2d(dd.zeta)
         et = col[..., n:, :]
         gram = et.swapaxes(-1, -2) @ col[..., :n, :]
-        for step in range(int(np.max(k, initial=0.0))):
-            # the times that still double
-            live = (step < k)[..., None, None]
-            et_sharp = et.swapaxes(-1, -2)
-            gram = np.where(live, gram + et_sharp @ gram @ et, gram)
+        for step in range(np.max(k, initial=0)):
+            live = np.searchsorted(k, step, side="right")
+            et_live, gram_live = et[live:], gram[live:]
+            et_sharp = et_live.swapaxes(-1, -2)
+            gram_live += et_sharp @ gram_live @ et_live
             if drift is not None:
-                drift = np.where(live[..., 0], drift + (et_sharp @ drift[..., None])[..., 0], drift)
-            et = np.where(live, et @ et, et)
+                drift[live:] += (et_sharp @ drift[live:, :, None])[..., 0]
+            et[live:] = et_live @ et_live
         gram = 0.5 * (gram + gram.swapaxes(-1, -2))
         if start is not None:
             mean = vec2d(start.mean) @ et
             drift = mean if drift is None else mean - drift
             gram = et.swapaxes(-1, -2) @ start.cov2d @ et + gram
+    # back to the order and shape of t
+    undo = np.argsort(order).reshape(times.shape)
+    et, gram = et[undo], gram[undo]
+    if drift is not None:
+        drift = drift[undo]
     return et, gram, drift
 
 

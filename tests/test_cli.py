@@ -409,6 +409,25 @@ class TestMain:
         d2 = payload["states"][2]["dist_to_stationary"]
         assert d2 < d0
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("start", ["vacuum", "stationary"])
+    def test_evolve_distance_is_the_norm_of_each_row(self, capsys, d, start):
+        # the stacked distances equal np.linalg.norm of each row bit for bit;
+        # json writes each double so that it reads back exactly
+        doc = _mixed_model(d)
+        s2d = solve_stationary(build_drift_diffusion(parse_model(doc))).s2d
+        times = ",".join(repr(0.01 * k) for k in range(400))
+        assert main(["evolve", doc, "--t", times, "--s0", start]) == 0
+        states = json.loads(capsys.readouterr().out)["states"]
+        assert len(states) == 400
+        for state in states:
+            norm = float(np.linalg.norm(np.array(state["cov2d"]) - s2d))
+            assert state["dist_to_stationary"] == norm
+
+    def test_evolve_without_times_prints_no_states(self, capsys):
+        assert main(["evolve", MODEL_B_PRESET, "--t", ","]) == 0
+        assert json.loads(capsys.readouterr().out)["states"] == []
+
     def test_evolve_from_state_file(self, capsys, tmp_path):
         state = {"mean": [[0.1, 0.0]], "cov2d": [[1.5, 0.0], [0.0, 1.2]]}
         path = tmp_path / "state.json"
@@ -1365,6 +1384,38 @@ class TestDumpJson:
     )
     def test_edge_cases(self, obj):
         self._assert_identical(obj)
+
+    @staticmethod
+    def _count_array_flushes(monkeypatch):
+        """A list that counts the _write_pieces calls that format arrays."""
+        flushes = []
+        write = cli._write_pieces
+        monkeypatch.setattr(cli, "_write_pieces", lambda pieces, stream: (
+            flushes.append(any(type(p) is tuple for p in pieces)), write(pieces, stream)))
+        return flushes
+
+    def test_arrays_past_the_bound_are_flushed(self, monkeypatch):
+        # three arrays of 60,000 floats, the third past 2^17 in all
+        rng = np.random.default_rng(7)
+        obj = {"rows": [{"a": rng.standard_normal((300, 200)), "t": 0.5 * k} for k in range(3)],
+               "z": np.array([0.1, -0.0])}
+        flushes = self._count_array_flushes(monkeypatch)
+        self._assert_identical(obj)
+        assert sum(flushes) == 2
+
+    def test_evolve_of_400_times_at_d8_is_formatted_at_once(self, capsys, monkeypatch):
+        # 400 rows of a 16 x 16 covariance and 8 mean pairs: 108,800 floats,
+        # under the bound, so every repeated covariance is formatted once
+        times = ",".join(repr(0.01 * k) for k in range(1, 401))
+        written = []
+        dump = cli._dump_json
+        monkeypatch.setattr(
+            cli, "_dump_json", lambda obj, stream: (written.append(obj), dump(obj, stream))
+        )
+        flushes = self._count_array_flushes(monkeypatch)
+        main(["evolve", _mixed_model(8), "--t", times, "--s0", "stationary"])
+        assert capsys.readouterr().out == _dumps(written[0])
+        assert sum(flushes) == 1
 
     def test_float_lists_with_non_finite_values_fall_back(self):
         # the one-piece path writes nan/inf as Python spells them, which is

@@ -818,8 +818,8 @@ def test_flow_exponential_as_accurate_as_scipy(monkeypatch):
 
     from gaussgap import dynamics
 
-    def scipy_column(a):
-        return scipy.linalg.expm(a)[..., :, a.shape[-1] // 2:]
+    def scipy_column(base, x):
+        return scipy.linalg.expm(x[:, None, None] * base)[..., :, base.shape[-1] // 2:]
 
     cases = [(build_drift_diffusion(model), np.array(times)) for model, times in _flow_accuracy_cases()]
     refs = [_mp_flow_blocks(dd, times) for dd, times in cases]
@@ -890,7 +890,9 @@ class TestPropagator:
         times = np.linspace(0.0, 10.0, 50)
         shapes = []
         expm = dynamics.expm
-        monkeypatch.setattr(dynamics, "expm", lambda a: (shapes.append(a.shape), expm(a))[1])
+        monkeypatch.setattr(
+            dynamics, "expm", lambda base, x: (shapes.append(x.shape + base.shape), expm(base, x))[1]
+        )
         assert np.array_equal(propagator(driven, times), propagator(dd, times))
         assert shapes == [(50, 4, 4), (50, 4, 4)]
 
@@ -905,9 +907,25 @@ class TestPropagator:
         with_drive = dynamics._flow(driven, times)[1]
         shapes = []
         expm = dynamics.expm
-        monkeypatch.setattr(dynamics, "expm", lambda a: (shapes.append(a.shape), expm(a))[1])
+        monkeypatch.setattr(
+            dynamics, "expm", lambda base, x: (shapes.append(x.shape + base.shape), expm(base, x))[1]
+        )
         assert gramian_cov(driven, times).tobytes() == with_drive.tobytes()
         assert shapes == [(50, 4, 4)]
+
+    def test_zero_drift_flow_is_linear_at_any_time(self):
+        # balanced loss and gain and no Hamiltonian: Z2d = 0, so the step is
+        # the time itself and only the first Taylor power is nonzero
+        from gaussgap import dynamics
+
+        model = GklsModel(1, 2, [[0]], [[0]], [[0], [1]], [[1], [0]], [0.3])
+        dd = build_drift_diffusion(model)
+        assert dd.drift_norm == 0.0
+        times = np.array([0.0, 1.0, 1e20, 1e300])
+        et, gram, drift = dynamics._flow(dd, times)
+        assert np.array_equal(et, np.broadcast_to(np.eye(2), (4, 2, 2)))
+        assert np.array_equal(gram, times[:, None, None] * dd.c2d)
+        assert np.array_equal(drift, times[:, None] * vec2d(dd.zeta))
 
     @pytest.mark.parametrize("flow", [propagator, gramian_cov])
     def test_negative_time_rejected(self, model_b, flow):
@@ -1002,6 +1020,65 @@ class TestTimeArrays:
                 single = kernel_s(st, dd, z, w, t, mode)
                 assert isinstance(single, kind)
                 assert val == single
+
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_400_times_at_d8_are_bit_identical(self, driven):
+        # times that double between 0 and at least 4 times share one set of
+        # Taylor powers, and only the live tail of the stack doubles
+        rng = np.random.default_rng(105)
+        model, dd, st = random_stable_faithful(rng, 8)
+        if driven:
+            zeta = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            dd = build_drift_diffusion(dataclasses.replace(model, zeta=zeta))
+        times = np.sort(rng.uniform(0.01, 4.0, 400))
+        steps = np.ceil(np.log2(np.maximum(times * dd.drift_norm, 1.0)))
+        assert set(range(5)) <= set(steps.tolist())
+        props = propagator(dd, times)
+        starts = [GaussianStateParams.vacuum(8), GaussianStateParams(st.mu, st.s2d)]
+        states = [state_evolve(dd, sp, times) for sp in starts]
+        for i, t in enumerate(times):
+            assert props[i].tobytes() == propagator(dd, t).tobytes()
+            for sp, stack in zip(starts, states):
+                single = state_evolve(dd, sp, t)
+                assert stack.mean[i].tobytes() == single.mean.tobytes()
+                assert stack.cov2d[i].tobytes() == single.cov2d.tobytes()
+
+    def test_stack_order_does_not_matter(self):
+        # the flow orders the stack by step count and restores the order
+        from gaussgap import dynamics
+
+        rng = np.random.default_rng(106)
+        model, _, _ = random_stable_faithful(rng, 3)
+        dd = build_drift_diffusion(dataclasses.replace(model, zeta=rng.standard_normal(3) + 0.5j))
+        times = rng.uniform(0.0, 5.0, 40)
+        perm = rng.permutation(len(times))
+        ref = dynamics._flow(dd, times, GaussianStateParams.vacuum(3))
+        shuffled = dynamics._flow(dd, times[perm], GaussianStateParams.vacuum(3))
+        for a, b in zip(ref, shuffled):
+            assert a[perm].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_flow_exponentiates_once(self, model_b, monkeypatch, driven):
+        # one expm call per flow: one block (two with the drive) scaled by a
+        # power of two, and one step per time
+        from gaussgap import dynamics
+
+        model, dd, _ = model_b
+        if driven:
+            dd = build_drift_diffusion(dataclasses.replace(model, zeta=np.array([0.5 - 0.3j])))
+        times = np.array([0.0, 0.1, 3.0, 1e3, 0.2])
+        calls = []
+        expm = dynamics.expm
+        monkeypatch.setattr(
+            dynamics, "expm", lambda base, x: (calls.append((base, x)), expm(base, x))[1]
+        )
+        dynamics._flow(dd, times)
+        [(base, x)] = calls
+        assert base.shape == ((2, 4, 4) if driven else (4, 4))
+        assert x.shape == ((5, 1) if driven else (5,))
+        scale = 2.0 ** np.ceil(np.log2(dd.drift_norm))
+        assert np.array_equal(base[..., 2:, 2:].reshape(-1, 2, 2)[0] * scale, dd.z2d)
+        assert np.all(x * dd.drift_norm <= scale)
 
     def test_state_stack_reports_failing_entry(self):
         covs = np.stack([np.eye(2), 0.5 * np.eye(2), np.eye(2)])
