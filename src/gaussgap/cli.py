@@ -31,6 +31,7 @@ import numpy as np
 
 from . import classical, dynamics, fock, gap
 from .errors import (
+    DimensionMismatch,
     GaussGapError,
     NotFaithful,
     ParseError,
@@ -292,8 +293,12 @@ def _report_exit_code(report: dict) -> int:
 
 
 #: floats of pending arrays above which _dump_json writes what it holds: a
-#: 400-time evolve at d = 8 (108,800) stays below, so one dedup covers it
+#: 400-time evolve at d = 8 (109,600 floats) stays below, so one dedup
+#: covers it
 _FLUSH_FLOATS = 1 << 17
+#: rows of a table whose text is made at once: at d = 8 a chunk of evolve
+#: states is about 280 kB of text
+_TABLE_CHUNK = 32
 
 
 class _Pieces(list):
@@ -307,17 +312,37 @@ class _Pieces(list):
         self.floats = 0
 
 
+class _Table(list):
+    """The rows of a table as a list of dicts with one key per column: a
+    row's value of a one-dimensional column is its float, of any other
+    column a view of its row.  json sees the list; _dump_json writes the
+    rows from columns, the dict of arrays of one length they were built
+    from."""
+
+    def __init__(self, columns):
+        cells = [c.tolist() if c.ndim == 1 else c for c in columns.values()]
+        super().__init__(dict(zip(columns, row)) for row in zip(*cells))
+        self.columns = columns
+
+
 def _dump_json(obj, stream):
     """Write obj followed by a newline, byte for byte as
     json.dump(obj, stream, sort_keys=True, indent=2, default=np.ndarray.tolist)
     would write it, handed to the stream in pieces rather than as one
-    string.  A finite float64 array is written as one piece (see
-    :func:`_write_pieces`); lists, tuples and every other value take the
-    general path."""
+    string.  A finite float64 array, and a :class:`_Table` of them, is
+    written as one piece (see :func:`_write_pieces`); lists, tuples and
+    every other value take the general path."""
     pieces = _Pieces()
     _json_pieces(obj, "\n", pieces, stream, {})
     pieces.append("\n")
     pieces.flush(stream)
+
+
+def _finite_floats(a):
+    """Whether a is a nonempty float64 array of at least one dimension with
+    no NaN or infinity: float.__repr__ spells them nan and inf, json NaN and
+    Infinity."""
+    return a.dtype == np.float64 and a.ndim and a.size and np.isfinite(a).all()
 
 
 def _json_pieces(obj, newline, pieces, stream, layouts):
@@ -325,21 +350,24 @@ def _json_pieces(obj, newline, pieces, stream, layouts):
     and indentation are newline, to pieces, a :class:`_Pieces`; they go to
     the stream once a list closes on a few thousand of them, or once their
     arrays hold more than _FLUSH_FLOATS floats, which bounds the memory of
-    a large report.  A nonempty float64 array of at least one dimension with no
-    NaN or infinity (float.__repr__ spells them nan and inf, json NaN and
-    Infinity) is one (template, sep, array) piece, with the layout of its
-    shape (see :func:`_nest_template`); any other array is written as its
-    tolist().  A dict whose keys are not all strings goes to json itself.
-    layouts holds the layouts of one dump."""
+    a large report.  An array that passes :func:`_finite_floats` is a
+    piece of one row and one column (see :func:`_filled`), with the layout
+    of its shape (see :func:`_nest_template`); any other array is written
+    as its tolist().  A :class:`_Table` whose columns all pass and have one
+    length is written from its columns in pieces of rows (see
+    :func:`_append_rows`); any other table as its list of dicts.  A dict
+    whose keys are not all strings goes to json itself.  layouts holds the
+    array layouts of one dump."""
     if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
+        if _finite_floats(obj):
             key = (obj.shape, newline)
             if key not in layouts:
                 layouts[key] = (
                     _nest_template(obj.shape, newline),
-                    "," + newline + "  " * obj.ndim,
+                    ("," + newline + "  " * obj.ndim,),
+                    "",
                 )
-            pieces.append((*layouts[key], obj))
+            pieces.append((*layouts[key], (obj[None],)))
             pieces.floats += obj.size
             if pieces.floats > _FLUSH_FLOATS:
                 pieces.flush(stream)
@@ -350,6 +378,16 @@ def _json_pieces(obj, newline, pieces, stream, layouts):
             pieces.append("[]")
             return
         inner = newline + "  "
+        if type(obj) is _Table and all(
+            len(c) == len(obj) and _finite_floats(c) for c in obj.columns.values()
+        ):
+            names = sorted(obj.columns)
+            columns = [obj.columns[name] for name in names]
+            template, seps = _row_layout(names, [c.shape[1:] for c in columns], inner)
+            pieces.append("[" + inner)
+            _append_rows(pieces, stream, template, seps, "," + inner, columns)
+            pieces.append(newline + "]")
+            return
         sep = "[" + inner
         for item in obj:
             pieces.append(sep)
@@ -375,15 +413,34 @@ def _json_pieces(obj, newline, pieces, stream, layouts):
         pieces.append(json.dumps(obj))
 
 
+def _append_rows(pieces, stream, template, seps, joint, columns):
+    """Append the rows of the columns, arrays of one length, joined by
+    joint, as (template, seps, joint, columns) pieces (see :func:`_filled`):
+    the rows up to the one that takes the pending arrays past _FLUSH_FLOATS
+    floats are one piece, after which the pieces are written."""
+    rows = len(columns[0])
+    width = sum(c.size for c in columns) // rows
+    first = 0
+    while first < rows:
+        stop = min(rows, first + (_FLUSH_FLOATS - pieces.floats) // width + 1)
+        if first:
+            pieces.append(joint)
+        pieces.append((template, seps, joint, tuple(c[first:stop] for c in columns)))
+        pieces.floats += (stop - first) * width
+        if pieces.floats > _FLUSH_FLOATS:
+            pieces.flush(stream)
+        first = stop
+
+
 def _write_pieces(pieces, stream):
-    """Write pieces, strings and (template, sep, array) triples, to the
-    stream.  Every float is written with float.__repr__, as json does, but
-    each distinct float64 bit pattern among the arrays (so -0.0 never stands
-    in for 0.0) is formatted once: values repeat across the rows of a
-    report, and an evolve from the invariant state prints the same
-    covariance at every time.  Each array's text is made as it is
+    """Write pieces, strings and (template, seps, joint, columns) tuples, to
+    the stream.  Every float is written with float.__repr__, as json does,
+    but each distinct float64 bit pattern among the columns (so -0.0 never
+    stands in for 0.0) is formatted once: values repeat across the rows of
+    a report, and an evolve from the invariant state prints the same
+    covariance at every time.  Each piece's text is made as it is
     written."""
-    arrays = [piece[2].ravel() for piece in pieces if type(piece) is tuple]
+    arrays = [c.ravel() for piece in pieces if type(piece) is tuple for c in piece[3]]
     if not arrays:
         stream.writelines(pieces)
         return
@@ -393,19 +450,37 @@ def _write_pieces(pieces, stream):
 
 
 def _filled(pieces, reprs, inverse):
-    """The pieces as strings: the entries of each array, reprs[inverse] in
-    the order of the pieces, joined by sep along its rows, fill its
-    template."""
+    """The pieces as strings.  A (template, seps, joint, columns) piece is
+    its rows joined by joint, their text made _TABLE_CHUNK rows at a time:
+    each row is the template filled with its cells' rows along the last
+    axis, column after column, a row's entries joined by the column's sep.
+    The entries are reprs[inverse], in the order of the pieces and, within
+    a piece, column after column."""
     start = 0
     for piece in pieces:
-        if type(piece) is tuple:
-            template, sep, array = piece
-            end = start + array.size
-            rows = reprs[inverse[start:end]].reshape(-1, array.shape[-1]).tolist()
-            yield template % tuple(map(sep.join, rows))
-            start = end
-        else:
+        if type(piece) is not tuple:
             yield piece
+            continue
+        template, seps, joint, columns = piece
+        rows = len(columns[0])
+        for first in range(0, rows, _TABLE_CHUNK):
+            count = min(_TABLE_CHUNK, rows - first)
+            at, cells = start, []
+            for sep, column in zip(seps, columns):
+                width = column.size // rows
+                entries = reprs[inverse[at + first * width:at + (first + count) * width]]
+                last = column.shape[-1] if column.ndim > 1 else 1
+                cells.append(list(map(sep.join, entries.reshape(-1, last).tolist())))
+                at += column.size
+            fields = []
+            for row in range(count):
+                for joined in cells:
+                    size = len(joined) // count
+                    fields += joined[row * size:(row + 1) * size]
+            if first:
+                yield joint
+            yield joint.join([template] * count) % tuple(fields)
+        start = at
 
 
 def _nest_template(shape, newline):
@@ -417,6 +492,21 @@ def _nest_template(shape, newline):
         return "[" + inner + "%s" + newline + "]"
     item = _nest_template(shape[1:], inner)
     return "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
+
+
+def _row_layout(names, shapes, newline):
+    """The template of a table's row, a dict of the sorted names that starts
+    a line whose break and indentation are newline, and the sep of each of
+    its cells, of the shapes: a float's field is %s, an array's those of
+    :func:`_nest_template`."""
+    inner = newline + "  "
+    fields = [
+        encode_basestring_ascii(name).replace("%", "%%") + ": "
+        + (_nest_template(shape, inner) if shape else "%s")
+        for name, shape in zip(names, shapes)
+    ]
+    seps = tuple("," + inner + "  " * len(shape) for shape in shapes)
+    return "{" + inner + ("," + inner).join(fields) + newline + "}", seps
 
 
 #: one CSV row of each table: every float with 17 significant digits, so
@@ -508,7 +598,7 @@ def _parse_times(text, option):
         times = [float(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise ParseError(f"bad value in {option}: {exc}") from exc
-    if not all(np.isfinite(t) and t >= 0 for t in times):
+    if not all(math.isfinite(t) and t >= 0 for t in times):
         raise ParseError(f"{option} times must be finite and non-negative")
     return times
 
@@ -525,7 +615,10 @@ def _read_state(path, d):
         raise ParseError(f"bad --s0 state file {path}: {exc}") from exc
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov2d))):
         raise ParseError(f"bad --s0 state file {path}: non-finite entries rejected")
-    state = dynamics.GaussianStateParams(mean=mean, cov2d=cov2d)
+    try:
+        state = dynamics.GaussianStateParams(mean=mean, cov2d=cov2d)
+    except DimensionMismatch as exc:
+        raise ParseError(f"bad --s0 state file {path}: {exc}") from exc
     if state.dim_d != d:
         raise ParseError(f"bad --s0 state file {path}: {state.dim_d} modes, the model has {d}")
     return state
@@ -534,7 +627,7 @@ def _read_state(path, d):
 def _cmd_evolve(args) -> int:
     model = parse_model(args.model)
     dd = build_drift_diffusion(model)
-    times = _parse_times(args.t, "--t")
+    times = np.array(_parse_times(args.t, "--t"))
     try:
         st = solve_stationary(dd)
     except GaussGapError:
@@ -548,21 +641,15 @@ def _cmd_evolve(args) -> int:
         sp = dynamics.GaussianStateParams(mean=st.mu, cov2d=st.s2d)
     else:
         sp = _read_state(args.s0, model.d)
-    states = dynamics.state_evolve(dd, sp, np.array(times))
-    # the rows hold slices of the stacks, which _dump_json writes as arrays
-    means = _pairs(states.mean)
-    rows = [
-        {"t": t, "mean": mean, "cov2d": cov} for t, mean, cov in zip(times, means, states.cov2d)
-    ]
+    states = dynamics.state_evolve(dd, sp, times)
+    columns = {"t": times, "mean": _pairs(states.mean), "cov2d": states.cov2d}
     if st is not None:
         # np.linalg.norm of each row, sqrt(f . f) of its flattened difference
         # f, as one vector product per row: a norm over the whole stack sums
         # in another order
-        diff = (states.cov2d - st.s2d).reshape(len(rows), 1, st.s2d.size)
-        dist = np.sqrt(diff @ diff.swapaxes(-1, -2))[:, 0, 0]
-        for row, value in zip(rows, dist.tolist()):
-            row["dist_to_stationary"] = value
-    _dump_json({"schema": REPORT_SCHEMA, "states": rows}, sys.stdout)
+        diff = (states.cov2d - st.s2d).reshape(len(times), 1, st.s2d.size)
+        columns["dist_to_stationary"] = np.sqrt(diff @ diff.swapaxes(-1, -2))[:, 0, 0]
+    _dump_json({"schema": REPORT_SCHEMA, "states": _Table(columns)}, sys.stdout)
     return 0
 
 

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
+    DimensionMismatch,
     NotFaithful,
     NotPositiveDefinite,
     RangeExceeded,
@@ -134,7 +135,8 @@ def expm(base, x):
 @dataclass(frozen=True)
 class GaussianStateParams:
     """Mean vector and 2d x 2d covariance of a Gaussian state, or of each of
-    a stack: the mean has shape (..., d) and the covariance (..., 2d, 2d).
+    a stack: the mean has shape (..., d) and the covariance (..., 2d, 2d)
+    (else DimensionMismatch).
 
     Mean and covariance must be finite (else RangeExceeded), and every
     covariance must satisfy the uncertainty bound cov2d + iJ >= 0 up to
@@ -154,9 +156,7 @@ class GaussianStateParams:
         cov = np.asarray(self.cov2d, dtype=float)
         d = mean.shape[-1]
         if cov.shape != mean.shape[:-1] + (2 * d, 2 * d):
-            raise NotPositiveDefinite(
-                f"covariance must be {2 * d}x{2 * d}, got {cov.shape}"
-            )
+            raise DimensionMismatch(f"covariance must be {2 * d}x{2 * d}, got {cov.shape}")
         raise_first(
             ~(np.all(np.isfinite(mean), axis=-1) & np.all(np.isfinite(cov), axis=(-2, -1))),
             RangeExceeded,

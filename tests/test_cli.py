@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -709,22 +710,27 @@ class TestMain:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["decay", "--t-grid", "0.1,abc"],
-            ["decay", "--t-grid", "0.1,-1"],
-            ["decay", "--t-grid", "0.1,inf"],
-            ["evolve", "--t", "0.1,abc"],
-            ["evolve", "--t", "0.1,nan"],
+            (["decay", "--t-grid", "0.1,abc"],
+             "bad value in --t-grid: could not convert string to float: 'abc'"),
+            (["decay", "--t-grid", "0.1,-1"], "--t-grid times must be finite and non-negative"),
+            (["decay", "--t-grid", "0.1,inf"], "--t-grid times must be finite and non-negative"),
+            (["evolve", "--t", "0.1,abc"], "bad value in --t: could not convert string to float: 'abc'"),
+            (["evolve", "--t", "0.1,nan"], "--t times must be finite and non-negative"),
+            (["evolve", "--t", "nan"], "--t times must be finite and non-negative"),
+            (["evolve", "--t", "-1"], "--t times must be finite and non-negative"),
+            (["evolve", "--t", "x"], "bad value in --t: could not convert string to float: 'x'"),
+            (["decay", "--t-grid", "inf"], "--t-grid times must be finite and non-negative"),
         ],
-        ids=["t-grid-unparsable", "t-grid-negative", "t-grid-infinite", "t-unparsable", "t-nan"],
+        ids=["t-grid-unparsable", "t-grid-negative", "t-grid-infinite", "t-unparsable", "t-nan",
+             "t-only-nan", "t-only-negative", "t-only-unparsable", "t-grid-only-infinite"],
     )
-    def test_bad_time_list(self, capsys, argv):
+    def test_bad_time_list(self, capsys, argv, message):
         assert main([argv[0], MODEL_B_PRESET, *argv[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error [ParseError]: ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"error [ParseError]: {message}\n"
 
     @pytest.mark.parametrize(
         "content", [None, "{", '{"mean": [[0.1, 0.0]]}'], ids=["missing", "not-json", "no-cov2d"]
@@ -761,6 +767,16 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == (
             f"error [ParseError]: bad --s0 state file {path}: 2 modes, the model has 1\n"
+        )
+
+    def test_state_file_covariance_of_other_shape(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"mean": [[0.0, 0.0]], "cov2d": np.eye(3).tolist()}))
+        assert main(["evolve", MODEL_B_PRESET, "--t", "0.1", "--s0", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error [ParseError]: bad --s0 state file {path}: covariance must be 2x2, got (3, 3)\n"
         )
 
     @pytest.mark.parametrize("cutoff", ["-1", "0"])
@@ -1283,6 +1299,10 @@ class TestDumpJson:
             ["evolve", "MIXED_D4", "--t", ",".join(str(0.1 * k) for k in range(50)),
              "--s0", "stationary"],
             ["evolve", DRIVEN_D2_JSON, "--t", "0,0.3,1.5,7"],
+            # a table of one row
+            ["evolve", "MIXED_D4", "--t", "0.5", "--s0", "stationary"],
+            # no invariant state: the table has no dist_to_stationary column
+            ["evolve", PUMP_JSON, "--t", "0,0.5,2", "--s0", "vacuum"],
             # the invariant state at every time: each covariance repeats
             ["evolve", "MIXED_D8", "--t", ",".join(repr(0.01 * k) for k in range(1, 401)),
              "--s0", "stationary"],
@@ -1292,7 +1312,8 @@ class TestDumpJson:
         ],
         ids=["analyze-preset", "analyze-d4", "analyze-pump", "analyze-model-c",
              "analyze-not-faithful", "gap-both", "gap-gns", "evolve-d4", "evolve-preset",
-             "evolve-d4-50-times", "evolve-driven-vacuum", "evolve-d8-400-times",
+             "evolve-d4-50-times", "evolve-driven-vacuum", "evolve-d4-one-time",
+             "evolve-no-invariant-state", "evolve-d8-400-times",
              "oracle-char", "oracle-kms-trace", "oracle-gap"],
     )
     def test_every_json_command(self, capsys, monkeypatch, argv):
@@ -1380,6 +1401,18 @@ class TestDumpJson:
             pytest.param({"i": np.arange(3), "b": np.array([True]),
                           "f32": np.array([0.1], dtype=np.float32), "x": np.array(2.5)},
                          id="arrays-not-float64"),
+            pytest.param({"rows": cli._Table({"b": np.array([0.0, -0.0]),
+                                              "a": np.array([[-0.0, 0.0], [0.0, -0.0]]),
+                                              "m": np.array([[[0.0]], [[-0.0]]])})},
+                         id="table-zeros-signed-across-columns"),
+            pytest.param(cli._Table({"t": np.array([0.5, 1.0]),
+                                     "s": np.array([ZERO_MIRROR, [[1.0, float("nan")],
+                                                                  [0.5, 2.0]]])}),
+                         id="table-nan-column"),
+            pytest.param(cli._Table({"t": np.array([0.5, 1.0, 1.5]), "s": np.stack([SYMMETRIC] * 2)}),
+                         id="table-columns-of-two-lengths"),
+            pytest.param(cli._Table({"50%": np.array([0.5, 1.0]), "%s": np.eye(2)}),
+                         id="table-percent-in-names"),
         ],
     )
     def test_edge_cases(self, obj):
@@ -1416,6 +1449,45 @@ class TestDumpJson:
         main(["evolve", _mixed_model(8), "--t", times, "--s0", "stationary"])
         assert capsys.readouterr().out == _dumps(written[0])
         assert sum(flushes) == 1
+
+    def test_evolve_of_1000_times_at_d8_is_flushed_in_row_blocks(self, capsys, monkeypatch):
+        # 274 floats a row: rows 1-479 take the pending floats past 2^17,
+        # as do rows 480-958, and the last 42 rows are written at the end
+        times = ",".join(repr(0.004 * k) for k in range(1, 1001))
+        written = []
+        dump = cli._dump_json
+        monkeypatch.setattr(
+            cli, "_dump_json", lambda obj, stream: (written.append(obj), dump(obj, stream))
+        )
+        flushes = self._count_array_flushes(monkeypatch)
+        main(["evolve", _mixed_model(8), "--t", times, "--s0", "vacuum"])
+        assert capsys.readouterr().out == _dumps(written[0])
+        assert sum(flushes) == 3
+
+    def test_evolve_of_2000_times_at_d8_holds_the_memory_of_row_dicts(self, monkeypatch):
+        # written as 4,000 arrays in row dicts, this dump's traced peak was
+        # 10.12 MB (numpy 2.4, CPython 3.11, x86-64; 10.56 MB as a process's
+        # first dump): one flush's 131,000 float reprs make most of it.  The
+        # table may exceed that by 5 %, where making the text of a whole
+        # flush's rows at once would add about 4 MB
+        times = ",".join(repr(0.002 * k) for k in range(1, 2001))
+        written = []
+        monkeypatch.setattr(cli, "_dump_json", lambda obj, stream: written.append(obj))
+        main(["evolve", _mixed_model(8), "--t", times, "--s0", "vacuum"])
+        monkeypatch.undo()
+        assert type(written[0]["states"]) is cli._Table
+        with open(os.devnull, "w", encoding="utf-8") as out:
+            tracemalloc.start()
+            try:
+                cli._dump_json(written[0], out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.05 * 10.12e6
+
+    def test_evolve_of_no_times_prints_no_states(self, capsys):
+        assert main(["evolve", MODEL_B_PRESET, "--t", ""]) == 0
+        assert capsys.readouterr().out == '{\n  "schema": "gaussgap.report/1",\n  "states": []\n}\n'
 
     def test_float_lists_with_non_finite_values_fall_back(self):
         # the one-piece path writes nan/inf as Python spells them, which is

@@ -28,6 +28,7 @@ from gaussgap.dynamics import (
 )
 from gaussgap.errors import (
     ConsistencyError,
+    DimensionMismatch,
     NotFaithful,
     NotPositiveDefinite,
     RangeExceeded,
@@ -190,6 +191,10 @@ class TestStateEvolve:
     def test_invalid_covariance_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianStateParams(mean=np.zeros(1), cov2d=0.5 * np.eye(2))
+
+    def test_covariance_of_other_shape_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"must be 2x2, got \(3, 3\)"):
+            GaussianStateParams(mean=np.zeros(1), cov2d=np.eye(3))
 
     def test_non_finite_state_rejected(self):
         with pytest.raises(RangeExceeded, match="not finite"):
