@@ -31,6 +31,7 @@ import numpy as np
 
 from . import classical, dynamics, fock, gap
 from .errors import (
+    ConsistencyError,
     DimensionMismatch,
     GaussGapError,
     NotFaithful,
@@ -292,50 +293,85 @@ def _report_exit_code(report: dict) -> int:
     return 0 if report.get("has_gns_gap") else 2
 
 
-#: floats of pending arrays above which _dump_json writes what it holds: a
-#: 400-time evolve at d = 8 (109,600 floats) stays below, so one dedup
-#: covers it
+#: floats that _dump_json formats in one batch, unless one array holds more:
+#: a 400-time evolve at d = 8 (109,600 floats) stays below, so one dedup
+#: covers it; a longer table is cut into row blocks of at most this many
 _FLUSH_FLOATS = 1 << 17
 #: rows of a table whose text is made at once: at d = 8 a chunk of evolve
 #: states is about 280 kB of text
 _TABLE_CHUNK = 32
 
 
-class _Pieces(list):
-    """Pieces not yet written, and the count of floats in their arrays."""
+class _Table:
+    """The rows of a table, held as columns: a dict of arrays, one per field
+    of a row.  A row's value of a one-dimensional column is its float, of
+    any other column a view of its row.  json writes a table through the
+    default hook of :func:`_dump_json`."""
 
-    floats = 0
-
-    def flush(self, stream):
-        _write_pieces(self, stream)
-        self.clear()
-        self.floats = 0
-
-
-class _Table(list):
-    """The rows of a table as a list of dicts with one key per column: a
-    row's value of a one-dimensional column is its float, of any other
-    column a view of its row.  json sees the list; _dump_json writes the
-    rows from columns, the dict of arrays of one length they were built
-    from."""
+    __slots__ = ("columns",)
 
     def __init__(self, columns):
-        cells = [c.tolist() if c.ndim == 1 else c for c in columns.values()]
-        super().__init__(dict(zip(columns, row)) for row in zip(*cells))
         self.columns = columns
 
 
 def _dump_json(obj, stream):
     """Write obj followed by a newline, byte for byte as
     json.dump(obj, stream, sort_keys=True, indent=2, default=np.ndarray.tolist)
-    would write it, handed to the stream in pieces rather than as one
-    string.  A finite float64 array, and a :class:`_Table` of them, is
-    written as one piece (see :func:`_write_pieces`); lists, tuples and
-    every other value take the general path."""
-    pieces = _Pieces()
-    _json_pieces(obj, "\n", pieces, stream, {})
-    pieces.append("\n")
-    pieces.flush(stream)
+    would write it, a :class:`_Table` as its list of row dicts.
+
+    json writes the report with each finite float64 array, and each table
+    whose columns all are such arrays of one length, replaced by the
+    placeholder "\\0", a table by one placeholder per row block of at most
+    _FLUSH_FLOATS floats; every other array is its tolist(), every other
+    table its rows.  The arrays are then written in the placeholders'
+    places (see :func:`_write_pieces`), indented as the line each
+    placeholder sits on, in batches of at most _FLUSH_FLOATS floats or one
+    larger array.  A report whose text holds more placeholders than held
+    pieces, as when a string or key equals the placeholder, is refused
+    before any byte is written."""
+    held = []
+
+    def hold(value):
+        if type(value) is _Table:
+            columns = value.columns
+            if len({len(c) for c in columns.values()}) == 1 and all(
+                map(_finite_floats, columns.values())
+            ):
+                names = sorted(columns)
+                rows = len(columns[names[0]])
+                step = max(1, _FLUSH_FLOATS * rows // sum(c.size for c in columns.values()))
+                blocks = range(0, rows, step)
+                held.extend((names, [columns[n][i:i + step] for n in names]) for i in blocks)
+                return ["\0"] * len(blocks)
+            cells = [c.tolist() if c.ndim == 1 else c for c in columns.values()]
+            return [dict(zip(columns, row)) for row in zip(*cells)]
+        if isinstance(value, np.ndarray) and _finite_floats(value):
+            held.append(value)
+            return "\0"
+        return np.ndarray.tolist(value)
+
+    texts = json.dumps(obj, sort_keys=True, indent=2, default=hold).split(json.dumps("\0"))
+    if len(texts) != len(held) + 1:
+        raise ConsistencyError("a string of the report holds the JSON writer's placeholder")
+    batch, floats = [], 0
+    for text, value in zip(texts, held):
+        line = text[text.rfind("\n") + 1:]
+        newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        if type(value) is tuple:
+            names, columns = value
+            template, seps = _row_layout(names, [c.shape[1:] for c in columns], newline)
+            piece = (template, seps, "," + newline, columns)
+        else:
+            seps = ("," + newline + "  " * value.ndim,)
+            piece = (_nest_template(value.shape, newline), seps, "", (value[None],))
+        size = sum(c.size for c in piece[3])
+        if floats and floats + size > _FLUSH_FLOATS:
+            _write_pieces(batch, stream)
+            batch, floats = [], 0
+        batch += (text, piece)
+        floats += size
+    batch.append(texts[-1] + "\n")
+    _write_pieces(batch, stream)
 
 
 def _finite_floats(a):
@@ -343,93 +379,6 @@ def _finite_floats(a):
     no NaN or infinity: float.__repr__ spells them nan and inf, json NaN and
     Infinity."""
     return a.dtype == np.float64 and a.ndim and a.size and np.isfinite(a).all()
-
-
-def _json_pieces(obj, newline, pieces, stream, layouts):
-    """Append the indented JSON text of obj, which starts a line whose break
-    and indentation are newline, to pieces, a :class:`_Pieces`; they go to
-    the stream once a list closes on a few thousand of them, or once their
-    arrays hold more than _FLUSH_FLOATS floats, which bounds the memory of
-    a large report.  An array that passes :func:`_finite_floats` is a
-    piece of one row and one column (see :func:`_filled`), with the layout
-    of its shape (see :func:`_nest_template`); any other array is written
-    as its tolist().  A :class:`_Table` whose columns all pass and have one
-    length is written from its columns in pieces of rows (see
-    :func:`_append_rows`); any other table as its list of dicts.  A dict
-    whose keys are not all strings goes to json itself.  layouts holds the
-    array layouts of one dump."""
-    if isinstance(obj, np.ndarray):
-        if _finite_floats(obj):
-            key = (obj.shape, newline)
-            if key not in layouts:
-                layouts[key] = (
-                    _nest_template(obj.shape, newline),
-                    ("," + newline + "  " * obj.ndim,),
-                    "",
-                )
-            pieces.append((*layouts[key], (obj[None],)))
-            pieces.floats += obj.size
-            if pieces.floats > _FLUSH_FLOATS:
-                pieces.flush(stream)
-            return
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            pieces.append("[]")
-            return
-        inner = newline + "  "
-        if type(obj) is _Table and all(
-            len(c) == len(obj) and _finite_floats(c) for c in obj.columns.values()
-        ):
-            names = sorted(obj.columns)
-            columns = [obj.columns[name] for name in names]
-            template, seps = _row_layout(names, [c.shape[1:] for c in columns], inner)
-            pieces.append("[" + inner)
-            _append_rows(pieces, stream, template, seps, "," + inner, columns)
-            pieces.append(newline + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            pieces.append(sep)
-            _json_pieces(item, inner, pieces, stream, layouts)
-            sep = "," + inner
-        pieces.append(newline + "]")
-        if len(pieces) > 4096:
-            pieces.flush(stream)
-    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            pieces += (sep, encode_basestring_ascii(key), ": ")
-            _json_pieces(obj[key], inner, pieces, stream, layouts)
-            sep = "," + inner
-        pieces.append(newline + "}")
-    elif isinstance(obj, dict):
-        text = json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist)
-        pieces.append(text.replace("\n", newline))
-    elif type(obj) is float and math.isfinite(obj):
-        pieces.append(float.__repr__(obj))
-    else:
-        pieces.append(json.dumps(obj))
-
-
-def _append_rows(pieces, stream, template, seps, joint, columns):
-    """Append the rows of the columns, arrays of one length, joined by
-    joint, as (template, seps, joint, columns) pieces (see :func:`_filled`):
-    the rows up to the one that takes the pending arrays past _FLUSH_FLOATS
-    floats are one piece, after which the pieces are written."""
-    rows = len(columns[0])
-    width = sum(c.size for c in columns) // rows
-    first = 0
-    while first < rows:
-        stop = min(rows, first + (_FLUSH_FLOATS - pieces.floats) // width + 1)
-        if first:
-            pieces.append(joint)
-        pieces.append((template, seps, joint, tuple(c[first:stop] for c in columns)))
-        pieces.floats += (stop - first) * width
-        if pieces.floats > _FLUSH_FLOATS:
-            pieces.flush(stream)
-        first = stop
 
 
 def _write_pieces(pieces, stream):

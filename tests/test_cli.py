@@ -19,7 +19,13 @@ import gaussgap
 from gaussgap import cli, dynamics, fock, gap
 from gaussgap.cli import main, parse_model, run_report
 from gaussgap.dynamics import WeylCombo, norm_decay, propagator
-from gaussgap.errors import GaussGapError, ParseError, RangeExceeded, ShapeError
+from gaussgap.errors import (
+    ConsistencyError,
+    GaussGapError,
+    ParseError,
+    RangeExceeded,
+    ShapeError,
+)
 from gaussgap.model import build_drift_diffusion, one_dim_family
 from gaussgap.stationary import solve_stationary
 
@@ -1268,10 +1274,84 @@ SYMMETRIC = np.array([[2.0, -0.0, 0.1], [-0.0, 3.0, 1e-300], [0.1, 1e-300, -4.0]
 NEARLY_SYMMETRIC = np.array([[1.0, 0.5, -0.0], [0.5, 2.0, 1e16], [0.0, 1e16, 0.3]])
 
 
+def _table_rows(value):
+    """A cli._Table as its list of row dicts, zipped from its columns; any
+    other value as np.ndarray.tolist() has it."""
+    if type(value) is not cli._Table:
+        return np.ndarray.tolist(value)
+    names = list(value.columns)
+    return [dict(zip(names, row)) for row in zip(*value.columns.values())]
+
+
 def _dumps(obj):
     """What json.dump(obj, sort_keys=True, indent=2) writes, arrays as their
-    tolist()."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+    tolist() and tables as their rows."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_table_rows) + "\n"
+
+
+#: strings with every kind of escape json writes, and a NUL that is not the
+#: whole string
+FUZZ_STRINGS = ["", "x", 'say "hi"', "back\\slash", "tab\tnew\nline", "é ✓ \u2028",
+                "a\x00b", "\x00\x1f", "50%", "%s %d"]
+
+
+def _random_array(rng):
+    """A small float64 array: finite, with NaN or infinities, with signed
+    zeros, empty or 0-d; or an array of ints or bools."""
+    low = 0 if rng.random() < 0.2 else 1
+    shape = tuple(int(n) for n in rng.integers(low, 4, size=rng.integers(4)))
+    kind = rng.integers(7)
+    if kind == 0:
+        return np.asarray(rng.integers(-5, 5, size=shape))
+    if kind == 1:
+        return np.asarray(rng.random(shape) < 0.5)
+    a = np.asarray(rng.choice([0.5, -0.0, 0.0, 1e300, 5e-324, -2.25, 0.1], size=shape))
+    if kind == 2 and a.size:
+        a.flat[rng.integers(a.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    return a + rng.standard_normal(shape) if kind == 3 else a
+
+
+def _random_table(rng):
+    """A cli._Table: finite columns of one length, or with a NaN column,
+    columns of two lengths or no rows."""
+    rows = int(rng.integers(4))
+    columns = {name: rng.standard_normal((rows, *shape)) for name, shape in
+               zip(rng.permutation(["t", "mean", "cov2d", "50%"]).tolist(),
+                   [(), (2,), (2, 2), (1, 3)])}
+    kind = rng.integers(4)
+    if kind == 1 and rows:
+        list(columns.values())[rng.integers(4)].flat[0] = np.nan
+    if kind == 2:
+        columns["t"] = np.arange(rows + 1.0)
+    return cli._Table(columns)
+
+
+def _random_json(rng, depth):
+    """A random nested report of at most depth levels of dicts (string or
+    int keys), lists and tuples, whose first and last items, in the order
+    json writes them, are often arrays or tables."""
+    kind = rng.integers(10 if depth else 5)
+    if kind < 2:
+        return _random_array(rng)
+    if kind == 2:
+        return _random_table(rng)
+    if kind == 3:
+        return rng.choice([0.5, -0.0, np.nan, np.inf, 1e-320]).item()
+    if kind == 4:
+        return [None, True, False, 7, -3, FUZZ_STRINGS[rng.integers(len(FUZZ_STRINGS))]][
+            rng.integers(6)]
+    items = [_random_json(rng, depth - 1) for _ in range(rng.integers(5))]
+    if items and rng.random() < 0.5:
+        items[0] = _random_array(rng)
+    if items and rng.random() < 0.5:
+        items[-1] = _random_array(rng)
+    if kind < 7:
+        return tuple(items) if kind == 5 else items
+    if rng.random() < 0.5:
+        keys = sorted(rng.choice(1000, size=len(items), replace=False).tolist())
+    else:
+        keys = sorted(rng.choice(FUZZ_STRINGS, size=len(items), replace=False).tolist())
+    return dict(zip(keys, items))
 
 
 class TestDumpJson:
@@ -1394,7 +1474,7 @@ class TestDumpJson:
                          id="nan-payloads"),
             pytest.param([np.array([0.5, 1.0]), np.array([0.5, float("inf")]),
                           np.array([1.0, 0.5])], id="rows-non-finite-middle"),
-            # two pieces per entry: the list of "b" is flushed when it closes
+            # 2,102 small arrays, each in the place of its own placeholder
             pytest.param({"a": np.array([0.1, 2.0]),
                           "b": [np.array([0.1, float(k)]) for k in range(2100)],
                           "c": np.array([[0.1, -0.0], [2.0, 3.0]])}, id="flush-between-arrays"),
@@ -1451,8 +1531,8 @@ class TestDumpJson:
         assert sum(flushes) == 1
 
     def test_evolve_of_1000_times_at_d8_is_flushed_in_row_blocks(self, capsys, monkeypatch):
-        # 274 floats a row: rows 1-479 take the pending floats past 2^17,
-        # as do rows 480-958, and the last 42 rows are written at the end
+        # 274 floats a row: the table is cut into blocks of 478 rows
+        # (130,972 floats, under 2^17), and the last block holds 44 rows
         times = ",".join(repr(0.004 * k) for k in range(1, 1001))
         written = []
         dump = cli._dump_json
@@ -1484,6 +1564,25 @@ class TestDumpJson:
             finally:
                 tracemalloc.stop()
         assert peak <= 1.05 * 10.12e6
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"v": "\x00", "a": np.array([0.5])}, {"\x00": np.array([0.5])}, {"\x00": 1},
+         ['say "\x00', np.array([0.5])]],
+        ids=["value", "key", "key-no-arrays", "quote-before-nul"],
+    )
+    def test_string_equal_to_the_placeholder_is_refused(self, obj):
+        # the text of each of these strings holds "\u0000", with its quotes,
+        # the placeholder of an array, so the arrays would not fill their places
+        out = io.StringIO()
+        with pytest.raises(ConsistencyError):
+            cli._dump_json(obj, out)
+        assert out.getvalue() == ""
+
+    def test_random_reports_are_what_json_writes(self):
+        rng = np.random.default_rng(30)
+        for _ in range(500):
+            self._assert_identical(_random_json(rng, int(rng.integers(1, 5))))
 
     def test_evolve_of_no_times_prints_no_states(self, capsys):
         assert main(["evolve", MODEL_B_PRESET, "--t", ""]) == 0
