@@ -31,12 +31,14 @@ floats (near the pure vacuum the top ones underflow, and such a model is
 refused).  The weights scale only the stored entries, and the Hermitian
 part equals its conjugate transpose exactly.  The invariant direction
 w_root * vec(1) must lie in its kernel, which holds to rounding only for
-stationary weights, and is checked rather than projected out.  The result
-is block diagonal in the connected components of its exact nonzero pattern
-(for this family the U(1) sectors l - m), labelled by a min-label pass with
-pointer jumping (a stored zero is not an edge); the entries are sorted once
-by component, and each block, read from the assembled matrix and never from
-the model, is diagonalized on its own.
+stationary weights, and is checked rather than projected out.  Both embeddings
+share one pass: the pattern is built once, and both are weighted as one
+stacked array.  The results are block diagonal in the connected components
+of their joint exact nonzero pattern (for this family the U(1) sectors
+l - m), labelled by scipy.sparse.csgraph (a stored zero is not an edge);
+the entries are sorted once by component, and each block, read from the
+assembled matrix and never from the model, holds both embeddings and is
+diagonalized by one stacked eigvalsh call.
 """
 
 from __future__ import annotations
@@ -68,10 +70,11 @@ __all__ = [
     "oracle_gap",
 ]
 
-MAX_SPACE_DIM = 4096
 # the superoperators are sparse, but the steady-state LU fills in (at d = 2,
 # cutoff 7, 132608 nonzeros give 6.4e6 factor entries and a 3 s solve) and a
-# component of the gap pattern becomes one dense eigenvalue block
+# component of the gap pattern becomes one dense eigenvalue block; every
+# oracle check needs the superoperator, so build_space refuses a larger
+# space before it allocates the mode operators
 MAX_SUPEROP_DIM = 64
 # backward-error bound of the steady-state solve, relative to the system's
 # infinity norm times |rho|; LU with threshold pivoting and one refinement
@@ -118,9 +121,9 @@ def build_space(d: int, cutoff: int) -> TruncatedSpace:
     if d < 1 or cutoff < 1:
         raise ValueError("need at least one mode and cutoff >= 1")
     dim = (cutoff + 1) ** d
-    if dim > MAX_SPACE_DIM:
+    if dim > MAX_SUPEROP_DIM:
         raise DimensionTooLarge(
-            f"truncated dimension {dim} exceeds the dense cap {MAX_SPACE_DIM}"
+            f"truncated dimension {dim} exceeds the superoperator cap {MAX_SUPEROP_DIM}"
         )
     local = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1).astype(complex)
     eye = np.eye(cutoff + 1, dtype=complex)
@@ -445,89 +448,59 @@ def _thermal_envelope(model: GklsModel):
     return mu2, lambda2
 
 
-def _nonzeros(csr):
-    """Row indices, column indices and values of the nonzero entries of a
-    CSR array; a stored zero is skipped."""
-    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-    keep = csr.data != 0
-    return rows[keep], csr.indices[keep], csr.data[keep]
+def _weighted_hermitian_parts(heis, w_roots):
+    """Rows, columns and values of the Hermitian parts of the CSR Heisenberg
+    generator heis in the orthonormal bases of the diagonal metrics with
+    square-root weights w_roots (one row per metric), on one pattern.
+
+    The pattern is the sorted union of the stored keys and their transposes;
+    its rows and columns come in row-major order.  Only the stored entries
+    are weighted, by w_root[row] / w_root[col], each into its slot; the
+    Hermitian part 0.5 (m_ij + conj(m_ji)) reads each transpose through an
+    argsort of the transposed keys, so it equals its conjugate transpose
+    exactly.  Values that cancel exactly stay in place as zeros.
+    """
+    n = heis.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(heis.indptr))
+    keys = rows * n + heis.indices
+    pattern = _distinct(np.concatenate((keys, heis.indices * n + rows)))
+    m = np.zeros((len(w_roots), pattern.size), dtype=complex)
+    m[:, np.searchsorted(pattern, keys)] = w_roots[:, rows] / w_roots[:, heis.indices] * heis.data
+    prow, pcol = np.divmod(pattern, n)
+    return prow, pcol, 0.5 * (m + m[:, np.argsort(pcol * n + prow)].conj())
 
 
-def _labels(rows, cols, n):
-    """Connected components of the n-vertex graph with the symmetric edge
-    list (rows, cols), as labels 0..k-1 numbered in the order of their least
-    vertices."""
-    labels = np.arange(n)
-    while True:
-        # each vertex takes the least label among itself and its neighbours,
-        # then the label of that label (pointer jumping); a component ends up
-        # labelled by its least vertex, the one vertex that is its own label
-        low = labels.copy()
-        np.minimum.at(low, rows, labels[cols])
-        low = low[low]
-        if np.array_equal(low, labels):
-            return (np.cumsum(labels == np.arange(n)) - 1)[labels]
-        labels = low
-
-
-def _components(pattern):
-    """Connected components of the graph whose adjacency is the nonzero
-    pattern of the symmetric CSR array pattern, as labels 0..k-1, one per
-    vertex, numbered in the order of their least vertices.  A stored zero is
-    not an edge."""
-    rows, cols, _ = _nonzeros(pattern)
-    return _labels(rows, cols, pattern.shape[0])
-
-
-def _blocked_eigvalsh(mat):
-    """Ascending eigenvalues of a Hermitian CSR array, from one eigvalsh per
-    connected component of its exact nonzero pattern.
+def _blocked_eigvalsh(rows, cols, vals, n):
+    """Ascending eigenvalues, one row per matrix, of the Hermitian n x n
+    matrices whose entries at (rows, cols), distinct and in row-major order,
+    are the rows of vals; one stacked eigvalsh per connected component of
+    the entries that are nonzero in any of them (a stored zero is not an
+    edge).
 
     The entries are sorted once by component; each block takes its run of
     them, at the positions of their rows and columns in ascending index
     order within the component."""
-    rows, cols, vals = _nonzeros(mat)
-    n = mat.shape[0]
-    labels = _labels(rows, cols, n)
+    from scipy.sparse.csgraph import connected_components
+
+    edge = np.any(vals != 0, axis=0)
+    rows, cols, vals = rows[edge], cols[edge], vals[:, edge]
+    graph = _csr_from_sorted(rows, cols, np.ones(rows.size), n)
+    labels = connected_components(graph, directed=False)[1]
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     by_block = np.argsort(labels[rows])
     ends = np.cumsum(np.bincount(labels[rows], minlength=sizes.size))
-    rows, cols, vals = pos[rows[by_block]], pos[cols[by_block]], vals[by_block]
+    rows, cols, vals = pos[rows[by_block]], pos[cols[by_block]], vals[:, by_block]
     evals = []
     start = 0
     for size, end in zip(sizes, ends):
-        block = np.zeros((size, size), dtype=vals.dtype)
-        block[rows[start:end], cols[start:end]] = vals[start:end]
+        block = np.zeros((len(vals), size, size), dtype=vals.dtype)
+        block[:, rows[start:end], cols[start:end]] = vals[:, start:end]
         evals.append(np.linalg.eigvalsh(block))
         start = end
-    return np.sort(np.concatenate(evals))
-
-
-def _weighted_generator(superop: Superoperator, w_root):
-    """Hermitian part of the Heisenberg generator in the orthonormal basis of
-    the diagonal metric with square-root weights w_root, as a CSR array.
-
-    Only the stored entries are weighted, by w_root[row] / w_root[col], each
-    into its slot of the symmetric pattern of the stored keys and their
-    transposes; the Hermitian part 0.5 (m_ij + conj(m_ji)) reads each
-    transpose through an argsort of the transposed keys, so it equals its
-    conjugate transpose exactly.  The pattern depends on the Heisenberg
-    generator alone.
-    """
-    heis = superop.heisenberg
-    n = heis.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(heis.indptr))
-    keys = rows * n + heis.indices
-    pattern = _distinct(np.concatenate((keys, heis.indices * n + rows)))
-    m = np.zeros(pattern.size, dtype=complex)
-    m[np.searchsorted(pattern, keys)] = w_root[rows] / w_root[heis.indices] * heis.data
-    prow, pcol = np.divmod(pattern, n)
-    gsym = 0.5 * (m + m[np.argsort(pcol * n + prow)].conj())
-    keep = gsym != 0
-    return _csr_from_sorted(prow[keep], pcol[keep], gsym[keep], n)
+    return np.sort(np.concatenate(evals, axis=1), axis=1)
 
 
 def _metric_roots(pops):
@@ -554,35 +527,33 @@ def oracle_gap(model: GklsModel, space: TruncatedSpace) -> tuple[float, float]:
     one-sided and the split embedding.
 
     The exactly-diagonal thermal stationary weights make both weighted inner
-    products diagonal; the generator is conjugated into the corresponding
-    orthonormal basis and symmetrized.  The invariant direction
-    u = w_root * vec(1) / |w_root * vec(1)| lies in the kernel of the result
+    products diagonal; the generator is conjugated into both orthonormal
+    bases and symmetrized in one pass.  The invariant direction
+    u = w_root * vec(1) / |w_root * vec(1)| lies in the kernel of each result
     exactly when the weights are the stationary density, which is checked:
     |gsym u| above STEADY_RESIDUAL max|gsym| raises ConsistencyError.  The
-    eigenvalues come one block at a time from the connected components of
-    the symmetrized matrix's nonzero pattern, and the least-negative one
-    below the top is returned (sign flipped).
+    eigenvalues of both come one block at a time from the connected
+    components of their joint nonzero pattern, and in each embedding the
+    least-negative one below the top is returned (sign flipped).
     """
     mu2, lambda2 = _thermal_envelope(model)
     nbar = lambda2 / (mu2 - lambda2)
     pops = np.diag(thermal_density(space, nbar)).real
-    w_roots = _metric_roots(pops)
-    superop = build_superoperator(model, space)
+    w_roots = np.stack(_metric_roots(pops))
+    heis = build_superoperator(model, space).heisenberg
+    rows, cols, gsym = _weighted_hermitian_parts(heis, w_roots)
     support = np.arange(space.dim) * (space.dim + 1)
-    gaps = []
-    for w_root in w_roots:
-        gsym = _weighted_generator(superop, w_root)
-        u = np.zeros(gsym.shape[0])
+    for w_root, g in zip(w_roots, gsym):
+        u = np.zeros(heis.shape[0])
         u[support] = w_root[support] / np.linalg.norm(w_root[support])
-        resid = np.linalg.norm(gsym @ u)
-        bound = STEADY_RESIDUAL * np.abs(gsym.data).max()
+        resid = np.linalg.norm(_ordered_sum(rows, g * u[cols], u.size))
+        bound = STEADY_RESIDUAL * np.abs(g).max()
         if not resid <= bound:
             raise ConsistencyError(
                 f"invariant-direction residual {resid:.3e} exceeds {bound:.3e}: "
                 "the weights are not the stationary density"
             )
-        evals = _blocked_eigvalsh(gsym)
-        # the top eigenvalue is u's, zero up to rounding; the gap is the
-        # distance from zero of the next
-        gaps.append(-float(evals[-2]))
-    return tuple(gaps)
+    evals = _blocked_eigvalsh(rows, cols, gsym, heis.shape[0])
+    # the top eigenvalue is u's, zero up to rounding; the gap is the
+    # distance from zero of the next
+    return tuple(-float(e) for e in evals[:, -2])

@@ -697,6 +697,26 @@ class TestMain:
             "error [OutsideEnvelope]: gap oracle requires thermal populations"
         )
 
+    def test_oracle_refuses_a_large_space_before_allocating(self, capsys):
+        # two modes at cutoff 30 make dimension 961: one mode operator alone
+        # would take 14.8 MB; the refusal comes first
+        import scipy.linalg  # noqa: F401  (main imports it for every oracle command)
+
+        tracemalloc.start()
+        try:
+            code = main(["oracle", DRIVEN_D2_JSON, "--check", "char", "--cutoff", "30"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error [DimensionTooLarge]: truncated dimension 961 exceeds the "
+            "superoperator cap 64\n"
+        )
+        assert peak < 2e6
+
     @pytest.mark.parametrize("check", ["char", "kms-trace"])
     def test_oracle_degenerate_steady_state(self, capsys, monkeypatch, check):
         # a truncated generator whose kernel has dimension two or more (here

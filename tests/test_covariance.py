@@ -9,12 +9,18 @@ stable faithful models at d = 1 ... 8.
   scale by c, and the invariant state, so sigma, stays.
 - The direct sum with a model on other modes: each gap is the smaller of
   the two, and sigma is the union of both.
+- A quadratic Hamiltonian H' with [H', rho] = 0 adds the derivation
+  i[H', .], antisymmetric in both the GNS and the KMS product, so both gaps,
+  the invariant covariance and sigma stay, while the drift moves.  Its
+  (omega, kappa) directions are those whose drift change dZ keeps the
+  covariance stationary: dZ^T S + S dZ = 0.
 
 Each evaluation may be off by its conftest.rounding_allowances (one multiple
 of them: ROUTE_ROUNDING / 2 rounding units of |Z| cond(T) in each gap, and
 ROUTE_ROUNDING rounding units of the drift condition in sigma), so two
 evaluations may differ by the sum of theirs.  Measured on these seeds: at
-most 3 % of that sum (sigma), 1.2 % in the gaps.
+most 3 % of that sum (sigma), 1.4 % in the gaps, 2.1 % in the covariance
+(normwise, against the sigma allowance).
 """
 
 import dataclasses
@@ -25,6 +31,7 @@ import pytest
 from conftest import random_singular_cz, random_stable_faithful, random_unstable, rounding_allowances
 from gaussgap import cli
 from gaussgap.model import GklsModel, build_drift_diffusion
+from gaussgap.realops import realize_blocks
 from gaussgap.stationary import solve_stationary
 
 MODELS_PER_D = 3
@@ -65,6 +72,36 @@ def direct_sum(first, second):
         u_mat=blocks(first.u_mat, second.u_mat), v_mat=blocks(first.v_mat, second.v_mat),
         zeta=np.concatenate([first.zeta, second.zeta]),
     )
+
+
+def hamiltonian_directions(d):
+    """A real basis of the quadratic Hamiltonians, as (omega, kappa) pairs:
+    omega Hermitian (d^2 directions), kappa complex symmetric (d (d + 1))."""
+    sym, anti = [], []
+    for j in range(d):
+        for k in range(j, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[j, k] = e[k, j] = 1.0
+            sym.append(e)
+            if j < k:
+                a = np.zeros((d, d), dtype=complex)
+                a[j, k], a[k, j] = 1j, -1j
+                anti.append(a)
+    zero = np.zeros((d, d), dtype=complex)
+    return [(h, zero) for h in sym + anti] + [(zero, c * e) for e in sym for c in (1.0, 1j)]
+
+
+def state_preserving_directions(d, s2d):
+    """hamiltonian_directions(d) and orthonormal rows of coefficients over
+    them that span the null space of dZ^T S + S dZ, dZ the drift change
+    realize_blocks(i omega, i kappa)."""
+    directions = hamiltonian_directions(d)
+    changes = []
+    for omega, kappa in directions:
+        dz = realize_blocks(1j * omega, 1j * kappa)
+        changes.append((dz.T @ s2d + s2d @ dz).ravel())
+    _, sv, vh = np.linalg.svd(np.stack(changes, axis=1))
+    return directions, vh[np.sum(sv > 1e-10 * sv[0]):]
 
 
 def evaluate(model):
@@ -133,3 +170,32 @@ def test_direct_sum_takes_the_smaller_gap(d):
         assert summed[3] == 0
         want = (min(g, g1), min(g_breve, g1_breve), np.sort(np.concatenate([sigma, sigma1])))
         assert_gaps_and_sigma(summed, want, [allow, one_allow, sum_allow])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_state_preserving_hamiltonian_changes_no_gap(d):
+    rng = np.random.default_rng(3400 + d)
+    moved = 0
+    for _ in range(MODELS_PER_D):
+        model, dd, st = random_stable_faithful(rng, d)
+        directions, null = state_preserving_directions(d, st.s2d)
+        # the Williamson normal modes' number operators give d of them
+        assert len(null) >= d
+        step = rng.standard_normal(len(null)) @ null
+        step *= 3.0 / np.linalg.norm(step)
+        stepped = dataclasses.replace(
+            model,
+            omega=model.omega + sum(c * omega for c, (omega, _) in zip(step, directions)),
+            kappa=model.kappa + sum(c * kappa for c, (_, kappa) in zip(step, directions)),
+        )
+        values, allow = evaluate(model)
+        got, got_allow = evaluate(stepped)
+        assert got[3] == values[3] == 0
+        assert_gaps_and_sigma(got, values, [allow, got_allow])
+        stepped_dd = build_drift_diffusion(stepped)
+        s2d = solve_stationary(stepped_dd).s2d
+        sigma_rel = allow[2] + got_allow[2]
+        assert np.linalg.norm(s2d - st.s2d) <= sigma_rel * np.linalg.norm(st.s2d)
+        moved += abs(stepped_dd.abscissa - dd.abscissa) > 1e-2 * abs(dd.abscissa)
+    # the drift's spectrum moves, so the invariance is not vacuous
+    assert moved >= 1

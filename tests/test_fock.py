@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from gaussgap import fock
@@ -16,11 +17,11 @@ from gaussgap.errors import (
 )
 from gaussgap.fock import (
     Superoperator,
+    TruncatedSpace,
     _blocked_eigvalsh,
-    _components,
     _metric_roots,
     _thermal_envelope,
-    _weighted_generator,
+    _weighted_hermitian_parts,
     build_hamiltonian,
     build_kraus,
     build_space,
@@ -97,18 +98,26 @@ class TestSpace:
         assert np.allclose(a0 @ a1.conj().T - a1.conj().T @ a0, 0)
 
     def test_dimension_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            build_space(4, 15)
+        assert build_space(1, 63).dim == build_space(2, 7).dim == build_space(3, 3).dim == 64
+        for d, cutoff, dim in ((1, 64, 65), (2, 8, 81), (4, 15, 65536)):
+            with pytest.raises(
+                DimensionTooLarge,
+                match=f"^truncated dimension {dim} exceeds the superoperator cap 64$",
+            ):
+                build_space(d, cutoff)
 
 
 class TestSuperoperator:
     def test_superoperator_cap(self, model_b):
+        # build_space refuses this space; a hand-built one meets the same cap
         model, _, _ = model_b
+        local = np.diag(np.sqrt(np.arange(1, 65)), k=1).astype(complex)
+        space = TruncatedSpace(d=1, cutoff=64, dim=65, a_ops=(local,))
         with pytest.raises(
             DimensionTooLarge,
             match="^truncated dimension 65 exceeds the superoperator cap 64$",
         ):
-            build_superoperator(model, build_space(1, 64))
+            build_superoperator(model, space)
 
     def test_trace_preservation(self, model_b):
         model, _, _ = model_b
@@ -453,6 +462,26 @@ class TestSquareSteadyState:
         assert np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]
 
+def _spy_eigvalsh(monkeypatch):
+    """Shapes of the arguments of every np.linalg.eigvalsh call from now on."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def _dense(rows, cols, vals, n):
+    """The n x n matrices, one per row of vals, with those entries."""
+    out = np.zeros((len(vals), n, n), dtype=vals.dtype)
+    out[:, rows, cols] = vals
+    return out
+
+
 class TestBlockedEigensolve:
     @pytest.mark.parametrize(
         "model, blocks",
@@ -463,24 +492,33 @@ class TestBlockedEigensolve:
         ],
         ids=["thermal", "squeezed", "driven"],
     )
-    def test_component_counts(self, model, blocks):
-        heis = build_superoperator(model, build_space(1, 25)).heisenberg.toarray()
-        labels = _components(sparse.csr_array((heis != 0) | (heis.T != 0)))
-        assert labels.max() + 1 == blocks
-        assert set(labels) == set(range(blocks))
+    def test_component_counts(self, model, blocks, monkeypatch):
+        # one block per component of the Heisenberg generator's symmetric
+        # pattern, and every vertex in one of them
+        heis = build_superoperator(model, build_space(1, 25)).heisenberg
+        n = heis.shape[0]
+        rows, cols, _ = _weighted_hermitian_parts(heis, np.ones((1, n)))
+        shapes = _spy_eigvalsh(monkeypatch)
+        _blocked_eigvalsh(rows, cols, np.ones((1, rows.size)), n)
+        assert len(shapes) == blocks
+        assert sum(shape[-1] for shape in shapes) == n
 
     @pytest.mark.parametrize("embedding", [0, 1], ids=["gns", "kms"])
-    def test_union_of_blocks_is_the_spectrum(self, embedding):
+    def test_union_of_blocks_is_the_spectrum(self, embedding, monkeypatch):
         model = one_dim_family(3.0, 1.0, 2.0, 0.0)
         space = build_space(1, 25)
-        superop = build_superoperator(model, space)
+        heis = build_superoperator(model, space).heisenberg
         pops = np.diag(thermal_density(space, 0.5)).real
-        gsym = _weighted_generator(superop, _metric_roots(pops)[embedding])
-        assert _components(gsym != 0).max() + 1 == 51
-        dense = np.linalg.eigvalsh(gsym.toarray())
-        assert np.max(np.abs(_blocked_eigvalsh(gsym) - dense)) <= 1e-12 * np.linalg.norm(
-            gsym.toarray()
-        )
+        rows, cols, gsym = _weighted_hermitian_parts(heis, np.stack(_metric_roots(pops)))
+        shapes = _spy_eigvalsh(monkeypatch)
+        blocked = _blocked_eigvalsh(rows, cols, gsym, heis.shape[0])
+        # both embeddings in each of the 51 calls
+        assert len(shapes) == 51
+        assert {shape[0] for shape in shapes} == {2}
+        monkeypatch.undo()
+        mat = _dense(rows, cols, gsym, heis.shape[0])[embedding]
+        dense = np.linalg.eigvalsh(mat)
+        assert np.max(np.abs(blocked[embedding] - dense)) <= 1e-12 * np.linalg.norm(mat)
 
     @pytest.mark.parametrize("embedding", [0, 1], ids=["gns", "kms"])
     def test_sparse_weighting_matches_dense_formula(self, embedding):
@@ -488,36 +526,53 @@ class TestBlockedEigensolve:
         # dense outer products, take the dense Hermitian part
         space = build_space(1, 25)
         superop = build_superoperator(one_dim_family(3.0, 1.0, 2.0, 0.0), space)
-        w_root = _metric_roots(np.diag(thermal_density(space, 0.5)).real)[embedding]
+        w_roots = np.stack(_metric_roots(np.diag(thermal_density(space, 0.5)).real))
+        w_root = w_roots[embedding]
         gmat = (w_root[:, None] / w_root[None, :]) * superop.heisenberg.toarray()
         u = w_root * np.eye(space.dim).reshape(-1, order="F")
         u = u / np.linalg.norm(u)
         gmat -= np.outer(u, u.conj() @ gmat)
         gmat -= np.outer(gmat @ u, u.conj())
         dense = 0.5 * (gmat + gmat.conj().T)
-        gsym = _weighted_generator(superop, w_root)
-        assert np.max(np.abs(gsym.toarray() - dense)) <= 1e-15 * np.linalg.norm(dense)
+        rows, cols, gsym = _weighted_hermitian_parts(superop.heisenberg, w_roots)
+        got = _dense(rows, cols, gsym, space.dim**2)[embedding]
+        assert np.max(np.abs(got - dense)) <= 1e-15 * np.linalg.norm(dense)
 
-    def test_planted_entry_merges_components(self):
+    def test_planted_entry_merges_components(self, monkeypatch):
         heis = build_superoperator(
             one_dim_family(3.0, 1.0, 0.0, 0.0), build_space(1, 6)
         ).heisenberg.toarray()
         pattern = (heis != 0) | (heis.T != 0)
-        labels = _components(sparse.csr_array(pattern))
-        assert labels.max() + 1 == 13
+        n = pattern.shape[0]
+        shapes = _spy_eigvalsh(monkeypatch)
+        _blocked_eigvalsh(*np.nonzero(pattern), np.ones((1, pattern.sum())), n)
+        assert len(shapes) == 13
+        # the largest block is the diagonal sector l = m, of 7 vertices
+        assert max(shape[-1] for shape in shapes) == 7
         i, j = 1, 7  # vec indices of |1><0| and |0><1|: sectors +1 and -1
-        assert labels[i] != labels[j]
         pattern[i, j] = pattern[j, i] = True
-        merged = _components(sparse.csr_array(pattern))
-        assert merged.max() + 1 == 12
-        assert merged[i] == merged[j]
+        shapes.clear()
+        _blocked_eigvalsh(*np.nonzero(pattern), np.ones((1, pattern.sum())), n)
+        assert len(shapes) == 12
+        # sectors +1 and -1 hold 6 vertices each; merged they make one block
+        assert max(shape[-1] for shape in shapes) == 12
         # the blocked solve follows the planted coupling
         rng = np.random.default_rng(5)
         mat = np.where(pattern, rng.standard_normal(pattern.shape), 0.0)
         mat = mat + mat.T
+        rows, cols = np.nonzero(pattern)
+        monkeypatch.undo()
         assert np.allclose(
-            _blocked_eigvalsh(sparse.csr_array(mat)), np.linalg.eigvalsh(mat), atol=1e-12
+            _blocked_eigvalsh(rows, cols, mat[None, rows, cols], n)[0],
+            np.linalg.eigvalsh(mat),
+            atol=1e-12,
         )
+
+    def test_oracle_gap_makes_one_eigensolve_per_block(self, monkeypatch):
+        # 51 sectors l - m at cutoff 25, each one call for both embeddings
+        shapes = _spy_eigvalsh(monkeypatch)
+        oracle_gap(one_dim_family(3.0, 1.0, 2.0, 0.0), build_space(1, 25))
+        assert len(shapes) == 51
 
 
 def _reference_superoperator(model, space):
@@ -562,17 +617,17 @@ def _reference_weighted_generator(superop, w_root, project=True):
 
 def _reference_oracle_gap(model, space):
     """(g, g_breve) from the reference assembly and weighting, with one dense
-    eigvalsh per connected component."""
+    eigvalsh per connected component of each embedding's own pattern."""
     mu2, lambda2 = _thermal_envelope(model)
     pops = np.diag(thermal_density(space, lambda2 / (mu2 - lambda2))).real
     superop = _reference_superoperator(model, space)
     gaps = []
     for w_root in _metric_roots(pops):
         gsym = _reference_weighted_generator(superop, w_root)
-        dense = gsym.toarray()
-        labels = _components(gsym)
-        blocks = [np.flatnonzero(labels == b) for b in range(labels.max() + 1)]
-        evals = np.concatenate([np.linalg.eigvalsh(dense[np.ix_(b, b)]) for b in blocks])
+        # each embedding labelled on its own; a stored zero is not an edge
+        count, labels = connected_components(gsym != 0, directed=False)
+        blocks = [np.flatnonzero(labels == b) for b in range(count)]
+        evals = np.concatenate([np.linalg.eigvalsh(gsym[b][:, b].toarray()) for b in blocks])
         gaps.append(-float(np.sort(evals)[-2]))
     return tuple(gaps)
 
@@ -602,10 +657,14 @@ class TestBitwiseReference:
         space = build_space(1, cutoff)
         superop = build_superoperator(model, space)
         pops = np.diag(thermal_density(space, 0.5)).real
-        for w_root in _metric_roots(pops):
-            got = _weighted_generator(superop, w_root)
+        w_roots = np.stack(_metric_roots(pops))
+        rows, cols, gsym = _weighted_hermitian_parts(superop.heisenberg, w_roots)
+        n = space.dim**2
+        # one pattern for both embeddings: distinct entries in row-major order
+        assert np.all(np.diff(rows * n + cols) > 0)
+        for vals, w_root in zip(gsym, w_roots):
+            got = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
             ref = _reference_weighted_generator(superop, w_root, project=False)
-            assert got.format == "csr"
             assert abs(got - ref).max() <= np.finfo(float).eps * abs(ref).max()
 
     @pytest.mark.parametrize("model, cutoff", WEIGHTING_CASES)
@@ -615,29 +674,39 @@ class TestBitwiseReference:
         space = build_space(1, cutoff)
         superop = build_superoperator(model, space)
         pops = np.diag(thermal_density(space, 0.5)).real
-        for w_root in _metric_roots(pops):
-            got = _weighted_generator(superop, w_root)
-            adj = sparse.csr_array(got.conj().T)
-            adj.sort_indices()
-            assert np.array_equal(got.indptr, adj.indptr)
-            assert np.array_equal(got.indices, adj.indices)
-            assert np.array_equal(got.data, adj.data)
+        rows, cols, gsym = _weighted_hermitian_parts(
+            superop.heisenberg, np.stack(_metric_roots(pops))
+        )
+        n = space.dim**2
+        keys = rows * n + cols
+        transposed = np.searchsorted(keys, cols * n + rows)
+        # the pattern holds every transpose, and each entry is the conjugate
+        # of its transpose's, in both embeddings
+        assert np.array_equal(keys[transposed], cols * n + rows)
+        assert np.array_equal(gsym[:, transposed], gsym.conj())
 
-    @pytest.mark.parametrize("cutoff", [20, 25, 30])
+    @pytest.mark.parametrize("cutoff", [10, 20, 25, 30, 40, 63])
     def test_oracle_gap_is_the_reference_pipeline(self, cutoff):
+        # the grid and two seeded thermal models: lambda2 from 0.05 to 0.8
+        # of mu2, any omega
+        rng = np.random.default_rng(900 + cutoff)
+        seeded = [(mu2, float(rng.uniform(0.05, 0.8)) * mu2, float(rng.uniform(-3, 3)), 0.0)
+                  for mu2 in rng.uniform(1.0, 4.0, size=2)]
         space = build_space(1, cutoff)
-        for params in THERMAL_GRID:
+        for params in THERMAL_GRID + seeded:
             model = one_dim_family(*params)
             assert oracle_gap(model, space) == _reference_oracle_gap(model, space)
 
 
-def test_components_skip_stored_zeros():
-    # a sparse matrix may store zeros; they are not edges of the pattern
+def test_components_skip_stored_zeros(monkeypatch):
+    # an entry that is zero in both embeddings is not an edge of the
+    # pattern; one that is zero in only one of them is
     rows, cols = np.array([0, 1, 2, 3]), np.array([1, 0, 3, 2])
-    mat = sparse.csr_array((np.array([0.0, 0.0, 1.0, 1.0]), (rows, cols)), shape=(4, 4))
-    assert mat.nnz == 4
-    assert _components(mat).tolist() == [0, 1, 2, 2]
-    assert _components(sparse.csr_array(mat.toarray())).tolist() == [0, 1, 2, 2]
+    vals = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    shapes = _spy_eigvalsh(monkeypatch)
+    evals = _blocked_eigvalsh(rows, cols, vals, 4)
+    assert sorted(shapes) == [(2, 1, 1), (2, 1, 1), (2, 2, 2)]
+    assert evals.tolist() == [[0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]
 
 
 def test_two_mode_cross_validation():
