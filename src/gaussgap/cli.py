@@ -87,8 +87,8 @@ def _read_model(source):
     None for an explicit model.
 
     A path that does not exist is reported as such, unless the string looks
-    like a JSON document.  A model of two or more modes imports scipy.linalg
-    here, in every command that reads one.
+    like a JSON document.  Reading a model loads no scipy module, whatever
+    its number of modes.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -144,11 +144,6 @@ def _read_model(source):
         v_mat=_as_complex_array(doc["V"], (m, d), "V"),
         zeta=_as_complex_array(doc["zeta"], (d,), "zeta"),
     )
-    if d > 1:
-        # the Lyapunov solve of d >= 2 modes is Bartels-Stewart; imported
-        # as the model is read rather than at the solve, scipy.linalg took
-        # less CPU in a fresh process (see main)
-        import scipy.linalg  # noqa: F401
     return model, None
 
 
@@ -920,10 +915,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.func is _cmd_oracle:
-            # the Fock oracle imports scipy.linalg on first use on every
-            # valid model; the same import made at command start took less
-            # CPU in a fresh process than made at first use (same modules
-            # and calls, fewer page faults)
+            # the Fock oracle, the one command that needs scipy.linalg,
+            # imports it on first use on every valid model; the same import
+            # made at command start took less CPU in a fresh process than
+            # made at first use (same modules and calls, fewer page faults)
             import scipy.linalg  # noqa: F401
         return args.func(args)
     except GaussGapError as exc:

@@ -301,9 +301,10 @@ def no_gap_diagnosis(dd: DriftDiffusion) -> Finding:
     """
     z2d = dd.z2d
     if not dd.is_stable:
-        idx = int(np.argmax(dd.drift_eigenvalues.real))
-        lam = complex(dd.drift_eigenvalues[idx])
-        w = dd.drift_eigenvectors[:, idx]
+        evals, evecs = np.linalg.eig(z2d)
+        idx = int(np.argmax(evals.real))
+        lam = complex(evals[idx])
+        w = evecs[:, idx]
         w = w / np.linalg.norm(w)
         # C is real, so it vanishes on span(Re w, Im w) exactly when C w = 0
         c_scale = max(1.0, float(np.linalg.norm(dd.c2d, 2)))

@@ -304,7 +304,6 @@ class DriftDiffusion(_EntryIndexing):
     #: is_stable means abscissa < -stable_tol = -1e-12 * max(1, drift_norm)
     stable_tol: float
     drift_eigenvalues: np.ndarray
-    drift_eigenvectors: np.ndarray
     is_stable: bool
 
     @property
@@ -407,7 +406,7 @@ def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
     """
     validate(model, strict=True)
     z2d, c2d, cz, cz_spectrum = _realizations(model)
-    evals, evecs = np.linalg.eig(z2d)
+    evals = np.linalg.eigvals(z2d)
     abscissa = np.max(evals.real, axis=-1)
     drift_norm = np.linalg.norm(z2d, 2, axis=(-2, -1))
     stable_tol = 1e-12 * np.maximum(1.0, drift_norm)
@@ -426,6 +425,5 @@ def build_drift_diffusion(model: GklsModel) -> DriftDiffusion:
         abscissa=_plain(abscissa),
         stable_tol=_plain(stable_tol),
         drift_eigenvalues=evals,
-        drift_eigenvectors=evecs,
         is_stable=_plain(abscissa < -stable_tol),
     )

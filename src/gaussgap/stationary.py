@@ -15,16 +15,17 @@ s_breve = M^T diag(nu, nu) M with nu_j = sqrt(sigma_j^2 - 1) shares the
 symplectic eigenbasis of S and drives the square-root-split embedding.
 
 Every function takes one model or a stack of models (leading axes).  The one
-method split is the Lyapunov solve, and it goes by size alone: Bartels-Stewart,
-O(d^3), for one model of d >= 2 modes, and the (batched) Kronecker solve,
-cheap for the 2 x 2 drifts of one mode, for one mode and for every stack.  So
-a one-mode model is solved without scipy.linalg, and bit for bit as the same
-model inside a stack.
+method split is the Lyapunov solve, and it goes by size alone: the Cayley
+transform and squared Smith doubling, O(d^3) in matrix products, for one
+model of d >= 2 modes, and the (batched) Kronecker solve, cheap for the
+2 x 2 drifts of one mode, for one mode and for every stack.  Both are numpy
+only, so the module never loads scipy.linalg, and a one-mode model is solved
+bit for bit as the same model inside a stack.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,16 +84,6 @@ class StationaryData(_EntryIndexing):
         return _plain(np.linalg.det(self.s_tilde).real)
 
 
-def solve_continuous_lyapunov(a, q):
-    """scipy.linalg.solve_continuous_lyapunov, imported on first use:
-    loading scipy.linalg takes about half of a cold start, and importing the
-    package and the Kronecker solves of one mode and of stacks never need
-    it.  Every Bartels-Stewart solve goes through this name."""
-    from scipy.linalg import solve_continuous_lyapunov as scipy_solve
-
-    return scipy_solve(a, q)
-
-
 def _check_lyapunov_residual(z2d, c2d, s):
     """Raise SingularLyapunov unless S (or each S of a stack) solves
     Z^T S + S Z = -C to a normwise backward error of 1e-10."""
@@ -135,26 +126,74 @@ def _kronecker_lyapunov(z2d, c2d):
         raise
 
 
+#: doublings allowed before the Smith series counts as not converging: a
+#: drift at the stability threshold (decay rate 1e-12 |Z|_2, so at least
+#: 5e-13 of the shift) needs about 45, and the cap leaves a factor 2^19 in
+#: the number of terms for the transient growth of a drift far from normal
+_SMITH_STEPS = 64
+
+
+def _smith_lyapunov(z2d, c2d):
+    """Solve Z^T S + S Z = -C for one n x n equation with numpy's dense
+    solve and matrix products only, O(n^3).
+
+    The Cayley transform with the shift p, the power of two at or above
+    |Z|_2 (so that the shift scales exactly, as in dynamics._flow), maps the
+    equation to the Stein equation S = A^T S A + Q with
+    A = (pI - Z)^-1 (pI + Z) and Q = 2p (pI - Z)^-T C (pI - Z)^-1; for a
+    stable Z the eigenvalues of A lie inside the unit circle, and
+    S = sum_k (A^T)^k Q A^k.  Squared Smith doubling sums the series:
+    S <- S + A^T S A and A <- A^2 until |A|_F^2 <= eps / 2, when the rest of
+    the series, A^T S A for the last A, is below eps |S|.  One step of
+    iterative refinement solves the same equation for the residual
+    Z^T S + S Z + C with the same powers of A; it recovers the digits the
+    transform loses on decay rates far below |Z|.  A singular pI - Z, or
+    powers that do not fall below the bound within _SMITH_STEPS doublings
+    (a drift that is not stable), raise SingularLyapunov without a warning.
+    """
+    norm = np.linalg.norm(z2d, 2)
+    e = math.ceil(math.log2(norm)) if norm > 0 else 0
+    eye = np.eye(z2d.shape[-1])
+    shift = np.ldexp(eye, e)
+    try:
+        a, inv = np.hsplit(np.linalg.solve(shift - z2d, np.hstack([shift + z2d, eye])), 2)
+    except np.linalg.LinAlgError as exc:
+        raise SingularLyapunov(f"Lyapunov system is singular: {exc}") from exc
+
+    def cayley(q):
+        # 2p (pI - Z)^-T Q (pI - Z)^-1, the Stein equation's Q for C = q
+        return np.ldexp(inv.T @ q @ inv, e + 1)
+
+    powers = []
+    s = cayley(c2d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a drift that is not stable has powers that grow past double range
+        for _ in range(_SMITH_STEPS):
+            powers.append(a)
+            s = s + a.T @ s @ a
+            a = a @ a
+            size = np.vdot(a, a)
+            if not size > 0.5 * np.finfo(float).eps:
+                break
+    if not size <= 0.5 * np.finfo(float).eps:
+        raise SingularLyapunov(
+            "Lyapunov system is singular: the doubling did not converge "
+            f"in {_SMITH_STEPS} steps"
+        )
+    correction = cayley(z2d.T @ s + s @ z2d + c2d)
+    for a in powers:
+        correction = correction + a.T @ correction @ a
+    return s + correction
+
+
 def _solve_lyapunov(z2d, c2d):
     """Solve Z^T S + S Z = -C.  The method depends only on the input's size:
-    one equation with n = 2d >= 4 goes by Bartels-Stewart, a real Schur
-    factorization of Z^T and a quasi-triangular Sylvester solve, O(n^3); a
-    2 x 2 equation (one mode) and every stack go by the Kronecker system,
-    which needs no scipy.linalg."""
+    one equation with n = 2d >= 4 goes by the Cayley transform and squared
+    Smith doubling (_smith_lyapunov), O(n^3); a 2 x 2 equation (one mode)
+    and every stack go by the Kronecker system.  Neither needs
+    scipy.linalg."""
     if z2d.ndim == 2 and z2d.shape[-1] > 2:
-        # imported before the filter below, so that a warning raised while
-        # scipy loads is not taken for a singular system
-        import scipy.linalg  # noqa: F401
-
-        with warnings.catch_warnings():
-            # trsyl warns when it has to perturb an eigenvalue pair of Z
-            # whose sum is ~0: the operator is then singular at working
-            # precision
-            warnings.simplefilter("error", RuntimeWarning)
-            try:
-                s = solve_continuous_lyapunov(z2d.T, -c2d)
-            except (np.linalg.LinAlgError, ValueError, RuntimeWarning) as exc:
-                raise SingularLyapunov(f"Lyapunov system is singular: {exc}") from exc
+        s = _smith_lyapunov(z2d, c2d)
     else:
         s = _kronecker_lyapunov(z2d, c2d)
     s = 0.5 * (s + s.swapaxes(-1, -2))

@@ -56,6 +56,24 @@ def rounding_allowances(dd, st):
     )
 
 
+def direct_sum(first, second):
+    """The model of first on modes 1..d1 and second on the next d2 modes,
+    with the Kraus operators of both."""
+
+    def blocks(a, b):
+        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+        out[:a.shape[0], :a.shape[1]] = a
+        out[a.shape[0]:, a.shape[1]:] = b
+        return out
+
+    return GklsModel(
+        d=first.d + second.d, m=first.m + second.m,
+        omega=blocks(first.omega, second.omega), kappa=blocks(first.kappa, second.kappa),
+        u_mat=blocks(first.u_mat, second.u_mat), v_mat=blocks(first.v_mat, second.v_mat),
+        zeta=np.concatenate([first.zeta, second.zeta]),
+    )
+
+
 def random_model(rng, d, m, u_scale=0.35, v_scale=1.0, h_scale=0.5):
     """Random valid model; v-dominant rows bias the drift toward stability."""
     u = u_scale * (rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d)))

@@ -1676,15 +1676,17 @@ def test_cli_import_leaves_scipy_sparse_out():
 
 
 def test_start_up_leaves_scipy_linalg_out():
-    # scipy.linalg is about half of a cold start; only Bartels-Stewart (one
-    # model of d >= 2 modes) and the Fock oracle need it, so the imports,
-    # sweep, the one-mode analyze and gap (Kronecker solves), the one-mode
-    # evolve and decay (numpy flow), --help and usage errors must not load
-    # it, while a two-mode analyze does
+    # scipy.linalg is about half of a cold start; only the Fock oracle needs
+    # it, so the imports, sweep, analyze and gap (Kronecker solves for one
+    # mode, Smith doubling for more), evolve and decay (numpy flow), --help
+    # and usage errors must not load it, on one mode, two modes and eight,
+    # while the oracle does
     src = os.path.dirname(os.path.dirname(gaussgap.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
+    eight = random_stable_faithful(np.random.default_rng(8), 8)[0]
+    d8_json = json.dumps({"version": 1, **run_report(eight)["model"]}, default=np.ndarray.tolist)
     script = (
         "import contextlib, io, json, sys\n"
         "def loaded():\n"
@@ -1715,16 +1717,19 @@ def test_start_up_leaves_scipy_linalg_out():
         "print(codes, seen)\n"
     )
     # each last command in a fresh process
-    for last, loads in (
-        (["analyze", DRIVEN_D2_JSON], True),
-        (["evolve", MODEL_B_PRESET, "--t", "0.5"], False),
-        (["decay", MODEL_B_PRESET, "--samples", "2"], False),
+    for last, code, loads in (
+        (["analyze", DRIVEN_D2_JSON], 0, False),
+        (["gap", DRIVEN_D2_JSON], 0, False),
+        (["evolve", d8_json, "--t", "0.5"], 0, False),
+        (["decay", d8_json, "--samples", "2"], 0, False),
+        # cutoff 6 truncates model B too far for the check to pass: exit 2
+        (["oracle", MODEL_B_PRESET, "--cutoff", "6"], 2, True),
     ):
         out = subprocess.run(
             [sys.executable, "-c", script, MODEL_B_PRESET, json.dumps(last)],
             capture_output=True, text=True, env=env, check=True,
         ).stdout
         assert out == (
-            "[0, 0, 1, 0, 0, 0] "
+            f"[0, 0, 1, 0, 0, {code}] "
             f"[False, False, False, False, False, False, False, {loads}]\n"
         ), last[0]

@@ -28,9 +28,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_singular_cz, random_stable_faithful, random_unstable, rounding_allowances
+from conftest import (
+    direct_sum,
+    random_singular_cz,
+    random_stable_faithful,
+    random_unstable,
+    rounding_allowances,
+)
 from gaussgap import cli
-from gaussgap.model import GklsModel, build_drift_diffusion
+from gaussgap.model import build_drift_diffusion
 from gaussgap.realops import realize_blocks
 from gaussgap.stationary import solve_stationary
 
@@ -53,24 +59,6 @@ def rate_scaled(model, c):
     return dataclasses.replace(
         model, omega=c * model.omega, kappa=c * model.kappa, u_mat=np.sqrt(c) * model.u_mat,
         v_mat=np.sqrt(c) * model.v_mat, zeta=c * model.zeta,
-    )
-
-
-def direct_sum(first, second):
-    """The model of first on modes 1..d1 and second on the next d2 modes,
-    with the Kraus operators of both."""
-
-    def blocks(a, b):
-        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-        out[:a.shape[0], :a.shape[1]] = a
-        out[a.shape[0]:, a.shape[1]:] = b
-        return out
-
-    return GklsModel(
-        d=first.d + second.d, m=first.m + second.m,
-        omega=blocks(first.omega, second.omega), kappa=blocks(first.kappa, second.kappa),
-        u_mat=blocks(first.u_mat, second.u_mat), v_mat=blocks(first.v_mat, second.v_mat),
-        zeta=np.concatenate([first.zeta, second.zeta]),
     )
 
 

@@ -1,6 +1,6 @@
 """Every exported name has a caller in the package or a documented use, the
-two scipy.linalg seams and the numpy exponential of the flow carry every
-call to their routines, and the flow never imports scipy."""
+scipy.linalg seam of the Fock oracle and the numpy exponential of the flow
+carry every call to their routines, and the flow never imports scipy."""
 
 import ast
 import importlib
@@ -9,11 +9,9 @@ import re
 
 import numpy as np
 
-from conftest import random_stable_faithful
 from gaussgap.dynamics import GaussianStateParams, propagator, state_evolve
 from gaussgap.fock import build_space, weyl_matrix
 from gaussgap.model import build_drift_diffusion, one_dim_family
-from gaussgap.stationary import solve_stationary
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gaussgap"
@@ -83,19 +81,11 @@ def test_every_export_is_used_or_documented():
 
 
 #: module-level names through which scipy.linalg is reached on first use
-SCIPY_SEAMS = (
-    ("fock", "expm"),
-    ("stationary", "solve_continuous_lyapunov"),
-)
+SCIPY_SEAMS = (("fock", "expm"),)
 
 #: seams that are numpy routines and never reach scipy; the benchmark tracer
 #: patches dynamics.expm by this name, as it does fock.expm
 NUMPY_SEAMS = (("dynamics", "expm"),)
-
-
-#: a stable two-mode model: one mode is solved by the Kronecker system, two
-#: modes by Bartels-Stewart
-TWO_MODES = random_stable_faithful(np.random.default_rng(104), 2)[0]
 
 
 def _seam_results():
@@ -106,7 +96,6 @@ def _seam_results():
         state.mean,
         state.cov2d,
         weyl_matrix(build_space(1, 6), [0.3 + 0.1j]),
-        solve_stationary(build_drift_diffusion(TWO_MODES)).s2d,
     ]
 
 
