@@ -15,17 +15,16 @@ s_breve = M^T diag(nu, nu) M with nu_j = sqrt(sigma_j^2 - 1) shares the
 symplectic eigenbasis of S and drives the square-root-split embedding.
 
 Every function takes one model or a stack of models (leading axes).  The one
-method split is the Lyapunov solve, and it goes by size alone: the Cayley
-transform and squared Smith doubling, O(d^3) in matrix products, for one
-model of d >= 2 modes, and the (batched) Kronecker solve, cheap for the
-2 x 2 drifts of one mode, for one mode and for every stack.  Both are numpy
-only, so the module never loads scipy.linalg, and a one-mode model is solved
-bit for bit as the same model inside a stack.
+method split is the Lyapunov solve, and it goes by the equation's size
+alone: the Cayley transform and squared Smith doubling, O(d^3) in matrix
+products per model, for d >= 2 modes, and the Kronecker solve, cheap for the
+2 x 2 drifts of one mode, for one mode; each of one model and of a stack.
+Both are numpy only, so the module never loads scipy.linalg, and every model
+is solved bit for bit as the same model inside a stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +90,10 @@ def _check_lyapunov_residual(z2d, c2d, s):
     # an infinite scale would accept any residual
     resid = _fro(z2d.swapaxes(-1, -2) @ s + s @ z2d + c2d)
     # the residual of any solve in floating point grows like
-    # eps * |Z| * |S|, and |S| grows like 1 / (decay rate)
+    # eps * |Z| * |S|, and |S| grows like 1 / (decay rate); no absolute
+    # floor, so that the bound scales with the model
     fro_z, fro_c, fro_s = (_fro(a) for a in (z2d, c2d, s))
-    scale = np.maximum(np.maximum(1.0, fro_c), 2.0 * fro_z * fro_s)
+    scale = np.maximum(fro_c, 2.0 * fro_z * fro_s)
     raise_first(
         ~(resid <= 1e-10 * scale),
         SingularLyapunov,
@@ -103,9 +103,8 @@ def _check_lyapunov_residual(z2d, c2d, s):
 
 
 def _kronecker_lyapunov(z2d, c2d):
-    """Solve Z^T S + S Z = -C, or each equation of a stack (N, n, n), as one
-    (stacked) n^2 x n^2 Kronecker linear system: cheap for the n = 2 of one
-    mode and O(n^6) in general."""
+    """Solve the 2 x 2 equation Z^T S + S Z = -C of one mode, or each of a
+    stack (N, 2, 2), as one (stacked) 4 x 4 Kronecker linear system."""
     n = z2d.shape[-1]
     eye = np.eye(n)
     # row-major vec(S): (Z^T S)_ij = Z_ki S_kj and (S Z)_ij = S_il Z_lj
@@ -133,13 +132,14 @@ def _kronecker_lyapunov(z2d, c2d):
 _SMITH_STEPS = 64
 
 
-def _smith_lyapunov(z2d, c2d):
-    """Solve Z^T S + S Z = -C for one n x n equation with numpy's dense
-    solve and matrix products only, O(n^3).
+def _smith_lyapunov(z2d, c2d, norm):
+    """Solve Z^T S + S Z = -C for one n x n equation, or each of a stack
+    (leading axes), with numpy's dense solve and matrix products only,
+    O(n^3) per equation.
 
     The Cayley transform with the shift p, the power of two at or above
-    |Z|_2 (so that the shift scales exactly, as in dynamics._flow), maps the
-    equation to the Stein equation S = A^T S A + Q with
+    |Z|_2 = norm (so that the shift scales exactly, as in dynamics._flow),
+    maps the equation to the Stein equation S = A^T S A + Q with
     A = (pI - Z)^-1 (pI + Z) and Q = 2p (pI - Z)^-T C (pI - Z)^-1; for a
     stable Z the eigenvalues of A lie inside the unit circle, and
     S = sum_k (A^T)^k Q A^k.  Squared Smith doubling sums the series:
@@ -147,22 +147,25 @@ def _smith_lyapunov(z2d, c2d):
     the series, A^T S A for the last A, is below eps |S|.  One step of
     iterative refinement solves the same equation for the residual
     Z^T S + S Z + C with the same powers of A; it recovers the digits the
-    transform loses on decay rates far below |Z|.  A singular pI - Z, or
+    transform loses on decay rates far below |Z|.  Each equation of a stack
+    stops on its own: its later powers are zero, so every entry is the
+    solve of that equation alone, bit for bit.  A singular pI - Z, or
     powers that do not fall below the bound within _SMITH_STEPS doublings
-    (a drift that is not stable), raise SingularLyapunov without a warning.
+    (a drift that is not stable), raise SingularLyapunov without a warning,
+    for the first such entry of a stack.
     """
-    norm = np.linalg.norm(z2d, 2)
-    e = math.ceil(math.log2(norm)) if norm > 0 else 0
+    e = np.ceil(np.log2(np.where(norm > 0, norm, 1.0))).astype(int)[..., None, None]
     eye = np.eye(z2d.shape[-1])
     shift = np.ldexp(eye, e)
+    rhs = np.concatenate([shift + z2d, np.broadcast_to(eye, z2d.shape)], axis=-1)
     try:
-        a, inv = np.hsplit(np.linalg.solve(shift - z2d, np.hstack([shift + z2d, eye])), 2)
+        a, inv = np.split(np.linalg.solve(shift - z2d, rhs), 2, axis=-1)
     except np.linalg.LinAlgError as exc:
         raise SingularLyapunov(f"Lyapunov system is singular: {exc}") from exc
 
     def cayley(q):
         # 2p (pI - Z)^-T Q (pI - Z)^-1, the Stein equation's Q for C = q
-        return np.ldexp(inv.T @ q @ inv, e + 1)
+        return np.ldexp(inv.swapaxes(-1, -2) @ q @ inv, e + 1)
 
     powers = []
     s = cayley(c2d)
@@ -170,30 +173,32 @@ def _smith_lyapunov(z2d, c2d):
         # a drift that is not stable has powers that grow past double range
         for _ in range(_SMITH_STEPS):
             powers.append(a)
-            s = s + a.T @ s @ a
+            s = s + a.swapaxes(-1, -2) @ s @ a
             a = a @ a
-            size = np.vdot(a, a)
-            if not size > 0.5 * np.finfo(float).eps:
+            # a power that is not finite never counts as converged
+            live = ~(np.einsum("...ij,...ij->...", a, a) <= 0.5 * np.finfo(float).eps)
+            if not live.any():
                 break
-    if not size <= 0.5 * np.finfo(float).eps:
-        raise SingularLyapunov(
-            "Lyapunov system is singular: the doubling did not converge "
-            f"in {_SMITH_STEPS} steps"
-        )
-    correction = cayley(z2d.T @ s + s @ z2d + c2d)
+            a = a * live[..., None, None]
+    raise_first(
+        live, SingularLyapunov,
+        f"Lyapunov system is singular: the doubling did not converge in {_SMITH_STEPS} steps",
+    )
+    correction = cayley(z2d.swapaxes(-1, -2) @ s + s @ z2d + c2d)
     for a in powers:
-        correction = correction + a.T @ correction @ a
+        correction = correction + a.swapaxes(-1, -2) @ correction @ a
     return s + correction
 
 
-def _solve_lyapunov(z2d, c2d):
-    """Solve Z^T S + S Z = -C.  The method depends only on the input's size:
-    one equation with n = 2d >= 4 goes by the Cayley transform and squared
-    Smith doubling (_smith_lyapunov), O(n^3); a 2 x 2 equation (one mode)
-    and every stack go by the Kronecker system.  Neither needs
+def _solve_lyapunov(z2d, c2d, norm):
+    """Solve Z^T S + S Z = -C, or each equation of a stack, with norm the
+    drift's |Z|_2 (an array over the stack).  The method depends only on
+    the equation's size: n = 2d >= 4 goes by the Cayley transform and
+    squared Smith doubling (_smith_lyapunov), O(n^3) per equation; the
+    2 x 2 equations of one mode go by the Kronecker system.  Neither needs
     scipy.linalg."""
-    if z2d.ndim == 2 and z2d.shape[-1] > 2:
-        s = _smith_lyapunov(z2d, c2d)
+    if z2d.shape[-1] > 2:
+        s = _smith_lyapunov(z2d, c2d, norm)
     else:
         s = _kronecker_lyapunov(z2d, c2d)
     s = 0.5 * (s + s.swapaxes(-1, -2))
@@ -228,7 +233,7 @@ def solve_stationary(dd: DriftDiffusion) -> StationaryData:
     """
     require_stable(dd)
     z2d, d = dd.z2d, dd.dim_d
-    s2d = _solve_lyapunov(z2d, dd.c2d)
+    s2d = _solve_lyapunov(z2d, dd.c2d, dd.drift_norm)
     # Z# mu = zeta, on realizations a plain linear system with Z2d^T
     rhs = np.concatenate([dd.zeta.real, dd.zeta.imag], axis=-1)[..., None]
     x = np.linalg.solve(z2d.swapaxes(-1, -2), rhs)[..., 0]

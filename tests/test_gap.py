@@ -326,23 +326,21 @@ def test_analyze_stack_needs_a_stack():
         analyze_stack(one_dim_family(3.0, 1.0, 2.0, 1.0))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
 def test_analyze_stack_matches_per_model(d):
+    # every stage solves each entry of a stack as it solves that model
+    # alone, the Lyapunov equation included, so the values are equal
     models, stack = _fuzzed_stack(np.random.default_rng(40 + d), d, 40)
     res = analyze_stack(stack)
     admitted = []
     for i, model in enumerate(models):
-        dd = build_drift_diffusion(model)
-        rep = analyze(dd)
+        rep = analyze(build_drift_diffusion(model))
         if rep.gns is None:
             continue
         k = len(admitted)
         admitted.append(i)
-        g_tol, g_breve_tol, sigma_rel = rounding_allowances(dd, rep.stationary)
-        assert abs(res.g[k] - rep.g) <= max(1e-12 * abs(rep.g), g_tol)
-        assert abs(res.g_breve[k] - rep.g_breve) <= max(1e-12 * abs(rep.g_breve), g_breve_tol)
-        sigma = rep.stationary.sigma
-        assert np.all(np.abs(res.sigma[k] - sigma) <= max(1e-12, sigma_rel) * sigma)
+        assert res.g[k] == rep.g and res.g_breve[k] == rep.g_breve, (i, res.g[k], rep.g)
+        assert res.sigma[k].tobytes() == rep.stationary.sigma.tobytes(), i
     assert res.index.tolist() == admitted
     assert len(admitted) > 20
 

@@ -9,7 +9,13 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from conftest import direct_sum, random_model, random_stable_faithful
+from conftest import (
+    MODEL_A_PARAMS,
+    MODEL_B_PARAMS,
+    direct_sum,
+    random_model,
+    random_stable_faithful,
+)
 from gaussgap import cli, stationary
 from gaussgap.errors import NotFaithful, NotPositiveDefinite, SingularLyapunov, Unstable
 from gaussgap.gap import analyze
@@ -125,11 +131,19 @@ def random_stable(rng, d):
             return dd
 
 
+def stack_models(models):
+    """One GklsModel stack of models of one shape (d, m)."""
+    return GklsModel(
+        d=models[0].d,
+        m=models[0].m,
+        **{name: [getattr(m, name) for m in models]
+           for name in ("omega", "kappa", "u_mat", "v_mat", "zeta")},
+    )
+
+
 def lyapunov_residual_ok(dd, s):
     resid = np.linalg.norm(dd.z2d.T @ s + s @ dd.z2d + dd.c2d)
-    scale = max(
-        1.0, np.linalg.norm(dd.c2d), 2.0 * np.linalg.norm(dd.z2d) * np.linalg.norm(s)
-    )
+    scale = max(np.linalg.norm(dd.c2d), 2.0 * np.linalg.norm(dd.z2d) * np.linalg.norm(s))
     return resid <= 1e-10 * scale
 
 
@@ -139,7 +153,7 @@ class TestLyapunovSolve:
         rng = np.random.default_rng(100 + d)
         for _ in range(3):
             dd = random_stable(rng, d)
-            s = _solve_lyapunov(dd.z2d, dd.c2d)
+            s = _solve_lyapunov(dd.z2d, dd.c2d, dd.drift_norm)
             ref = kronecker_lyapunov(dd.z2d, dd.c2d)
             assert np.array_equal(s, s.T)
             assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -147,7 +161,7 @@ class TestLyapunovSolve:
     def test_d64_passes_residual_bound(self):
         # the (2d)^2 x (2d)^2 Kronecker system would take 2 GB per matrix here
         dd = random_stable(np.random.default_rng(164), 64)
-        s = _solve_lyapunov(dd.z2d, dd.c2d)
+        s = _solve_lyapunov(dd.z2d, dd.c2d, dd.drift_norm)
         assert s.shape == (128, 128)
         assert lyapunov_residual_ok(dd, s)
         assert np.linalg.eigvalsh(s)[0] > 0
@@ -159,7 +173,7 @@ class TestLyapunovSolve:
         monkeypatch.setattr(
             stationary,
             "_smith_lyapunov",
-            lambda z, c: solve(z, c) + 1e-6 * np.diag([1.0, 0.0, 0.0, -1.0]),
+            lambda z, c, norm: solve(z, c, norm) + 1e-6 * np.diag([1.0, 0.0, 0.0, -1.0]),
         )
         with pytest.raises(SingularLyapunov, match="numerically defective"):
             solve_stationary(dd)
@@ -190,7 +204,7 @@ class TestLyapunovSolve:
         kappa = 1.0 if delta is None else np.sqrt(5.0) - delta
         dd = build_drift_diffusion(one_dim_family(*(scale * p for p in (3.0, 1.0, 2.0, kappa))))
         z2d, c2d = dd.z2d, dd.c2d
-        s = _solve_lyapunov(z2d, c2d)
+        s = _solve_lyapunov(z2d, c2d, dd.drift_norm)
         with mp.workdps(60):
             # Z^T S + S Z = -C of the stored doubles, as its 4 x 4 system
             zm = mp.matrix(z2d.tolist())
@@ -220,6 +234,24 @@ class TestLyapunovSolve:
         with pytest.raises(SingularLyapunov, match="numerically defective"):
             _check_lyapunov_residual(dd.z2d, dd.c2d, 2.0 * st.s2d)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_residual_check_is_scale_free(self, d):
+        # model B, next to model A at d = 2, at rate scales 1 ... 1e-12: S
+        # stays, and at every scale the check rejects a relative error of
+        # 1e-9 and accepts one of 1e-12; an absolute floor on the bound
+        # would accept any small residual of a slow model
+        def model(scale):
+            b = one_dim_family(*(scale * p for p in MODEL_B_PARAMS))
+            return b if d == 1 else direct_sum(b, one_dim_family(*(scale * p for p in MODEL_A_PARAMS)))
+
+        s = solve_stationary(build_drift_diffusion(model(1.0))).s2d
+        flip = np.linalg.norm(s) * np.diag([1.0] + [0.0] * (2 * d - 2) + [-1.0])
+        for k in range(13):
+            dd = build_drift_diffusion(model(10.0**-k))
+            _check_lyapunov_residual(dd.z2d, dd.c2d, s + 1e-12 * flip)
+            with pytest.raises(SingularLyapunov, match="numerically defective"):
+                _check_lyapunov_residual(dd.z2d, dd.c2d, s + 1e-9 * flip)
+
     def test_singular_operator_raises_without_warning(self):
         # eigenvalues 1 and -1 of Z sum to zero: the 2 x 2 Kronecker system
         # is exactly singular, and at 4 x 4 trsyl perturbs them and warns
@@ -228,7 +260,7 @@ class TestLyapunovSolve:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(SingularLyapunov, match="singular"):
-                    _solve_lyapunov(z2d, c2d)
+                    _solve_lyapunov(z2d, c2d, np.linalg.norm(z2d, 2))
             assert caught == []
 
     def test_stability_boundary_walk_emits_no_warning(self):
@@ -319,8 +351,9 @@ def test_multi_mode_solve_matches_mpmath(case):
     # Bartels-Stewart's error reached 7.7 eps cond on these fuzzed models
     import mpmath as mp
 
-    z2d, c2d = SMITH_CASES[case].z2d, SMITH_CASES[case].c2d
-    s = _solve_lyapunov(z2d, c2d)
+    dd = SMITH_CASES[case]
+    z2d, c2d = dd.z2d, dd.c2d
+    s = _solve_lyapunov(z2d, c2d, dd.drift_norm)
     exact = exact_lyapunov(z2d, c2d)
     with mp.workdps(40):
         err = float(mp.mnorm(mp.matrix(s.tolist()) - exact, "f") / mp.mnorm(exact, "f"))
@@ -337,13 +370,7 @@ class TestStationaryStack:
             model, _, _ = random_stable_faithful(rng, 2)
             zeta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             models.append(dataclasses.replace(model, zeta=zeta))
-        stack = GklsModel(
-            d=2,
-            m=4,
-            **{name: [getattr(m, name) for m in models]
-               for name in ("omega", "kappa", "u_mat", "v_mat", "zeta")},
-        )
-        sts = solve_stationary(build_drift_diffusion(stack))
+        sts = solve_stationary(build_drift_diffusion(stack_models(models)))
         for i, model in enumerate(models):
             mu = solve_stationary(build_drift_diffusion(model)).mu
             assert np.all(mu != 0)
@@ -356,9 +383,48 @@ class TestStationaryStack:
         for i, p in enumerate(params):
             st = solve_stationary(build_drift_diffusion(one_dim_family(*p)))
             assert sts.faithful[i]
-            assert np.linalg.norm(sts.s2d[i] - st.s2d) < 1e-13 * np.linalg.norm(st.s2d)
-            assert np.linalg.norm(sts.s_breve[i] - st.s_breve) < 1e-13 * np.linalg.norm(st.s_breve)
-            assert abs(sts.sigma[i, 0] - st.sigma[0]) < 1e-13 * st.sigma[0]
+            for name in ("s2d", "s_breve", "sigma"):
+                assert getattr(sts, name)[i].tobytes() == getattr(st, name).tobytes(), name
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_entries_are_single_solves_bit_for_bit(self, d):
+        # fuzzed models and, from d = 2 on, direct sums (zero off-diagonal
+        # blocks) with a mode at decay rate 1e-2 ... 1e-9, whose equations
+        # need more doublings than the others: each entry of the stack
+        # stops on its own and is the solve of its model alone, signed
+        # zeros included
+        rng = np.random.default_rng(60 + d)
+        models = [random_stable_faithful(rng, d)[0] for _ in range(6)]
+        if d > 1:
+            for e in range(2, 10):
+                rate = 10.0**-e
+                slow = one_dim_family(3.0, 1.0, 2.0, np.sqrt(4.0 + (1.0 - rate) ** 2))
+                models.append(direct_sum(random_stable_faithful(rng, d - 1)[0], slow))
+        sts = solve_stationary(build_drift_diffusion(stack_models(models)))
+        for i, model in enumerate(models):
+            st = solve_stationary(build_drift_diffusion(model))
+            assert sts.s2d[i].tobytes() == st.s2d.tobytes(), i
+            assert sts.sigma[i].tobytes() == st.sigma.tobytes(), i
+
+    def test_multi_mode_stack_memory(self):
+        # 20 models at d = 16 by the Smith doubling: O(N d^2) memory, where
+        # their (2d)^2 x (2d)^2 Kronecker systems took 320 MiB
+        import tracemalloc
+
+        rng = np.random.default_rng(1616)
+        models = []
+        while len(models) < 20:
+            model = random_model(rng, 16, m=32)
+            if build_drift_diffusion(model).is_stable:
+                models.append(model)
+        dds = build_drift_diffusion(stack_models(models))
+        tracemalloc.start()
+        try:
+            solve_stationary(dds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
     def test_unfaithful_entry_flagged(self):
         # kappa = 1e-6 at lambda = 0: sigma - 1 ~ 1e-13, inside the root margin
@@ -379,7 +445,16 @@ class TestStationaryStack:
         z = np.array([-np.eye(2), np.diag([1.0, -1.0])])
         c = np.array([np.eye(2)] * 2)
         with pytest.raises(SingularLyapunov, match="singular") as caught:
-            _solve_lyapunov(z, c)
+            _solve_lyapunov(z, c, np.linalg.norm(z, 2, axis=(-2, -1)))
+        assert caught.value.index == 1
+
+    def test_doubling_failure_names_entry(self):
+        # the second drift is not stable: its powers of A grow past double
+        # range while the first entry's converge, without a warning
+        z = np.array([-np.eye(4), np.diag([1.0, -1.0, 2.0, 3.0])])
+        c = np.array([np.eye(4)] * 2)
+        with pytest.raises(SingularLyapunov, match="did not converge in 64 steps") as caught:
+            _solve_lyapunov(z, c, np.linalg.norm(z, 2, axis=(-2, -1)))
         assert caught.value.index == 1
 
     def test_residual_check_names_entry(self, model_b):
